@@ -67,19 +67,37 @@ class SpatialGraphConv(nc.Module):
 
     def __call__(self, x):
         # x: (..., M, in_channels)
-        out = None
-        for k in range(self.adjacency.kernel_scale):
-            mixed = nc.matmul(self.adjacency.matrices[k], x)
-            term = nc.matmul(mixed, self.weight[k])
-            out = term if out is None else out + term
-        return out + self.bias
+        return nc.mix_project(x, self.adjacency.matrices, self.weight, self.bias)
+
+
+def reflect_shifts(t, kernel_size):
+    """(kernel, T, T) 0/1 matrices; tap j picks, for each output frame, the
+    input frame at offset j - pad under edge-reflecting padding.
+
+    Row t of shift j selects frame t + j - pad, reflected at the edges
+    (frame -1 is frame 0, frame T is frame T - 1), so summing
+    shifts[j] @ x @ kernel[j] over taps is the symmetric-padded
+    convolution.  Requires T >= pad.
+    """
+    pad = (kernel_size - 1) // 2
+    if t < pad:
+        raise ValueError(f"history of {t} frames too short for kernel {kernel_size}")
+    shifts = np.zeros((kernel_size, t, t))
+    for tap in range(kernel_size):
+        src = np.arange(t) + tap - pad
+        src = np.where(src < 0, -src - 1, src)
+        src = np.where(src >= t, 2 * t - 1 - src, src)
+        shifts[tap, np.arange(t), src] = 1.0
+    return shifts
 
 
 class TemporalConv(nc.Module):
     """1-d convolution along the time axis of (B, T, M, C) features.
 
     Symmetric (edge-reflecting) padding keeps the output length equal to the
-    input length.  Requires T >= (kernel - 1) // 2.
+    input length.  Requires T >= (kernel - 1) // 2.  The padding and taps
+    are one fixed stack of shift matrices per history length (see
+    `reflect_shifts`), applied by the fused `nc.mix_project`.
     """
 
     param_attrs = ("kernel", "bias")
@@ -91,23 +109,16 @@ class TemporalConv(nc.Module):
         scale = 1.0 / np.sqrt(channels_in * kernel_size)
         self.kernel = rng.normal(0.0, scale, size=(kernel_size, channels_in, channels_out))
         self.bias = np.zeros(channels_out)
+        self._shifts = {}  # history length -> reflect_shifts(T, kernel_size)
 
     def __call__(self, x):
         t = nc._data(x).shape[1]
-        pad = (self.kernel_size - 1) // 2
-        if pad > 0:
-            if t < pad:
-                raise ValueError(f"history of {t} frames too short for kernel {self.kernel_size}")
-            left = nc.flip(x[:, :pad], axis=1)
-            right = nc.flip(x[:, t - pad:], axis=1)
-            xp = nc.concat([left, x, right], axis=1)
-        else:
-            xp = x
-        out = None
-        for tap in range(self.kernel_size):
-            term = nc.matmul(xp[:, tap:tap + t], self.kernel[tap])
-            out = term if out is None else out + term
-        return out + self.bias
+        shifts = self._shifts.get(t)
+        if shifts is None:
+            shifts = self._shifts[t] = reflect_shifts(t, self.kernel_size)
+        # mix along time on the time-major (B, M, T, C) layout
+        y = nc.mix_project(nc.transpose(x, (0, 2, 1, 3)), shifts, self.kernel, self.bias)
+        return nc.transpose(y, (0, 2, 1, 3))
 
 
 class GraphTemporalBlock(nc.Module):
@@ -175,7 +186,6 @@ class LSTMLayer(nc.Module):
     param_attrs = ("w_ih", "w_hh", "bias")
 
     def __init__(self, in_dim, hidden, rng):
-        self.hidden = hidden
         k = 1.0 / np.sqrt(hidden)
         self.w_ih = rng.uniform(-k, k, size=(in_dim, 4 * hidden))
         self.w_hh = rng.uniform(-k, k, size=(hidden, 4 * hidden))
@@ -184,15 +194,7 @@ class LSTMLayer(nc.Module):
         self.bias = bias
 
     def __call__(self, x, h, c):
-        gates = nc.matmul(x, self.w_ih) + nc.matmul(h, self.w_hh) + self.bias
-        n = self.hidden
-        i = nc.sigmoid(gates[:, :n])
-        f = nc.sigmoid(gates[:, n:2 * n])
-        g = nc.tanh(gates[:, 2 * n:3 * n])
-        o = nc.sigmoid(gates[:, 3 * n:])
-        c_new = f * c + i * g
-        h_new = o * nc.tanh(c_new)
-        return h_new, c_new
+        return nc.lstm_cell(x, h, c, self.w_ih, self.w_hh, self.bias)
 
 
 class LSTMStack(nc.Module):

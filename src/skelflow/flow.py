@@ -173,15 +173,11 @@ class InvertibleMix(nc.Module):
         return lad
 
     def forward(self, x, markers):
-        return nc.matmul(x, self.weight), mul_scalar(self._logabsdet(), float(markers))
+        return nc.matmul(x, self.weight), nc.mul(self._logabsdet(), float(markers))
 
     def inverse(self, y):
         self._logabsdet()
         return y @ np.linalg.inv(nc._data(self.weight))
-
-
-def mul_scalar(x, k):
-    return nc.mul(x, k)
 
 
 class FlowStep(nc.Module):
@@ -226,7 +222,7 @@ class FlowStep(nc.Module):
         x = self.actnorm.inverse(y)
         ld_couple = nc.vsum(nc.log(s), axis=(1, 2))
         ld_act = self.actnorm.logdet()
-        ld_mix = mul_scalar(self.mix._logabsdet(), float(self.markers))
+        ld_mix = nc.mul(self.mix._logabsdet(), float(self.markers))
         logdet = nc.neg(nc.add(nc.add(ld_act, ld_mix), ld_couple))
         return x, logdet, new_state
 

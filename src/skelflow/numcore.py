@@ -82,6 +82,12 @@ class Var:
             self.grad = np.zeros(self.data.shape, dtype=np.float64)
         self.grad += g
 
+    def _accum_at(self, key, g):
+        """Add `g` into `self.grad[key]` without a full-size temporary."""
+        if self.grad is None:
+            self.grad = np.zeros(self.data.shape, dtype=np.float64)
+        self.grad[key] += g
+
     # arithmetic sugar; all dispatch through the module-level ops
     def __add__(self, other):
         return add(self, other)
@@ -267,13 +273,7 @@ def getitem(a, key):
     if not isinstance(a, Var):
         return _data(a)[key]
     out = Var(a.data[key], (a,))
-
-    def bw(g):
-        z = np.zeros(a.data.shape, dtype=np.float64)
-        z[key] += g
-        a._accum(z)
-
-    out._bw = bw
+    out._bw = lambda g: a._accum_at(key, g)
     return out
 
 
@@ -384,11 +384,100 @@ def logabsdet(a):
     return out
 
 
-def backward(loss):
+# -- fused layer ops: one tape node each, with a hand-written backward --------
+
+
+def mix_project(x, mats, weight, bias):
+    """y = sum_k mats[k] @ x @ weight[k] + bias, mixing x along axis -2.
+
+    x is (..., M, C_in); `mats` is a fixed (d, M, M) ndarray, `weight`
+    (d, C_in, C_out) and `bias` (C_out,).  The forward is two GEMMs: the d
+    mixes stacked row-interleaved into one (M*d, M) matrix, whose product
+    with x is already laid out as (rows, d*C_in), then one 2-d
+    (rows, d*C_in) @ (d*C_in, C_out) projection.  The backward mirrors
+    them, so the weight gradient is a single 2-d GEMM.
+    """
+    xd, wd = _data(x), _data(weight)
+    shape = xd.shape
+    d, m = mats.shape[0], shape[-2]
+    c_in, c_out = wd.shape[1], wd.shape[2]
+    stacked = mats.transpose(1, 0, 2).reshape(m * d, m)  # row i*d + k = mats[k, i]
+    flat_w = wd.reshape(d * c_in, c_out)
+    rows = (stacked @ xd.reshape(-1, m, c_in)).reshape(-1, d * c_in)
+    out = (rows @ flat_w).reshape(shape[:-1] + (c_out,)) + _data(bias)
+    if not _any_var(x, weight, bias):
+        return out
+    res = Var(out, tuple(v for v in (x, weight, bias) if isinstance(v, Var)))
+
+    def bw(g):
+        g2 = g.reshape(-1, c_out)
+        if isinstance(bias, Var):
+            bias._accum(g2.sum(axis=0))
+        if isinstance(weight, Var):
+            weight._accum((rows.T @ g2).reshape(wd.shape))
+        if isinstance(x, Var):
+            g_rows = (g2 @ flat_w.T).reshape(-1, m * d, c_in)
+            x._accum((stacked.T @ g_rows).reshape(shape))
+
+    res._bw = bw
+    return res
+
+
+def lstm_cell(x, h, c, w_ih, w_hh, bias):
+    """One LSTM step on (B, D) input and (B, H) state; returns (h', c').
+
+    Gates are ordered (input, forget, cell, output) along the 4H axis of
+    the weights.  On ndarrays h' and c' are plain arrays; on Vars they are
+    the two halves of one (B, 2H) tape node.
+    """
+    xd, hd, cd = _data(x), _data(h), _data(c)
+    w_ihd, w_hhd = _data(w_ih), _data(w_hh)
+    n = hd.shape[-1]
+    gates = xd @ w_ihd + hd @ w_hhd + _data(bias)
+    i = expit(gates[:, :n])
+    f = expit(gates[:, n:2 * n])
+    g = np.tanh(gates[:, 2 * n:3 * n])
+    o = expit(gates[:, 3 * n:])
+    c_new = f * cd + i * g
+    tc = np.tanh(c_new)
+    h_new = o * tc
+    if not _any_var(x, h, c, w_ih, w_hh, bias):
+        return h_new, c_new
+    both = Var(np.concatenate([h_new, c_new], axis=1),
+               tuple(v for v in (x, h, c, w_ih, w_hh, bias) if isinstance(v, Var)))
+
+    def bw(grad):
+        g_h = grad[:, :n]
+        g_c = grad[:, n:] + g_h * o * (1.0 - tc * tc)
+        g_gates = np.empty_like(gates)
+        g_gates[:, :n] = g_c * g * i * (1.0 - i)
+        g_gates[:, n:2 * n] = g_c * cd * f * (1.0 - f)
+        g_gates[:, 2 * n:3 * n] = g_c * i * (1.0 - g * g)
+        g_gates[:, 3 * n:] = g_h * tc * o * (1.0 - o)
+        if isinstance(x, Var):
+            x._accum(g_gates @ w_ihd.T)
+        if isinstance(h, Var):
+            h._accum(g_gates @ w_hhd.T)
+        if isinstance(c, Var):
+            c._accum(g_c * f)
+        if isinstance(w_ih, Var):
+            w_ih._accum(xd.T @ g_gates)
+        if isinstance(w_hh, Var):
+            w_hh._accum(hd.T @ g_gates)
+        if isinstance(bias, Var):
+            bias._accum(g_gates.sum(axis=0))
+
+    both._bw = bw
+    return both[:, :n], both[:, n:]
+
+
+def backward(loss, keep=()):
     """Run reverse accumulation from a scalar Var.
 
     Grads of every node reachable from `loss` are reset first, so calling
-    this twice on the same tape yields identical results.
+    this twice on the same tape yields identical results.  A node's grad is
+    dropped once its backward has run, except on leaves and on the Vars in
+    `keep`, so intermediate gradients do not outlive the pass.
     """
     if not isinstance(loss, Var):
         raise TypeError("backward expects a Var")
@@ -410,18 +499,21 @@ def backward(loss):
             stack.append((p, False))
     for node in order:
         node.grad = None
+    kept = {id(v) for v in keep}
     loss.grad = np.ones(loss.data.shape, dtype=np.float64)
     for node in reversed(order):
         if node._bw is not None and node.grad is not None:
             node._bw(node.grad)
+            if id(node) not in kept:
+                node.grad = None
 
 
 def grad(loss, leaves):
-    """Gradients of scalar `loss` w.r.t. a list of leaf Vars.
+    """Gradients of scalar `loss` w.r.t. a list of Vars, leaves or not.
 
-    Leaves that do not influence the loss get exact zeros.
+    Vars that do not influence the loss get exact zeros.
     """
-    backward(loss)
+    backward(loss, keep=leaves)
     out = []
     for v in leaves:
         if v.grad is None:

@@ -32,7 +32,7 @@ class TrainingDivergedError(ArithmeticError):
     """Loss or gradients went non-finite; carries the last good snapshot."""
 
     def __init__(self, step, snapshot, last_good_step):
-        super().__init__(f"non-finite loss at step {step}")
+        super().__init__(f"non-finite loss or gradient at step {step}")
         self.step = step
         self.snapshot = snapshot
         self.last_good_step = last_good_step
@@ -199,15 +199,17 @@ def train(model, train_windows, holdout_windows, config, on_eval=None):
         finally:
             nc.restore(model)
         loss_value = float(nc._data(loss))
-        grads = dict(zip(lifted.keys(), grads_list))
-        finite = np.isfinite(loss_value) and all(
-            np.all(np.isfinite(g)) for g in grads.values())
-        if not finite:
+        if not np.isfinite(loss_value):
             raise TrainingDivergedError(step, snapshot, last_good)
+        grads = dict(zip(lifted.keys(), grads_list))
         grads, _ = nc.clip_grad_norm(grads, config.grad_clip)
         params = dict(model.named_parameters())
-        new_params, adam_state = nc.adam_step(
-            params, grads, adam_state, step_size=config.learning_rate)
+        try:
+            # adam_step scans the gradients and leaves params untouched
+            new_params, adam_state = nc.adam_step(
+                params, grads, adam_state, step_size=config.learning_rate)
+        except nc.NonFiniteGradientError as exc:
+            raise TrainingDivergedError(step, snapshot, last_good) from exc
         for k, v in new_params.items():
             model.set_parameter(k, v)
         log.train_nll.append(loss_value)

@@ -326,6 +326,7 @@ def trained(request):
             "final": log.eval_nll[-1], "elapsed": elapsed}
 
 
+@pytest.mark.slow
 def test_06_desk_training_cuts_holdout_nll(trained, capsys):
     nll0, final = trained["nll0"], trained["final"]
     cut = 1.0 - final / nll0
@@ -362,6 +363,7 @@ def generation(trained):
             "reference": reference, "scores": scores, "finite": finite}
 
 
+@pytest.mark.slow
 def test_07_generated_sequences_keep_bone_lengths(generation, capsys):
     bound = 0.10 * float(np.mean(generation["reference"]))
     worst = max(generation["scores"])
@@ -372,6 +374,7 @@ def test_07_generated_sequences_keep_bone_lengths(generation, capsys):
              f"all finite: {generation['finite']}")
 
 
+@pytest.mark.slow
 def test_08_reconstruction_contract(trained, generation, capsys):
     spec, model = trained["spec"], trained["model"]
     t_h = model.config.history

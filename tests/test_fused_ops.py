@@ -1,0 +1,219 @@
+"""The fused numcore ops against the op-by-op chains they replaced, against
+finite differences, and by the size of the tape they build."""
+
+import numpy as np
+import pytest
+
+from skelflow import conditioning as cond
+from skelflow import flow
+from skelflow import numcore as nc
+from skelflow import skeleton as sk
+from skelflow import training
+
+from oracles import graph_conv_chain, lstm_cell_chain, temporal_conv_chain
+
+TOL = 1e-10
+GRAD_TOL = 1e-6
+
+
+def assert_close(got, want):
+    got, want = nc._data(got), nc._data(want)
+    assert got.shape == want.shape
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert float(np.max(np.abs(got - want))) <= TOL * scale
+
+
+def weighted_tanh_sum(outputs, weights):
+    """A scalar that depends on every output entry, nonlinearly."""
+    total = 0.0
+    for out, w in zip(outputs, weights):
+        total = nc.add(total, nc.vsum(nc.mul(nc.tanh(out), w)))
+    return total
+
+
+def check_against_chain(fused, chain, inputs):
+    """Values on ndarrays, then values and every input gradient on Vars."""
+    for got, want in zip(fused(*inputs), chain(*inputs)):
+        assert isinstance(got, np.ndarray)
+        assert_close(got, want)
+    grads = []
+    for fn in (fused, chain):
+        leaves = [nc.Var(np.array(a)) for a in inputs]
+        outputs = fn(*leaves)
+        weights = [np.random.default_rng(0).normal(size=nc._data(o).shape)
+                   for o in outputs]
+        grads.append(nc.grad(weighted_tanh_sum(outputs, weights), leaves))
+    for got, want in zip(*grads):
+        assert_close(got, want)
+
+
+def grad_check_each(fn, inputs):
+    """grad_check of a scalar of fn(*inputs) with respect to each input."""
+    outputs = fn(*inputs)
+    weights = [np.random.default_rng(1).normal(size=np.shape(o)) for o in outputs]
+    for k, base in enumerate(inputs):
+        def loss(value, k=k):
+            args = list(inputs)
+            args[k] = value
+            return weighted_tanh_sum(fn(*args), weights)
+
+        err = nc.grad_check(loss, base, step=1e-5)
+        assert err <= GRAD_TOL, (k, err)
+
+
+# --- mix_project as the spatial graph conv -------------------------------------
+
+
+@pytest.fixture(scope="module")
+def partitions():
+    spec = sk.build_skeleton("""
+markers 5
+center 1
+heels 0 4
+root 0
+edge 0 1
+edge 1 2
+edge 2 3
+edge 1 4
+mirror 0 4
+""")
+    return {d: sk.partition(spec, d).matrices for d in (3, 5)}
+
+
+def spatial_fused(matrices):
+    return lambda x, w, b: (nc.mix_project(x, matrices, w, b),)
+
+
+def spatial_chain(matrices):
+    return lambda x, w, b: (graph_conv_chain(matrices, x, w, b),)
+
+
+@pytest.mark.parametrize("d", [3, 5])
+@pytest.mark.parametrize("lead", [(2,), (2, 3)])
+def test_graph_conv_matches_chain(partitions, d, lead):
+    rng = np.random.default_rng(d)
+    mats = partitions[d]
+    inputs = [rng.normal(size=lead + (5, 3)), rng.normal(size=(d, 3, 4)),
+              rng.normal(size=4)]
+    check_against_chain(spatial_fused(mats), spatial_chain(mats), inputs)
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_graph_conv_grad_check(partitions, d):
+    rng = np.random.default_rng(10 + d)
+    inputs = [rng.normal(size=(2, 5, 2)), rng.normal(size=(d, 2, 3)),
+              rng.normal(size=3)]
+    grad_check_each(spatial_fused(partitions[d]), inputs)
+
+
+# --- mix_project as the temporal conv ----------------------------------------------
+
+# (kernel, frames): kernels 1, 5 and 9, and frames equal to the padding
+TEMPORAL_CASES = [(1, 4), (5, 6), (9, 10), (5, 2), (9, 4)]
+
+
+def temporal_fused(x, kernel, bias):
+    layer = cond.TemporalConv(1, 1, nc._data(kernel).shape[0],
+                              np.random.default_rng(0))
+    layer.kernel, layer.bias = kernel, bias
+    return (layer(x),)
+
+
+def temporal_chain(x, kernel, bias):
+    return (temporal_conv_chain(x, kernel, bias),)
+
+
+@pytest.mark.parametrize("k, t", TEMPORAL_CASES)
+def test_temporal_conv_matches_chain(k, t):
+    rng = np.random.default_rng(k * 100 + t)
+    inputs = [rng.normal(size=(2, t, 3, 2)), rng.normal(size=(k, 2, 3)),
+              rng.normal(size=3)]
+    check_against_chain(temporal_fused, temporal_chain, inputs)
+
+
+@pytest.mark.parametrize("k, t", TEMPORAL_CASES)
+def test_temporal_conv_grad_check(k, t):
+    rng = np.random.default_rng(k * 10 + t)
+    inputs = [rng.normal(size=(1, t, 2, 2)), rng.normal(size=(k, 2, 2)),
+              rng.normal(size=2)]
+    grad_check_each(temporal_fused, inputs)
+
+
+@pytest.mark.parametrize("k, t", TEMPORAL_CASES)
+def test_reflect_shifts_pick_one_frame_per_tap(k, t):
+    shifts = cond.reflect_shifts(t, k)
+    assert shifts.shape == (k, t, t)
+    assert set(np.unique(shifts)) <= {0.0, 1.0}
+    assert np.all(shifts.sum(axis=2) == 1.0)
+    assert np.array_equal(shifts[(k - 1) // 2], np.eye(t))
+
+
+def test_temporal_conv_layer_matches_chain_and_caches_shifts():
+    rng = np.random.default_rng(5)
+    layer = cond.TemporalConv(3, 4, 9, rng)
+    x = rng.normal(size=(2, 6, 5, 3))
+    assert_close(layer(x), temporal_conv_chain(x, layer.kernel, layer.bias))
+    shifts = layer._shifts[6]
+    layer(x)
+    assert layer._shifts[6] is shifts
+
+
+# --- lstm_cell ------------------------------------------------------------------
+
+
+def lstm_inputs(rng, batch=3, d=4, n=3):
+    k = 1.0 / np.sqrt(n)
+    return [rng.normal(size=(batch, d)), rng.normal(size=(batch, n)),
+            rng.normal(size=(batch, n)),
+            rng.uniform(-k, k, size=(d, 4 * n)),
+            rng.uniform(-k, k, size=(n, 4 * n)), rng.normal(size=4 * n)]
+
+
+def test_lstm_cell_matches_chain():
+    rng = np.random.default_rng(21)
+    check_against_chain(nc.lstm_cell, lstm_cell_chain, lstm_inputs(rng))
+
+
+def test_lstm_cell_grad_check():
+    grad_check_each(nc.lstm_cell, lstm_inputs(np.random.default_rng(22), 2, 3, 2))
+
+
+def test_lstm_cell_var_outputs_share_one_node():
+    rng = np.random.default_rng(23)
+    x, h, c, w_ih, w_hh, bias = lstm_inputs(rng)
+    h_new, c_new = nc.lstm_cell(nc.Var(x), h, c, w_ih, w_hh, bias)
+    assert h_new._parents[0] is c_new._parents[0]
+    assert h_new._parents[0].shape == (3, 6)
+
+
+# --- tape size ------------------------------------------------------------------
+
+
+def tape_nodes(loss):
+    """Number of Vars reachable from `loss`, leaves included."""
+    seen = set()
+    stack = [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+def test_desk_training_step_tape_census():
+    spec = sk.default_skeleton()
+    windows = training.synthetic_corpus(specs=("line:speed=70",), steps=12,
+                                        skeleton_spec=spec)
+    model = flow.FlowModel.create(flow.desk_config(), spec, seed=0)
+    config = training.TrainConfig(batch_size=8, nll_frames=8, init_batch=16)
+    training.initialize_from_corpus(model, windows, config)
+    rng = np.random.default_rng(0)
+    picks = training._random_picks(windows, rng, 8, model.config.history, 8)
+    pos, ctl = training._stack_crops(windows, picks, model.config.history, 8)
+    nc.lift(model)
+    try:
+        loss = training.segment_nll(model, pos, ctl, 8)
+    finally:
+        nc.restore(model)
+    assert tape_nodes(loss) <= 2100

@@ -109,6 +109,23 @@ def test_replay_tape_identical():
     assert np.array_equal(g1[1], g2[1])
 
 
+def test_backward_frees_intermediate_grads():
+    rng = np.random.default_rng(1)
+    x = nc.Var(rng.normal(size=(4, 5)))
+    w = nc.Var(rng.normal(size=(5, 3)))
+    h = x @ w
+    y = nc.tanh(h)
+    loss = nc.vsum(y * 0.5)
+    (gy,) = nc.grad(loss, [y])
+    assert h.grad is None and loss.grad is None
+    assert y.grad is not None and np.all(gy == 0.5)
+    # leaves keep theirs whether or not they were asked for
+    (gx,) = nc.grad(loss, [x])
+    assert y.grad is None and h.grad is None
+    assert x.grad is not None and w.grad is not None
+    assert np.array_equal(gx, x.grad)
+
+
 def test_shared_subexpression_accumulates():
     x = nc.Var(np.array([2.0]))
     y = x * x + x * 3.0  # dy/dx = 2x + 3 = 7

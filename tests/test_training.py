@@ -191,6 +191,32 @@ class TestTrainLoop:
         assert set(err.value.snapshot) == {k for k, _ in
                                            model.named_parameters()}
 
+    def test_nonfinite_gradient_aborts_with_snapshot(self, corpus,
+                                                     monkeypatch):
+        # a finite loss with a NaN gradient must still stop training
+        train_w, hold_w = training.split_corpus(corpus, holdout_every=4)
+        model = small_model()
+        cfg = training.TrainConfig(steps=5, batch_size=2, nll_frames=2,
+                                   eval_every=5, init_batch=16)
+        training.initialize_from_corpus(model, train_w, cfg)
+        before = {k: nc._data(v).copy() for k, v in model.named_parameters()}
+        real_grad = nc.grad
+
+        def nan_grad(loss, leaves):
+            grads = real_grad(loss, leaves)
+            grads[-1] = np.full_like(grads[-1], np.nan)
+            return grads
+
+        monkeypatch.setattr(nc, "grad", nan_grad)
+        with pytest.raises(training.TrainingDivergedError) as err:
+            training.train(model, train_w, hold_w, cfg)
+        assert err.value.step == 1
+        assert err.value.last_good_step == 0
+        assert isinstance(err.value.__cause__, nc.NonFiniteGradientError)
+        for k, v in model.named_parameters():
+            np.testing.assert_array_equal(nc._data(v), before[k])
+            np.testing.assert_array_equal(err.value.snapshot[k], before[k])
+
     def test_restore_snapshot_roundtrip(self):
         model, cfg, _, _ = self.run_short(steps=10)
         snap = {k: nc._data(v).copy() for k, v in model.named_parameters()}
