@@ -20,7 +20,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
-import struct
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -228,6 +228,52 @@ def _read_text(path):
                       source=header.get("source", ""))
 
 
+def write_container(path, magic, header, arrays):
+    """Write the binary container shared by clips and checkpoints.
+
+    Layout: 8 magic bytes, the header length as a little-endian u64, the
+    header as canonical (sorted, compact) ASCII JSON, then every array as
+    little-endian float64 in C order, back to back.
+    """
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii")
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(len(blob).to_bytes(8, "little"))
+        fh.write(blob)
+        for arr in arrays:
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+
+
+def read_container(path, magic, error):
+    """Read a `write_container` file; returns (header dict, float64 payload).
+
+    Raises `error` on a wrong magic, a prefix shorter than 16 bytes, a header
+    length past the end of the file, a header that is not a JSON object or a
+    payload that is not a whole number of float64 values.  The caller checks
+    that the payload holds exactly the values its header declares.
+    """
+    with open(path, "rb") as fh:
+        prefix = fh.read(16)
+        if prefix[:8] != magic:
+            raise error(f"{path}: bad magic {prefix[:8]!r}, expected {magic!r}")
+        if len(prefix) < 16:
+            raise error(f"{path}: truncated header length")
+        hlen = int.from_bytes(prefix[8:], "little")
+        rest = os.fstat(fh.fileno()).st_size - 16 - hlen
+        if rest < 0:
+            raise error(f"{path}: header length {hlen} runs past the end of the file")
+        try:
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise error(f"{path}: unreadable header: {exc}") from None
+        if not isinstance(header, dict):
+            raise error(f"{path}: header is not a JSON object")
+        if rest % 8:
+            raise error(f"{path}: payload of {rest} bytes is not whole float64 values")
+        payload = np.fromfile(fh, dtype="<f8")
+    return header, payload
+
+
 def _write_binary(clip, path):
     m, _, t = clip.positions.shape
     header = {
@@ -239,41 +285,21 @@ def _write_binary(clip, path):
         "source": clip.source,
         "version": 1,
     }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(CLIP_MAGIC)
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        fh.write(np.ascontiguousarray(clip.positions, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(clip.controls, dtype="<f8").tobytes())
+    write_container(path, CLIP_MAGIC, header, (clip.positions, clip.controls))
 
 
 def _read_binary(path):
-    with open(path, "rb") as fh:
-        payload = fh.read()
-    if payload[:8] != CLIP_MAGIC:
-        raise ClipFormatError("bad magic bytes; not a binary clip")
-    if len(payload) < 16:
-        raise ClipFormatError("truncated clip header")
-    (hlen,) = struct.unpack("<Q", payload[8:16])
-    if len(payload) < 16 + hlen:
-        raise ClipFormatError("truncated clip header")
-    try:
-        header = json.loads(payload[16:16 + hlen].decode("ascii"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ClipFormatError(f"unreadable clip header: {exc}") from None
+    header, payload = read_container(path, CLIP_MAGIC, ClipFormatError)
     try:
         m, t = int(header["markers"]), int(header["frames"])
         fps = float(header["fps"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ClipFormatError(f"incomplete clip header: {exc}") from None
-    body = payload[16 + hlen:]
-    want = (m * 3 * t + 3 * t) * 8
-    if len(body) != want:
+    if min(m, t) < 0 or payload.size != (m * 3 + 3) * t:
         raise ClipFormatError(
-            f"payload holds {len(body)} bytes, expected {want}")
-    positions = np.frombuffer(body[:m * 3 * t * 8], dtype="<f8").reshape(m, 3, t)
-    controls = np.frombuffer(body[m * 3 * t * 8:], dtype="<f8").reshape(3, t)
+            f"payload holds {payload.size} values, header declares {m} markers x {t} frames")
+    positions = payload[:m * 3 * t].reshape(m, 3, t)
+    controls = payload[m * 3 * t:].reshape(3, t)
     return MotionClip(positions, controls, fps,
                       root_relative=bool(header.get("root_relative", False)),
                       source=str(header.get("source", "")))
@@ -298,7 +324,10 @@ def load_clip(path, format="auto"):
     if format == "binary":
         return _read_binary(path)
     if format == "text":
-        return _read_text(path)
+        try:
+            return _read_text(path)
+        except UnicodeDecodeError as exc:
+            raise ClipParseError(f"{path}: not an ASCII text clip: {exc}") from None
     raise ValueError(f"unknown clip format '{format}'")
 
 

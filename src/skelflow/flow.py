@@ -17,13 +17,13 @@ Unbatched (M, C) inputs are accepted and produce unbatched outputs.
 
 from __future__ import annotations
 
-import json
-import struct
+import math
 from dataclasses import dataclass, asdict, field
 
 import numpy as np
 
 from . import __version__
+from . import data as _data
 from . import numcore as nc
 from . import skeleton as sk
 from .conditioning import CouplingConditioner, HistoryEncoder, ABLATIONS
@@ -218,13 +218,8 @@ class FlowStep(nc.Module):
         s, offset, new_state = self.conditioner(hb1, pooled, controls_flat, state)
         xb2 = nc.div(hb2, s) - offset
         z = nc.concat([hb1, xb2], axis=2)
-        y = self.mix.inverse(z)
-        x = self.actnorm.inverse(y)
-        ld_couple = nc.vsum(nc.log(s), axis=(1, 2))
-        ld_act = self.actnorm.logdet()
-        ld_mix = nc.mul(self.mix._logabsdet(), float(self.markers))
-        logdet = nc.neg(nc.add(nc.add(ld_act, ld_mix), ld_couple))
-        return x, logdet, new_state
+        x = self.actnorm.inverse(self.mix.inverse(z))
+        return x, new_state
 
 
 class FlowModel(nc.Module):
@@ -376,7 +371,7 @@ class FlowModel(nc.Module):
         h = z_b
         new_states = [None] * len(self.steps)
         for k in range(len(self.steps) - 1, -1, -1):
-            h, _, st = self.steps[k].inverse(h, pooled, ctrl_flat, states[k])
+            h, st = self.steps[k].inverse(h, pooled, ctrl_flat, states[k])
             new_states[k] = st
         x = self.destandardize(h)
         if not batched:
@@ -477,13 +472,7 @@ def save_checkpoint(model, path, meta=None):
         "params": [[name, list(arr.shape)] for name, arr in entries],
         "meta": meta or {},
     }
-    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<Q", len(head)))
-        fh.write(head)
-        for _, arr in entries:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    _data.write_container(path, CHECKPOINT_MAGIC, header, [arr for _, arr in entries])
 
 
 class CheckpointFormatError(ValueError):
@@ -492,40 +481,35 @@ class CheckpointFormatError(ValueError):
 
 def load_checkpoint(path):
     """Load a checkpoint written by save_checkpoint; returns (model, meta)."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise CheckpointFormatError(f"{path}: bad magic {magic!r}")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        try:
-            header = json.loads(fh.read(hlen).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointFormatError(f"{path}: corrupt header") from exc
-        if header.get("format_version") != 1:
-            raise CheckpointFormatError(f"{path}: unsupported format {header.get('format_version')}")
+    header, payload = _data.read_container(path, CHECKPOINT_MAGIC, CheckpointFormatError)
+    if header.get("format_version") != 1:
+        raise CheckpointFormatError(f"{path}: unsupported format {header.get('format_version')}")
+    try:
         config = ModelConfig.from_dict(header["config"])
         spec = sk.build_skeleton(header["skeleton_text"])
         model = FlowModel.create(config, spec, seed=0, init="default")
-        values = {}
-        for name, shape in header["params"]:
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise CheckpointFormatError(f"{path}: truncated blob for {name}")
-            values[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).astype(np.float64)
-    model_params = dict(model.named_parameters())
-    for name, arr in values.items():
-        if name == "buffers.data_mean":
-            model.data_mean = arr
-        elif name == "buffers.data_std":
-            model.data_std = arr
-        elif name in model_params:
-            if model_params[name].shape != arr.shape:
-                raise CheckpointFormatError(f"{path}: shape mismatch for {name}")
-            model.set_parameter(name, arr)
-        else:
+        entries = [(str(name), tuple(int(n) for n in shape))
+                   for name, shape in header["params"]]
+        meta = dict(header["meta"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointFormatError(f"{path}: bad header content: {exc!r}") from None
+    sizes = [math.prod(shape) for _, shape in entries]
+    if min(sizes, default=0) < 0 or sum(sizes) != payload.size:
+        raise CheckpointFormatError(
+            f"{path}: payload holds {payload.size} values, header declares {sum(sizes)}")
+    current = dict(model.named_parameters())
+    current["buffers.data_mean"] = model.data_mean
+    current["buffers.data_std"] = model.data_std
+    for (name, shape), arr in zip(entries, np.split(payload, np.cumsum(sizes)[:-1])):
+        if name not in current:
             raise CheckpointFormatError(f"{path}: unknown parameter {name}")
-    missing = set(model_params) - set(values)
+        if current[name].shape != shape:
+            raise CheckpointFormatError(f"{path}: shape mismatch for {name}")
+        if name.startswith("buffers."):
+            setattr(model, name[len("buffers."):], arr.reshape(shape))
+        else:
+            model.set_parameter(name, arr.reshape(shape))
+    missing = set(current) - {name for name, _ in entries}
     if missing:
         raise CheckpointFormatError(f"{path}: missing parameters {sorted(missing)[:3]}")
-    return model, header["meta"]
+    return model, meta

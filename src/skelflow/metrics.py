@@ -115,15 +115,12 @@ def footstep_sweep(clip, skeleton_spec, grid=None,
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise ValueError("sweep grid must be strictly increasing")
     speeds = heel_speeds(clip, skeleton_spec)
-    counts = np.empty(grid.size, dtype=np.int64)
-    durations_at = {}
-    for i, v in enumerate(grid):
-        counts[i], durations_at[i] = count_footsteps(
-            speeds, v, clip.fps, min_duration_frames)
+    counts = np.array([count_footsteps(speeds, v, clip.fps, min_duration_frames)[0]
+                       for v in grid], dtype=np.int64)
     max_count = int(counts.max())
     threshold = math.ceil(0.95 * max_count)
     hit = int(np.argmax(counts >= threshold))
-    durations = durations_at[hit]
+    _, durations = count_footsteps(speeds, grid[hit], clip.fps, min_duration_frames)
     mean = float(np.mean(durations)) if durations else 0.0
     std = float(np.std(durations)) if durations else 0.0
     return FootstepReport(

@@ -305,15 +305,6 @@ def flip(a, axis):
     return out
 
 
-def exp(a):
-    if not isinstance(a, Var):
-        return np.exp(_data(a))
-    ed = np.exp(a.data)
-    out = Var(ed, (a,))
-    out._bw = lambda g: a._accum(g * ed)
-    return out
-
-
 def log(a):
     if not isinstance(a, Var):
         return np.log(_data(a))
@@ -647,9 +638,6 @@ class Module:
                     yield from sub.named_parameters(f"{prefix}{name}.{i}.")
             else:
                 yield from child.named_parameters(f"{prefix}{name}.")
-
-    def parameters(self):
-        return dict(self.named_parameters())
 
     def _resolve(self, path):
         parts = path.split(".")

@@ -178,7 +178,7 @@ def test_ops_plain_ndarray_passthrough():
 def test_elementwise_backward_formulas():
     rng = np.random.default_rng(9)
     x0 = rng.normal(size=7)
-    for op, nf in [(nc.exp, np.exp), (nc.tanh, np.tanh),
+    for op, nf in [(nc.tanh, np.tanh),
                    (nc.sigmoid, lambda v: 1 / (1 + np.exp(-v))),
                    (nc.relu, lambda v: np.maximum(v, 0)),
                    (nc.absolute, np.abs)]:
