@@ -194,7 +194,17 @@ class LSTMLayer(nc.Module):
         self.bias = bias
 
     def __call__(self, x, h, c):
-        return nc.lstm_cell(x, h, c, self.w_ih, self.w_hh, self.bias)
+        """Run the layer over the rows of x from state (h, c), each (B, H).
+
+        x is (T*B, D): T consecutive frames of the B sequences, time-major,
+        so one frame is (B, D).  Returns the hidden output of every row and
+        the cell state after the last frame.
+        """
+        rows, d = x.shape
+        b = h.shape[0]
+        hs, c = nc.lstm_sequence(x.reshape(rows // b, b, d), h, c,
+                                 self.w_ih, self.w_hh, self.bias)
+        return hs.reshape(rows, -1), c
 
 
 class LSTMStack(nc.Module):
@@ -215,11 +225,15 @@ class LSTMStack(nc.Module):
                 for _ in self.layers]
 
     def __call__(self, x, state):
+        """x (T*B, D) holds T frames of the B sequences `state` belongs to,
+        time-major (see `LSTMLayer`).  Returns the top layer's output for
+        every row and the state after the last frame."""
         new_state = []
         h = x
         for layer, (h_prev, c_prev) in zip(self.layers, state):
             h, c = layer(h, h_prev, c_prev)
-            new_state.append((h, c))
+            b = c.shape[0]
+            new_state.append((h if h.shape[0] == b else h[-b:], c))
         return h, new_state
 
 

@@ -207,6 +207,8 @@ def _read_text(path):
     try:
         fps = float(header["fps"])
         markers = int(header["markers"])
+        frames = int(header["frames"]) if "frames" in header else None
+        root_relative = bool(int(header.get("root_relative", "0")))
     except ValueError as exc:
         raise ClipParseError(f"bad header value: {exc}") from None
     if not rows:
@@ -217,14 +219,13 @@ def _read_text(path):
             raise ClipParseError(
                 f"line {line_no}: marker-count mismatch, expected {want} "
                 f"columns for {markers} markers, got {values.shape[0]}")
-    if "frames" in header and int(header["frames"]) != len(rows):
+    if frames is not None and frames != len(rows):
         raise ClipParseError(
-            f"header declares {header['frames']} frames but file has {len(rows)}")
+            f"header declares {frames} frames but file has {len(rows)}")
     table = np.stack([v for _, v in rows], axis=1)
     positions = table[:markers * 3].reshape(markers, 3, len(rows))
     controls = table[markers * 3:]
-    return MotionClip(positions, controls, fps,
-                      root_relative=bool(int(header.get("root_relative", "0"))),
+    return MotionClip(positions, controls, fps, root_relative=root_relative,
                       source=header.get("source", ""))
 
 

@@ -12,7 +12,11 @@ Conventions:
   history      (B, M, C, T_h)
   controls     (B, 3, T_h + 1), rows (forward, sideways, rotation) per frame
   states       list over flow steps of LSTM state
-Unbatched (M, C) inputs are accepted and produce unbatched outputs.
+Unbatched (M, C) inputs are accepted and produce unbatched outputs.  A
+leading time axis, frames (T, B, M, C) with history (T, B, M, C, T_h) and
+controls (T, B, 3, T_h + 1), evaluates T consecutive frames of B sequences
+layer-major: each flow step runs once over all T*B frames and only the LSTM
+recurrence steps through time.
 """
 
 from __future__ import annotations
@@ -307,89 +311,86 @@ class FlowModel(nc.Module):
     def _std_logdet(self):
         return float(-np.sum(np.log(self.data_std)))
 
-    @staticmethod
-    def _batched(x, nd):
-        x_is_var = isinstance(x, nc.Var)
-        d = nc._data(x)
-        if d.ndim == nd:
-            return x, True
-        if d.ndim == nd - 1:
-            return nc.reshape(x, (1,) + d.shape) if x_is_var else d[None], False
-        raise ValueError(f"expected {nd} or {nd - 1} dims, got {d.ndim}")
-
     def _prep_history(self, history, history_mask):
-        history, _ = self._batched(history, 4)
         # stats are per (marker, channel); history carries a trailing time axis
         hist_std = nc.div(nc.sub(history, self.data_mean[:, :, None]),
                           self.data_std[:, :, None])
         if history_mask is not None:
             mask = np.asarray(history_mask, dtype=np.float64)
-            if mask.ndim == 2:
-                mask = mask[None]
-            hist_std = nc.mul(hist_std, mask[:, :, None, :])
+            hist_std = nc.mul(hist_std, mask[..., None, :])
         return hist_std
+
+    def _rows(self, x, history, controls, states, history_mask):
+        """Lay x out as T*B time-major rows, with its conditioning.
+
+        x is one frame (M, C), a batch (B, M, C), or T consecutive frames of
+        B sequences (T, B, M, C); history (..., M, C, T_h) and controls
+        (..., 3, T_h + 1) carry the same leading axes.  Returns the frames
+        (T*B, M, C), the pooled history (T*B, width), the flattened controls
+        (T*B, 3 * (T_h + 1)), the LSTM states of the B sequences and x's
+        leading axes.  The history encoder runs once per frame, on that
+        frame's B windows.
+        """
+        shape = nc._data(x).shape
+        if not 2 <= len(shape) <= 4:
+            raise ValueError(f"expected 2 to 4 dims, got {len(shape)}")
+        t, b = ((1, 1) + shape[:-2])[-2:]
+        hist_std = self._prep_history(history, history_mask)
+        hist = nc.reshape(hist_std, (t, b) + nc._data(hist_std).shape[-3:])
+        pooled = [self.encoder(hist[k]) for k in range(t)]
+        pooled = pooled[0] if t == 1 else nc.concat(pooled, axis=0)
+        ctrl_flat = nc.reshape(controls, (t * b, -1))
+        if states is None:
+            states = self.initial_state(b)
+        return (nc.reshape(x, (t * b,) + shape[-2:]), pooled, ctrl_flat,
+                states, shape[:-2])
 
     # -- the bijection ---------------------------------------------------------
 
     def transform_frame(self, x, history, controls, states=None, history_mask=None):
-        """Full data-to-latent map for one frame: returns (z, logdet, states').
+        """Full data-to-latent map: returns (z, logdet, states').
 
-        `logdet` is per-sample and includes the standardization term, so
+        x is one frame (M, C), a batch (B, M, C), or T consecutive frames of
+        B sequences (T, B, M, C), with history and controls carrying the
+        same leading axes (see `_rows`).  The LSTM states of the B sequences
+        advance through the T frames, and each flow step runs once over all
+        of them.  `logdet` is per-sample, shaped like x's leading axes, and
+        includes the standardization term, so
         log p(x) = log N(z) + logdet.
         """
-        x_b, batched = self._batched(x, 3)
-        hist_std = self._prep_history(history, history_mask)
-        controls_b, _ = self._batched(controls, 3)
-        b = nc._data(x_b).shape[0]
-        if states is None:
-            states = self.initial_state(b)
-        pooled = self.encoder(hist_std)
-        ctrl_flat = nc.reshape(controls_b, (b, -1))
-        h = self.standardize(x_b)
-        logdet = np.zeros(b)
+        h, pooled, ctrl_flat, states, lead = self._rows(
+            x, history, controls, states, history_mask)
+        h = self.standardize(h)
+        logdet = np.zeros(nc._data(h).shape[0])
         new_states = []
         for step, state in zip(self.steps, states):
             h, ld, st = step.forward(h, pooled, ctrl_flat, state)
             logdet = nc.add(logdet, ld)
             new_states.append(st)
         logdet = nc.add(logdet, self._std_logdet())
-        if not batched:
-            h = h[0] if isinstance(h, nc.Var) else nc._data(h)[0]
-            logdet = logdet[0] if isinstance(logdet, nc.Var) else nc._data(logdet)[0]
-        return h, logdet, new_states
+        return (nc.reshape(h, lead + nc._data(h).shape[1:]),
+                nc.reshape(logdet, lead), new_states)
 
     def inverse_transform_frame(self, z, history, controls, states=None, history_mask=None):
         """Latent-to-data map; exact inverse of transform_frame."""
-        z_b, batched = self._batched(z, 3)
-        hist_std = self._prep_history(history, history_mask)
-        controls_b, _ = self._batched(controls, 3)
-        b = nc._data(z_b).shape[0]
-        if states is None:
-            states = self.initial_state(b)
-        pooled = self.encoder(hist_std)
-        ctrl_flat = nc.reshape(controls_b, (b, -1))
-        h = z_b
+        h, pooled, ctrl_flat, states, lead = self._rows(
+            z, history, controls, states, history_mask)
         new_states = [None] * len(self.steps)
         for k in range(len(self.steps) - 1, -1, -1):
             h, st = self.steps[k].inverse(h, pooled, ctrl_flat, states[k])
             new_states[k] = st
         x = self.destandardize(h)
-        if not batched:
-            x = x[0] if isinstance(x, nc.Var) else nc._data(x)[0]
-        return x, new_states
+        return nc.reshape(x, lead + nc._data(x).shape[1:]), new_states
 
     def log_likelihood(self, x, history, controls, states=None, history_mask=None):
-        """Exact log density of one frame given history/controls.
+        """Exact log density of x given history/controls.
 
-        Returns (logp, new_states); logp is per-sample (B,) for batched input,
-        a scalar otherwise.
+        Takes the inputs of `transform_frame`.  Returns (logp, new_states);
+        logp is per-sample, shaped like x's leading axes: (B,) for a batch,
+        (T, B) for T frames of B sequences, a scalar for one frame.
         """
         z, logdet, new_states = self.transform_frame(x, history, controls, states, history_mask)
-        nd = nc._data(z).ndim
-        if nd == 3:
-            zsq = nc.vsum(nc.mul(z, z), axis=(1, 2))
-        else:
-            zsq = nc.vsum(nc.mul(z, z))
+        zsq = nc.vsum(nc.mul(z, z), axis=(-2, -1))
         dim = self.config.markers * self.config.channels
         base = nc.sub(nc.mul(zsq, -0.5), 0.5 * dim * LOG2PI)
         logp = nc.add(base, logdet)

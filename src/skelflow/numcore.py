@@ -219,7 +219,11 @@ def matmul(a, b):
         if isinstance(a, Var):
             a._accum(_unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape))
         if isinstance(b, Var):
-            b._accum(_unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape))
+            if bd.ndim == 2:
+                # a weight shared by every row: one GEMM over the flattened rows
+                b._accum(ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+            else:
+                b._accum(_unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape))
 
     out._bw = bw
     return out
@@ -253,9 +257,13 @@ def vmean(a, axis=None, keepdims=False):
 
 
 def reshape(a, shape):
+    """Reshape; a Var whose shape does not change comes back as it is."""
     if not isinstance(a, Var):
         return np.reshape(_data(a), shape)
-    out = Var(np.reshape(a.data, shape), (a,))
+    data = np.reshape(a.data, shape)
+    if data.shape == a.data.shape:
+        return a
+    out = Var(data, (a,))
     out._bw = lambda g: a._accum(np.reshape(g, a.data.shape))
     return out
 
@@ -414,52 +422,78 @@ def mix_project(x, mats, weight, bias):
     return res
 
 
-def lstm_cell(x, h, c, w_ih, w_hh, bias):
-    """One LSTM step on (B, D) input and (B, H) state; returns (h', c').
+def lstm_sequence(x, h0, c0, w_ih, w_hh, bias):
+    """An LSTM layer over T frames: x (T, B, D) from state (h0, c0), each
+    (B, H).  Returns (hs, c): the hidden output of every frame, (T, B, H),
+    and the cell state after the last; the final hidden state is hs[-1].
 
     Gates are ordered (input, forget, cell, output) along the 4H axis of
-    the weights.  On ndarrays h' and c' are plain arrays; on Vars they are
-    the two halves of one (B, 2H) tape node.
+    the weights.  Only the recurrence runs frame by frame: the input
+    projection x @ w_ih is one GEMM over the T*B rows, and so are the
+    weight gradients of the backward, which is backpropagation through
+    time.  On ndarrays the outputs are plain arrays; on Vars they are two
+    slices of one (T + 1, B, H) tape node.
     """
-    xd, hd, cd = _data(x), _data(h), _data(c)
-    w_ihd, w_hhd = _data(w_ih), _data(w_hh)
+    xd, hd, cd = _data(x), _data(h0), _data(c0)
+    w_ihd, w_hhd, bd = _data(w_ih), _data(w_hh), _data(bias)
+    t, b, d = xd.shape
     n = hd.shape[-1]
-    gates = xd @ w_ihd + hd @ w_hhd + _data(bias)
-    i = expit(gates[:, :n])
-    f = expit(gates[:, n:2 * n])
-    g = np.tanh(gates[:, 2 * n:3 * n])
-    o = expit(gates[:, 3 * n:])
-    c_new = f * cd + i * g
-    tc = np.tanh(c_new)
-    h_new = o * tc
-    if not _any_var(x, h, c, w_ih, w_hh, bias):
-        return h_new, c_new
-    both = Var(np.concatenate([h_new, c_new], axis=1),
-               tuple(v for v in (x, h, c, w_ih, w_hh, bias) if isinstance(v, Var)))
+    x_proj = (xd.reshape(t * b, d) @ w_ihd).reshape(t, b, 4 * n)
+    # per frame: sigmoid of every gate (the cell gate's is unused), tanh of
+    # the cell gate, the cell state before the frame, tanh of the one after
+    sig, cell_in, cs, tcs, hs = [], [], [cd], [], []
+    h, c = hd, cd
+    for k in range(t):
+        gates = x_proj[k] + h @ w_hhd + bd
+        a = expit(gates)
+        g = np.tanh(gates[:, 2 * n:3 * n])
+        c = a[:, n:2 * n] * c + a[:, :n] * g
+        tc = np.tanh(c)
+        h = a[:, 3 * n:] * tc
+        sig.append(a)
+        cell_in.append(g)
+        cs.append(c)
+        tcs.append(tc)
+        hs.append(h)
+    if not _any_var(x, h0, c0, w_ih, w_hh, bias):
+        # one frame, as in a rollout, returns a view instead of a stacked copy
+        return (h[None] if t == 1 else np.stack(hs)), c
+    both = Var(np.stack(hs + [c]),
+               tuple(v for v in (x, h0, c0, w_ih, w_hh, bias) if isinstance(v, Var)))
 
     def bw(grad):
-        g_h = grad[:, :n]
-        g_c = grad[:, n:] + g_h * o * (1.0 - tc * tc)
-        g_gates = np.empty_like(gates)
-        g_gates[:, :n] = g_c * g * i * (1.0 - i)
-        g_gates[:, n:2 * n] = g_c * cd * f * (1.0 - f)
-        g_gates[:, 2 * n:3 * n] = g_c * i * (1.0 - g * g)
-        g_gates[:, 3 * n:] = g_h * tc * o * (1.0 - o)
+        g_gates = np.empty((t, b, 4 * n))
+        g_c = grad[t]  # gradient on the cell state after frame k
+        g_h_next = None  # gradient on frame k's hidden state from frame k + 1
+        for k in range(t - 1, -1, -1):
+            a, g, tc = sig[k], cell_in[k], tcs[k]
+            i, f, o = a[:, :n], a[:, n:2 * n], a[:, 3 * n:]
+            g_h = grad[k] if g_h_next is None else grad[k] + g_h_next
+            g_c = g_c + g_h * o * (1.0 - tc * tc)
+            gg = g_gates[k]
+            gg[:, :n] = g_c * g * i * (1.0 - i)
+            gg[:, n:2 * n] = g_c * cs[k] * f * (1.0 - f)
+            gg[:, 2 * n:3 * n] = g_c * i * (1.0 - g * g)
+            gg[:, 3 * n:] = g_h * tc * o * (1.0 - o)
+            g_c = g_c * f
+            g_h_next = gg @ w_hhd.T
+        flat = g_gates.reshape(t * b, 4 * n)
         if isinstance(x, Var):
-            x._accum(g_gates @ w_ihd.T)
-        if isinstance(h, Var):
-            h._accum(g_gates @ w_hhd.T)
-        if isinstance(c, Var):
-            c._accum(g_c * f)
+            x._accum((flat @ w_ihd.T).reshape(xd.shape))
+        if isinstance(h0, Var):
+            h0._accum(g_h_next)
+        if isinstance(c0, Var):
+            c0._accum(g_c)
         if isinstance(w_ih, Var):
-            w_ih._accum(xd.T @ g_gates)
+            w_ih._accum(xd.reshape(t * b, d).T @ flat)
         if isinstance(w_hh, Var):
-            w_hh._accum(hd.T @ g_gates)
+            h_prev = np.stack([hd] + hs[:-1]).reshape(t * b, n)
+            w_hh._accum(h_prev.T @ flat)
         if isinstance(bias, Var):
-            bias._accum(g_gates.sum(axis=0))
+            bias._accum(flat.sum(axis=0))
 
     both._bw = bw
-    return both[:, :n], both[:, n:]
+    return both[:t], both[t]
 
 
 def backward(loss, keep=()):
@@ -586,11 +620,26 @@ def adam_step(params, grads, state, step_size, beta1=0.9, beta2=0.999, eps=1e-8)
     new_params = {}
     for k, p in params.items():
         g = grads[k]
-        state.m[k] = beta1 * state.m[k] + (1.0 - beta1) * g
-        state.v[k] = beta2 * state.v[k] + (1.0 - beta2) * (g * g)
-        m_hat = state.m[k] / b1t
-        v_hat = state.v[k] / b2t
-        new_params[k] = _data(p) - step_size * m_hat / (np.sqrt(v_hat) + eps)
+        m, v = state.m[k], state.v[k]
+        # in place, in the operation order of
+        #   m = beta1 * m + (1 - beta1) * g
+        #   v = beta2 * v + (1 - beta2) * (g * g)
+        #   p - step_size * (m / b1t) / (sqrt(v / b2t) + eps)
+        # with two full-size temporaries, one of which becomes the new param
+        tmp = np.multiply(1.0 - beta1, g)
+        m *= beta1
+        m += tmp
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - beta2
+        v *= beta2
+        v += tmp
+        np.divide(v, b2t, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += eps
+        update = np.divide(m, b1t)
+        update *= step_size
+        update /= tmp
+        new_params[k] = np.subtract(_data(p), update, out=update)
     state.step = t
     return new_params, state
 

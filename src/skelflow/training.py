@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import data as _data
 from . import numcore as nc
@@ -62,11 +63,13 @@ class TrainConfig:
 @dataclass
 class TrainLog:
     """Per-step training NLL plus periodic held-out evaluations, all in
-    nats per frame."""
+    nats per frame, and the per-step global gradient norm before clipping.
+    `to_text` renders the NLLs only."""
 
     train_nll: list = field(default_factory=list)
     eval_steps: list = field(default_factory=list)
     eval_nll: list = field(default_factory=list)
+    grad_norm: list = field(default_factory=list)
 
     def to_text(self):
         lines = [f"step {i + 1} train_nll {v:.6f}"
@@ -135,21 +138,19 @@ def segment_nll(model, positions, controls, n_frames):
     """Mean NLL in nats per frame over a batched segment.
 
     positions (B, M, C, t_h + n_frames), controls (B, 3, same).  Recurrent
-    state threads across the segment exactly as in generation.
+    state threads across the segment exactly as in generation.  The
+    segment is evaluated layer-major: the frames, their history windows and
+    their control windows are stacked on a leading time axis (as views), so
+    each flow step runs once for the whole segment.
     """
     t_h = model.config.history
-    states = None
-    total = None
-    for k in range(n_frames):
-        t = t_h + k
-        history = positions[:, :, :, t - t_h:t]
-        frame = positions[:, :, :, t]
-        window = controls[:, :, t - t_h:t + 1]
-        logp, states = model.log_likelihood(frame, history, window,
-                                            states=states)
-        mean_lp = nc.vmean(logp)
-        total = mean_lp if total is None else nc.add(total, mean_lp)
-    return nc.neg(nc.div(total, float(n_frames)))
+    frames = np.moveaxis(positions[..., t_h:t_h + n_frames], -1, 0)
+    histories = np.moveaxis(sliding_window_view(
+        positions[..., :t_h + n_frames - 1], t_h, axis=-1), -2, 0)
+    windows = np.moveaxis(sliding_window_view(
+        controls[..., :t_h + n_frames], t_h + 1, axis=-1), -2, 0)
+    logp, _ = model.log_likelihood(frames, histories, windows)
+    return nc.neg(nc.vmean(logp))
 
 
 def initialize_from_corpus(model, window_list, config):
@@ -202,7 +203,7 @@ def train(model, train_windows, holdout_windows, config, on_eval=None):
         if not np.isfinite(loss_value):
             raise TrainingDivergedError(step, snapshot, last_good)
         grads = dict(zip(lifted.keys(), grads_list))
-        grads, _ = nc.clip_grad_norm(grads, config.grad_clip)
+        grads, grad_norm = nc.clip_grad_norm(grads, config.grad_clip)
         params = dict(model.named_parameters())
         try:
             # adam_step scans the gradients and leaves params untouched
@@ -213,6 +214,7 @@ def train(model, train_windows, holdout_windows, config, on_eval=None):
         for k, v in new_params.items():
             model.set_parameter(k, v)
         log.train_nll.append(loss_value)
+        log.grad_norm.append(grad_norm)
         if step % config.eval_every == 0 or step == config.steps:
             snapshot = {k: nc._data(v).copy()
                         for k, v in model.named_parameters()}

@@ -97,3 +97,50 @@ def lstm_cell_chain(x, h, c, w_ih, w_hh, bias):
     c_new = f * c + i * g
     h_new = o * nc.tanh(c_new)
     return h_new, c_new
+
+
+def lstm_sequence_chain(x, h, c, w_ih, w_hh, bias):
+    """lstm_cell_chain over the frames of x (T, B, D); returns the stacked
+    hidden outputs (T, B, H) and the last cell state."""
+    hs = []
+    for k in range(nc._data(x).shape[0]):
+        h, c = lstm_cell_chain(x[k], h, c, w_ih, w_hh, bias)
+        hs.append(nc.reshape(h, (1,) + nc._data(h).shape))
+    return nc.concat(hs, axis=0), c
+
+
+def segment_nll_per_frame(model, positions, controls, n_frames):
+    """The segment NLL frame by frame: the whole flow runs once per frame
+    on (B, ...) inputs and the LSTM states thread from frame to frame."""
+    t_h = model.config.history
+    states = None
+    total = None
+    for k in range(n_frames):
+        t = t_h + k
+        history = positions[:, :, :, t - t_h:t]
+        frame = positions[:, :, :, t]
+        window = controls[:, :, t - t_h:t + 1]
+        logp, states = model.log_likelihood(frame, history, window,
+                                            states=states)
+        mean_lp = nc.vmean(logp)
+        total = mean_lp if total is None else nc.add(total, mean_lp)
+    return nc.neg(nc.div(total, float(n_frames)))
+
+
+def adam_step_reference(params, grads, state, step_size, beta1=0.9,
+                        beta2=0.999, eps=1e-8):
+    """One Adam update written out of place, term by term; state's moment
+    arrays are replaced, not updated."""
+    t = state.step + 1
+    b1t = 1.0 - beta1 ** t
+    b2t = 1.0 - beta2 ** t
+    new_params = {}
+    for k, p in params.items():
+        g = grads[k]
+        state.m[k] = beta1 * state.m[k] + (1.0 - beta1) * g
+        state.v[k] = beta2 * state.v[k] + (1.0 - beta2) * (g * g)
+        m_hat = state.m[k] / b1t
+        v_hat = state.v[k] / b2t
+        new_params[k] = p - step_size * m_hat / (np.sqrt(v_hat) + eps)
+    state.step = t
+    return new_params, state

@@ -188,6 +188,22 @@ def test_lstm_stack_state_threading():
     assert np.max(np.abs(out1 - out2)) > 1e-8
 
 
+def test_lstm_stack_time_major_rows_match_frame_loop():
+    # (T*B, D) rows run T frames of B sequences; same outputs and final
+    # state as T per-frame calls threading the state
+    rng = np.random.default_rng(14)
+    stack = cond.LSTMStack(3, 4, 2, rng)
+    x = rng.normal(size=(5, 2, 3))
+    out, state = stack(x.reshape(10, 3), stack.initial_state(2))
+    want_state = stack.initial_state(2)
+    for k in range(5):
+        want, want_state = stack(x[k], want_state)
+        np.testing.assert_allclose(out[2 * k:2 * k + 2], want, rtol=0, atol=1e-14)
+    for (h, c), (wh, wc) in zip(state, want_state):
+        np.testing.assert_allclose(h, wh, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(c, wc, rtol=0, atol=1e-14)
+
+
 def test_lstm_forget_bias_init():
     layer = cond.LSTMLayer(2, 3, np.random.default_rng(0))
     assert np.all(layer.bias[3:6] == 1.0)

@@ -9,7 +9,7 @@ import pytest
 
 import skelflow.cli as cli
 from skelflow import data, flow
-from skelflow.data import ClipFormatError, MotionClip
+from skelflow.data import ClipFormatError, ClipParseError, MotionClip
 from skelflow.flow import CheckpointFormatError
 
 from conftest import make_tiny_config
@@ -66,6 +66,13 @@ CLIP_FAULTS = {
         raw, lambda h: h.update(markers=-1, frames=0)),
 }
 
+# Rows for text clips: optional header values that do not parse.
+TEXT_CLIP_FAULTS = {
+    "frames_not_a_number": lambda raw: raw.replace(b"# frames 11", b"# frames abc"),
+    "root_relative_not_a_number": lambda raw: raw.replace(
+        b"# root_relative 0", b"# root_relative yes"),
+}
+
 
 @pytest.fixture(scope="module")
 def good_checkpoint(tmp_path_factory, tiny_skeleton):
@@ -82,6 +89,13 @@ def good_clip(tmp_path_factory):
     rng = np.random.default_rng(7)
     clip = MotionClip(rng.normal(size=(5, 3, 11)), rng.normal(size=(3, 11)), 20.0)
     data.save_clip(clip, path, "binary")
+    return path
+
+
+@pytest.fixture(scope="module")
+def good_text_clip(tmp_path_factory, good_clip):
+    path = tmp_path_factory.mktemp("clip") / "good.txt"
+    data.save_clip(data.load_clip(good_clip), path, "text")
     return path
 
 
@@ -179,3 +193,18 @@ def test_evaluate_with_non_ascii_clip_exits_io(tmp_path, capsys):
                      "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_IO
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("fault", sorted(TEXT_CLIP_FAULTS))
+def test_evaluate_with_bad_text_clip_exits_io(good_text_clip, tmp_path, capsys, fault):
+    clips = tmp_path / "clips"
+    clips.mkdir()
+    bad = _corrupt(good_text_clip, TEXT_CLIP_FAULTS[fault], clips, "clip_000.txt")
+    assert bad.read_bytes() != good_text_clip.read_bytes()
+    with pytest.raises(ClipParseError):
+        data.load_clip(bad)
+    code = cli.main(["evaluate", "--clips", str(clips),
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_IO
+    assert err.startswith("error: ") and "Traceback" not in err

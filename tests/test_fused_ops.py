@@ -10,7 +10,7 @@ from skelflow import numcore as nc
 from skelflow import skeleton as sk
 from skelflow import training
 
-from oracles import graph_conv_chain, lstm_cell_chain, temporal_conv_chain
+from oracles import graph_conv_chain, lstm_sequence_chain, temporal_conv_chain
 
 TOL = 1e-10
 GRAD_TOL = 1e-6
@@ -158,32 +158,37 @@ def test_temporal_conv_layer_matches_chain_and_caches_shifts():
     assert layer._shifts[6] is shifts
 
 
-# --- lstm_cell ------------------------------------------------------------------
+# --- lstm_sequence ----------------------------------------------------------------
 
 
-def lstm_inputs(rng, batch=3, d=4, n=3):
+def lstm_inputs(rng, frames, batch=3, d=4, n=3):
     k = 1.0 / np.sqrt(n)
-    return [rng.normal(size=(batch, d)), rng.normal(size=(batch, n)),
+    return [rng.normal(size=(frames, batch, d)), rng.normal(size=(batch, n)),
             rng.normal(size=(batch, n)),
             rng.uniform(-k, k, size=(d, 4 * n)),
             rng.uniform(-k, k, size=(n, 4 * n)), rng.normal(size=4 * n)]
 
 
-def test_lstm_cell_matches_chain():
-    rng = np.random.default_rng(21)
-    check_against_chain(nc.lstm_cell, lstm_cell_chain, lstm_inputs(rng))
+@pytest.mark.parametrize("frames", [1, 3, 8])
+def test_lstm_sequence_matches_chain(frames):
+    rng = np.random.default_rng(21 + frames)
+    check_against_chain(nc.lstm_sequence, lstm_sequence_chain,
+                        lstm_inputs(rng, frames))
 
 
-def test_lstm_cell_grad_check():
-    grad_check_each(nc.lstm_cell, lstm_inputs(np.random.default_rng(22), 2, 3, 2))
+@pytest.mark.parametrize("frames", [1, 3, 8])
+def test_lstm_sequence_grad_check(frames):
+    inputs = lstm_inputs(np.random.default_rng(22 + frames), frames, 2, 3, 2)
+    grad_check_each(nc.lstm_sequence, inputs)
 
 
-def test_lstm_cell_var_outputs_share_one_node():
+def test_lstm_sequence_var_outputs_share_one_node():
     rng = np.random.default_rng(23)
-    x, h, c, w_ih, w_hh, bias = lstm_inputs(rng)
-    h_new, c_new = nc.lstm_cell(nc.Var(x), h, c, w_ih, w_hh, bias)
-    assert h_new._parents[0] is c_new._parents[0]
-    assert h_new._parents[0].shape == (3, 6)
+    x, h, c, w_ih, w_hh, bias = lstm_inputs(rng, 4)
+    hs, c_last = nc.lstm_sequence(nc.Var(x), h, c, w_ih, w_hh, bias)
+    assert hs.shape == (4, 3, 3) and c_last.shape == (3, 3)
+    assert hs._parents[0] is c_last._parents[0]
+    assert hs._parents[0].shape == (5, 3, 3)
 
 
 # --- tape size ------------------------------------------------------------------
@@ -216,4 +221,4 @@ def test_desk_training_step_tape_census():
         loss = training.segment_nll(model, pos, ctl, 8)
     finally:
         nc.restore(model)
-    assert tape_nodes(loss) <= 2100
+    assert tape_nodes(loss) <= 500

@@ -3,6 +3,8 @@ import pytest
 
 from skelflow import numcore as nc
 
+from oracles import adam_step_reference
+
 
 # --- independent oracles -------------------------------------------------
 
@@ -167,6 +169,22 @@ def test_matmul_grad_against_central_differences():
     assert np.max(np.abs(ga - central_diff(f_a, a0))) < 1e-7
 
 
+def test_matmul_shared_weight_grad_is_one_gemm_over_rows():
+    # N-d @ 2-d: the weight gradient, a 2-d GEMM over the flattened rows,
+    # equals the broadcast batched product summed over the batch axes
+    rng = np.random.default_rng(6)
+    a0 = rng.normal(size=(2, 3, 4, 5))
+    b0 = rng.normal(size=(5, 6))
+    w = rng.normal(size=(2, 3, 4, 6))
+    va, vb = nc.Var(a0), nc.Var(b0)
+    ga, gb = nc.grad(nc.vsum(nc.mul(va @ vb, w)), [va, vb])
+    want_b = nc._unbroadcast(np.swapaxes(a0, -1, -2) @ w, b0.shape)
+    assert np.max(np.abs(gb - want_b)) <= 1e-12 * np.max(np.abs(want_b))
+    assert np.max(np.abs(ga - w @ b0.T)) <= 1e-12 * np.max(np.abs(ga))
+    assert nc.grad_check(lambda b: nc.vsum(nc.tanh(nc.matmul(a0, b))), b0) <= 1e-6
+    assert nc.grad_check(lambda a: nc.vsum(nc.tanh(nc.matmul(a, b0))), a0) <= 1e-6
+
+
 def test_ops_plain_ndarray_passthrough():
     a = np.ones((2, 2))
     assert isinstance(nc.add(a, a), np.ndarray)
@@ -254,6 +272,30 @@ def test_adam_nan_gradient_raises_and_preserves_params():
     with pytest.raises(nc.NonFiniteGradientError):
         nc.adam_step(params, {"p": np.array([np.nan])}, state, step_size=0.1)
     assert np.array_equal(params["p"], before)
+
+
+def test_adam_in_place_matches_reference_formula():
+    rng = np.random.default_rng(8)
+    params = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=5)}
+    ref_params = {k: v.copy() for k, v in params.items()}
+    state, ref_state = nc.adam_init(params), nc.adam_init(ref_params)
+    for _ in range(5):
+        grads = {k: rng.normal(size=v.shape) for k, v in params.items()}
+        params, state = nc.adam_step(params, grads, state, step_size=0.01)
+        ref_params, ref_state = adam_step_reference(ref_params, grads,
+                                                    ref_state, step_size=0.01)
+        for k in params:
+            assert np.array_equal(params[k], ref_params[k])
+            assert np.array_equal(state.m[k], ref_state.m[k])
+            assert np.array_equal(state.v[k], ref_state.v[k])
+    before = [{k: d[k].copy() for k in d} for d in (params, state.m, state.v)]
+    bad = {"a": np.ones((3, 4)), "b": np.array([0.0, 1.0, np.inf, 0.0, 0.0])}
+    with pytest.raises(nc.NonFiniteGradientError):
+        nc.adam_step(params, bad, state, step_size=0.01)
+    for d, kept in zip((params, state.m, state.v), before):
+        for k in d:
+            assert np.array_equal(d[k], kept[k])
+    assert state.step == 5
 
 
 def test_adam_first_step_size_is_lr_signed():

@@ -9,6 +9,9 @@ import skelflow.numcore as nc
 import skelflow.skeleton as skeleton
 import skelflow.training as training
 
+from conftest import TINY_SKELETON_TEXT, make_tiny_config
+from oracles import segment_nll_per_frame
+
 
 def small_model(seed=0, history=4):
     config = flow.ModelConfig(
@@ -138,6 +141,62 @@ class TestSegmentNll:
         assert abs(threaded - (-np.mean(fresh))) > 1e-8
 
 
+def loss_and_grads(nll, model, pos, ctl, n_frames):
+    lifted = nc.lift(model)
+    try:
+        loss = nll(model, pos, ctl, n_frames)
+        grads = nc.grad(loss, list(lifted.values()))
+    finally:
+        nc.restore(model)
+    return float(nc._data(loss)), dict(zip(lifted, grads))
+
+
+def assert_matches_per_frame_oracle(model, pos, ctl, n_frames):
+    """The layer-major segment loss, without and with a tape, and every
+    parameter gradient agree with the frame-by-frame oracle to 1e-10."""
+    want = float(segment_nll_per_frame(model, pos, ctl, n_frames))
+    got = training.segment_nll(model, pos, ctl, n_frames)
+    assert not isinstance(got, nc.Var)
+    assert abs(float(got) - want) <= 1e-10 * abs(want)
+    got_loss, got_grads = loss_and_grads(training.segment_nll, model, pos,
+                                         ctl, n_frames)
+    want_loss, want_grads = loss_and_grads(segment_nll_per_frame, model, pos,
+                                           ctl, n_frames)
+    assert abs(got_loss - want_loss) <= 1e-10 * abs(want_loss)
+    assert got_grads.keys() == want_grads.keys()
+    for name, want_grad in want_grads.items():
+        scale = float(np.max(np.abs(want_grad)))
+        assert scale > 0.0, name
+        err = float(np.max(np.abs(got_grads[name] - want_grad)))
+        assert err <= 1e-10 * scale, (name, err / scale)
+
+
+class TestLayerMajorSegment:
+    @pytest.mark.parametrize("ablation", ["stmg", "smg", "mg"])
+    def test_tiny_matches_per_frame_oracle(self, ablation):
+        model = flow.FlowModel.create(
+            make_tiny_config(ablation),
+            skeleton.build_skeleton(TINY_SKELETON_TEXT), seed=4,
+            init="random")
+        t_h = model.config.history
+        rng = np.random.default_rng(5)
+        pos = rng.normal(size=(3, 4, 2, t_h + 5))
+        ctl = rng.normal(size=(3, 3, t_h + 5))
+        assert_matches_per_frame_oracle(model, pos, ctl, 5)
+
+    def test_desk_matches_per_frame_oracle(self, corpus):
+        model = flow.FlowModel.create(flow.desk_config(),
+                                      skeleton.default_skeleton(), seed=2,
+                                      init="random")
+        cfg = training.TrainConfig(init_batch=16)
+        training.initialize_from_corpus(model, corpus, cfg)
+        t_h = model.config.history
+        picks = training._random_picks(corpus, np.random.default_rng(6), 8,
+                                       t_h, 8)
+        pos, ctl = training._stack_crops(corpus, picks, t_h, 8)
+        assert_matches_per_frame_oracle(model, pos, ctl, 8)
+
+
 class TestTrainLoop:
     def run_short(self, steps=30, seed=0):
         corpus_w = small_corpus()
@@ -166,6 +225,29 @@ class TestTrainLoop:
                                       model_b.named_parameters()):
             assert ka == kb
             np.testing.assert_array_equal(nc._data(va), nc._data(vb))
+
+    def test_grad_norm_is_recorded_before_clipping(self, corpus,
+                                                   monkeypatch):
+        train_w, hold_w = training.split_corpus(corpus, holdout_every=4)
+        model = small_model()
+        cfg = training.TrainConfig(steps=4, batch_size=2, nll_frames=2,
+                                   eval_every=4, init_batch=16,
+                                   grad_clip=1e-3)
+        training.initialize_from_corpus(model, train_w, cfg)
+        unclipped = []
+        real_grad = nc.grad
+
+        def recording_grad(loss, leaves):
+            grads = real_grad(loss, leaves)
+            unclipped.append(np.sqrt(sum(np.sum(g * g) for g in grads)))
+            return grads
+
+        monkeypatch.setattr(nc, "grad", recording_grad)
+        log = training.train(model, train_w, hold_w, cfg)
+        assert len(log.grad_norm) == 4
+        np.testing.assert_allclose(log.grad_norm, unclipped, rtol=1e-12)
+        assert all(n > cfg.grad_clip for n in log.grad_norm)
+        assert "grad" not in log.to_text()
 
     def test_evaluate_nll_is_deterministic(self, corpus):
         model = small_model()
