@@ -97,7 +97,10 @@ class TemporalConv(nc.Module):
     Symmetric (edge-reflecting) padding keeps the output length equal to the
     input length.  Requires T >= (kernel - 1) // 2.  The padding and taps
     are one fixed stack of shift matrices per history length (see
-    `reflect_shifts`), applied by the fused `nc.mix_project`.
+    `reflect_shifts`), folded into the kernel as one dense operator and
+    applied by the fused `nc.temporal_conv`.  While the kernel is a plain
+    ndarray (rollout, evaluation) the layer keeps the operator it built,
+    and rebuilds it when T or the kernel's values change.
     """
 
     param_attrs = ("kernel", "bias")
@@ -109,15 +112,25 @@ class TemporalConv(nc.Module):
         scale = 1.0 / np.sqrt(channels_in * kernel_size)
         self.kernel = rng.normal(0.0, scale, size=(kernel_size, channels_in, channels_out))
         self.bias = np.zeros(channels_out)
-        self._shifts = {}  # history length -> reflect_shifts(T, kernel_size)
+        self._t = None  # history length the shifts are built for
+        self._shifts = None
+        self._built_from = None  # copy of the kernel the operator was built from
+        self._operator = None
 
     def __call__(self, x):
         t = nc._data(x).shape[1]
-        shifts = self._shifts.get(t)
-        if shifts is None:
-            shifts = self._shifts[t] = reflect_shifts(t, self.kernel_size)
+        if t != self._t:
+            self._shifts = reflect_shifts(t, self.kernel_size)
+            self._t, self._built_from = t, None
+        operator = None  # a lifted kernel builds its operator per call
+        if not isinstance(self.kernel, nc.Var):
+            if self._built_from is None or not np.array_equal(self._built_from, self.kernel):
+                self._operator = nc.shift_operator(self._shifts, self.kernel)
+                self._built_from = self.kernel.copy()
+            operator = self._operator
         # mix along time on the time-major (B, M, T, C) layout
-        y = nc.mix_project(nc.transpose(x, (0, 2, 1, 3)), shifts, self.kernel, self.bias)
+        y = nc.temporal_conv(nc.transpose(x, (0, 2, 1, 3)), self._shifts,
+                             self.kernel, self.bias, operator)
         return nc.transpose(y, (0, 2, 1, 3))
 
 

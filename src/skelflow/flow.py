@@ -169,6 +169,7 @@ class InvertibleMix(nc.Module):
             q, r = np.linalg.qr(rng.normal(size=(channels, channels)))
             q = q * np.sign(np.diag(r))  # fix reflection ambiguity
             self.weight = q
+        self._inverted = None  # (weight copy, its inverse) after a passing check
 
     def _logabsdet(self):
         lad = nc.logabsdet(self.weight)
@@ -180,8 +181,14 @@ class InvertibleMix(nc.Module):
         return nc.matmul(x, self.weight), nc.mul(self._logabsdet(), float(markers))
 
     def inverse(self, y):
-        self._logabsdet()
-        return y @ np.linalg.inv(nc._data(self.weight))
+        """y @ inv(weight); the inverse is reused while the weight's values
+        are unchanged, and only a weight that passed the singularity check
+        is ever kept."""
+        weight = nc._data(self.weight)
+        if self._inverted is None or not np.array_equal(self._inverted[0], weight):
+            self._logabsdet()
+            self._inverted = (weight.copy(), np.linalg.inv(weight))
+        return y @ self._inverted[1]
 
 
 class FlowStep(nc.Module):
@@ -328,17 +335,14 @@ class FlowModel(nc.Module):
         (..., 3, T_h + 1) carry the same leading axes.  Returns the frames
         (T*B, M, C), the pooled history (T*B, width), the flattened controls
         (T*B, 3 * (T_h + 1)), the LSTM states of the B sequences and x's
-        leading axes.  The history encoder runs once per frame, on that
-        frame's B windows.
+        leading axes.  The history encoder runs once, over all T*B windows.
         """
         shape = nc._data(x).shape
         if not 2 <= len(shape) <= 4:
             raise ValueError(f"expected 2 to 4 dims, got {len(shape)}")
         t, b = ((1, 1) + shape[:-2])[-2:]
         hist_std = self._prep_history(history, history_mask)
-        hist = nc.reshape(hist_std, (t, b) + nc._data(hist_std).shape[-3:])
-        pooled = [self.encoder(hist[k]) for k in range(t)]
-        pooled = pooled[0] if t == 1 else nc.concat(pooled, axis=0)
+        pooled = self.encoder(nc.reshape(hist_std, (t * b,) + nc._data(hist_std).shape[-3:]))
         ctrl_flat = nc.reshape(controls, (t * b, -1))
         if states is None:
             states = self.initial_state(b)

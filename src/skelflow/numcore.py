@@ -422,6 +422,58 @@ def mix_project(x, mats, weight, bias):
     return res
 
 
+def shift_operator(shifts, kernel):
+    """The dense (T*C_in, T*C_out) operator of a shift-matrix convolution.
+
+    Element [s*C_in + ci, t*C_out + co] is sum_k shifts[k, t, s] *
+    kernel[k, ci, co], built with one (T*T, k) @ (k, C_in*C_out) GEMM;
+    `shifts` is (k, T, T) and `kernel` (k, C_in, C_out), both ndarrays.
+    """
+    k, t = shifts.shape[0], shifts.shape[1]
+    c_in, c_out = kernel.shape[1], kernel.shape[2]
+    folded = shifts.transpose(0, 2, 1).reshape(k, t * t).T @ kernel.reshape(k, c_in * c_out)
+    # rows (s, t), columns (ci, co) -> (s, ci, t, co)
+    return folded.reshape(t, t, c_in, c_out).transpose(0, 2, 1, 3).reshape(t * c_in, t * c_out)
+
+
+def temporal_conv(x, shifts, kernel, bias, operator=None):
+    """y[..., t, :] = sum_k sum_s shifts[k, t, s] * x[..., s, :] @ kernel[k] + bias.
+
+    x is (..., T, C_in), mixed along axis -2; `shifts` is a fixed
+    (k, T, T) ndarray, `kernel` (k, C_in, C_out) and `bias` (C_out,).
+    The shifts are folded into the kernel as one dense `shift_operator`
+    D, and the forward is one GEMM of the (rows, T*C_in) input with it;
+    `operator` passes a D already built from the kernel's current value.
+    The backward is gx = g @ D.T and gD = x.T @ g, folded back to the
+    kernel with one GEMM against shifts.reshape(k, T*T).
+    """
+    xd, kd = _data(x), _data(kernel)
+    shape = xd.shape
+    k, t = shifts.shape[0], shape[-2]
+    c_in, c_out = kd.shape[1], kd.shape[2]
+    dense = shift_operator(shifts, kd) if operator is None else operator
+    rows = xd.reshape(-1, t * c_in)
+    out = (rows @ dense).reshape(shape[:-1] + (c_out,)) + _data(bias)
+    if not _any_var(x, kernel, bias):
+        return out
+    res = Var(out, tuple(v for v in (x, kernel, bias) if isinstance(v, Var)))
+
+    def bw(g):
+        g2 = g.reshape(-1, t * c_out)
+        if isinstance(bias, Var):
+            bias._accum(g2.reshape(-1, c_out).sum(axis=0))
+        if isinstance(kernel, Var):
+            # gD as (s, ci, t, co) -> rows (t, s), columns (ci, co)
+            g_dense = (rows.T @ g2).reshape(t, c_in, t, c_out).transpose(2, 0, 1, 3)
+            kernel._accum((shifts.reshape(k, t * t) @ g_dense.reshape(t * t, c_in * c_out))
+                          .reshape(kd.shape))
+        if isinstance(x, Var):
+            x._accum((g2 @ dense.T).reshape(shape))
+
+    res._bw = bw
+    return res
+
+
 def lstm_sequence(x, h0, c0, w_ih, w_hh, bias):
     """An LSTM layer over T frames: x (T, B, D) from state (h0, c0), each
     (B, H).  Returns (hs, c): the hidden output of every frame, (T, B, H),

@@ -180,14 +180,17 @@ def train(model, train_windows, holdout_windows, config, on_eval=None):
     """Run the Adam loop; returns a TrainLog.
 
     Raises TrainingDivergedError on a non-finite loss or gradient, carrying
-    the most recent finite parameter snapshot so callers can persist it.
+    the parameters after the last step whose loss and gradient were finite
+    so callers can persist them.  The snapshot holds the parameter arrays
+    by reference: `adam_step` returns new arrays and nothing here writes
+    into a parameter array.
     """
     config.validate()
     t_h = model.config.history
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 11)))
     log = TrainLog()
     adam_state = nc.adam_init(dict(model.named_parameters()))
-    snapshot = {k: nc._data(v).copy() for k, v in model.named_parameters()}
+    snapshot = {k: nc._data(v) for k, v in model.named_parameters()}
     last_good = 0
     for step in range(1, config.steps + 1):
         picks = _random_picks(train_windows, rng, config.batch_size,
@@ -213,12 +216,10 @@ def train(model, train_windows, holdout_windows, config, on_eval=None):
             raise TrainingDivergedError(step, snapshot, last_good) from exc
         for k, v in new_params.items():
             model.set_parameter(k, v)
+        snapshot, last_good = new_params, step
         log.train_nll.append(loss_value)
         log.grad_norm.append(grad_norm)
         if step % config.eval_every == 0 or step == config.steps:
-            snapshot = {k: nc._data(v).copy()
-                        for k, v in model.named_parameters()}
-            last_good = step
             held = evaluate_nll(model, holdout_windows, config)
             log.eval_steps.append(step)
             log.eval_nll.append(held)

@@ -89,6 +89,29 @@ def test_mix_singular_raises():
         layer.forward(np.zeros((1, 3, 2)), 3)
 
 
+def test_mix_inverse_follows_in_place_weight_edit():
+    layer = flow.InvertibleMix(3, np.random.default_rng(3))
+    y = np.random.default_rng(4).normal(size=(2, 5, 3))
+    np.testing.assert_allclose(layer.inverse(y) @ layer.weight, y, atol=1e-12)
+    layer.weight[0, 1] += 0.25
+    layer.weight *= 2.0
+    np.testing.assert_allclose(layer.inverse(y) @ layer.weight, y, atol=1e-12)
+
+
+def test_mix_inverse_singular_weight_raises_every_call():
+    layer = flow.InvertibleMix(2, np.random.default_rng(5))
+    y = np.zeros((1, 3, 2))
+    layer.inverse(y)
+    layer.weight = np.ones((2, 2))
+    for _ in range(2):
+        with pytest.raises(nc.SingularMatrixError):
+            layer.inverse(y)
+    layer.weight[:] = [[1.0, 1.0], [1.0, 1.0 + 1e-13]]  # near singular, in place
+    for _ in range(2):
+        with pytest.raises(nc.SingularMatrixError):
+            layer.inverse(y)
+
+
 # --- full model: invertibility, logdet, identity -------------------------------------
 
 @pytest.mark.parametrize("ablation", ["stmg", "smg", "mg"])

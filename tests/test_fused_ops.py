@@ -106,29 +106,44 @@ def test_graph_conv_grad_check(partitions, d):
     grad_check_each(spatial_fused(partitions[d]), inputs)
 
 
-# --- mix_project as the temporal conv ----------------------------------------------
+# --- temporal_conv ------------------------------------------------------------------
 
 # (kernel, frames): kernels 1, 5 and 9, and frames equal to the padding
 TEMPORAL_CASES = [(1, 4), (5, 6), (9, 10), (5, 2), (9, 4)]
 
 
-def temporal_fused(x, kernel, bias):
+def temporal_layer(x, kernel, bias):
     layer = cond.TemporalConv(1, 1, nc._data(kernel).shape[0],
                               np.random.default_rng(0))
     layer.kernel, layer.bias = kernel, bias
     return (layer(x),)
 
 
+def temporal_op(x, kernel, bias):
+    """nc.temporal_conv called directly on the time-major transpose."""
+    shifts = cond.reflect_shifts(nc._data(x).shape[1], nc._data(kernel).shape[0])
+    y = nc.temporal_conv(nc.transpose(x, (0, 2, 1, 3)), shifts, kernel, bias)
+    return (nc.transpose(y, (0, 2, 1, 3)),)
+
+
 def temporal_chain(x, kernel, bias):
     return (temporal_conv_chain(x, kernel, bias),)
 
 
+def temporal_inputs(k, t):
+    rng = np.random.default_rng(k * 100 + t)
+    return [rng.normal(size=(2, t, 3, 2)), rng.normal(size=(k, 2, 3)),
+            rng.normal(size=3)]
+
+
 @pytest.mark.parametrize("k, t", TEMPORAL_CASES)
 def test_temporal_conv_matches_chain(k, t):
-    rng = np.random.default_rng(k * 100 + t)
-    inputs = [rng.normal(size=(2, t, 3, 2)), rng.normal(size=(k, 2, 3)),
-              rng.normal(size=3)]
-    check_against_chain(temporal_fused, temporal_chain, inputs)
+    check_against_chain(temporal_layer, temporal_chain, temporal_inputs(k, t))
+
+
+@pytest.mark.parametrize("k, t", TEMPORAL_CASES)
+def test_temporal_conv_op_matches_chain(k, t):
+    check_against_chain(temporal_op, temporal_chain, temporal_inputs(k, t))
 
 
 @pytest.mark.parametrize("k, t", TEMPORAL_CASES)
@@ -136,7 +151,20 @@ def test_temporal_conv_grad_check(k, t):
     rng = np.random.default_rng(k * 10 + t)
     inputs = [rng.normal(size=(1, t, 2, 2)), rng.normal(size=(k, 2, 2)),
               rng.normal(size=2)]
-    grad_check_each(temporal_fused, inputs)
+    grad_check_each(temporal_layer, inputs)
+
+
+@pytest.mark.parametrize("k, t", TEMPORAL_CASES)
+def test_shift_operator_entries(k, t):
+    rng = np.random.default_rng(k + t)
+    shifts = cond.reflect_shifts(t, k)
+    kernel = rng.normal(size=(k, 2, 3))
+    dense = nc.shift_operator(shifts, kernel)
+    assert dense.shape == (t * 2, t * 3)
+    for s in range(t):
+        for tt in range(t):
+            want = np.einsum("k,kio->io", shifts[:, tt, s], kernel)
+            assert_close(dense[s * 2:(s + 1) * 2, tt * 3:(tt + 1) * 3], want)
 
 
 @pytest.mark.parametrize("k, t", TEMPORAL_CASES)
@@ -148,14 +176,47 @@ def test_reflect_shifts_pick_one_frame_per_tap(k, t):
     assert np.array_equal(shifts[(k - 1) // 2], np.eye(t))
 
 
-def test_temporal_conv_layer_matches_chain_and_caches_shifts():
+def test_temporal_conv_layer_caches_operator_by_value():
     rng = np.random.default_rng(5)
     layer = cond.TemporalConv(3, 4, 9, rng)
     x = rng.normal(size=(2, 6, 5, 3))
     assert_close(layer(x), temporal_conv_chain(x, layer.kernel, layer.bias))
-    shifts = layer._shifts[6]
+    operator = layer._operator
     layer(x)
-    assert layer._shifts[6] is shifts
+    assert layer._operator is operator
+    # a new array with the same values keeps the operator
+    layer.kernel = layer.kernel.copy()
+    layer(x)
+    assert layer._operator is operator
+    # a lifted kernel builds its operator per call and leaves the cache alone
+    kernel = layer.kernel
+    layer.kernel = nc.Var(kernel)
+    assert_close(layer(x), temporal_conv_chain(x, kernel, layer.bias))
+    assert layer._operator is operator
+
+
+def test_temporal_conv_layer_follows_in_place_kernel_edit():
+    rng = np.random.default_rng(6)
+    layer = cond.TemporalConv(3, 4, 5, rng)
+    x = rng.normal(size=(2, 6, 5, 3))
+    before = layer(x)
+    layer.kernel[2, 1, 0] += 0.5
+    layer.kernel *= 1.5
+    after = layer(x)
+    assert not np.allclose(after, before)
+    assert_close(after, temporal_conv_chain(x, layer.kernel, layer.bias))
+
+
+def test_temporal_conv_layer_at_two_history_lengths():
+    rng = np.random.default_rng(7)
+    layer = cond.TemporalConv(3, 4, 5, rng)
+    for t in (6, 4, 6):
+        x = rng.normal(size=(2, t, 5, 3))
+        assert_close(layer(x), temporal_conv_chain(x, layer.kernel, layer.bias))
+    with pytest.raises(ValueError, match="too short"):
+        layer(rng.normal(size=(2, 1, 5, 3)))
+    x = rng.normal(size=(2, 6, 5, 3))
+    assert_close(layer(x), temporal_conv_chain(x, layer.kernel, layer.bias))
 
 
 # --- lstm_sequence ----------------------------------------------------------------
@@ -221,4 +282,4 @@ def test_desk_training_step_tape_census():
         loss = training.segment_nll(model, pos, ctl, 8)
     finally:
         nc.restore(model)
-    assert tape_nodes(loss) <= 500
+    assert tape_nodes(loss) <= 360

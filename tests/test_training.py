@@ -1,5 +1,7 @@
 """Tests for corpus assembly and the seeded training loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -298,6 +300,37 @@ class TestTrainLoop:
         for k, v in model.named_parameters():
             np.testing.assert_array_equal(nc._data(v), before[k])
             np.testing.assert_array_equal(err.value.snapshot[k], before[k])
+
+    def test_gradient_divergence_between_evals_keeps_last_finite_step(
+            self, corpus, monkeypatch):
+        # eval_every=5: the snapshot must come from step 2, not step 0
+        train_w, hold_w = training.split_corpus(corpus, holdout_every=4)
+        cfg = training.TrainConfig(steps=5, batch_size=2, nll_frames=2,
+                                   eval_every=5, init_batch=16)
+        reference = small_model()
+        training.initialize_from_corpus(reference, train_w, cfg)
+        training.train(reference, train_w, hold_w, replace(cfg, steps=2))
+        model = small_model()
+        training.initialize_from_corpus(model, train_w, cfg)
+        real_grad = nc.grad
+        calls = []
+
+        def nan_at_step_3(loss, leaves):
+            grads = real_grad(loss, leaves)
+            calls.append(1)
+            if len(calls) == 3:
+                grads[0] = np.full_like(grads[0], np.nan)
+            return grads
+
+        monkeypatch.setattr(nc, "grad", nan_at_step_3)
+        with pytest.raises(training.TrainingDivergedError) as err:
+            training.train(model, train_w, hold_w, cfg)
+        assert err.value.step == 3
+        assert err.value.last_good_step == 2
+        assert set(err.value.snapshot) == {k for k, _ in
+                                           reference.named_parameters()}
+        for k, v in reference.named_parameters():
+            np.testing.assert_array_equal(err.value.snapshot[k], nc._data(v))
 
     def test_restore_snapshot_roundtrip(self):
         model, cfg, _, _ = self.run_short(steps=10)
