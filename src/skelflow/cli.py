@@ -74,6 +74,9 @@ class JobConfig:
     def validate(self):
         if self.clip_format not in ("text", "binary"):
             raise ValueError(f"clip_format must be text or binary, got '{self.clip_format}'")
+        _training.require_finite(
+            fps=self.fps, temperature=self.temperature, noise_std=self.noise_std,
+            grid_max=self.grid_max, grid_step=self.grid_step)
         if self.fps <= 0:
             raise ValueError("fps must be positive")
         if self.horizon < 1 or self.num_sequences < 1 or self.walker_steps < 2:
@@ -326,13 +329,14 @@ def cmd_generate(config, with_report=False):
     history, controls = _seed_material(config, model,
                                        t_h + config.horizon)
     children = np.random.SeedSequence(config.seed).spawn(config.num_sequences)
-    written = []
-    report_lines = ["# clip bl_rmse_cm bl_sigma_cm"]
-    for i, child in enumerate(children):
-        request = _sequence.GenerationRequest(
+    batch = _sequence.generate_batch(model, [
+        _sequence.GenerationRequest(
             history=history, controls=controls, horizon=config.horizon,
             temperature=config.temperature, seed=child)
-        frames = _sequence.generate(model, request)
+        for child in children])
+    written = []
+    report_lines = ["# clip bl_rmse_cm bl_sigma_cm"]
+    for i, frames in enumerate(batch):
         full = np.concatenate([history, frames], axis=2)
         clip = _data.MotionClip(
             positions=full, controls=controls[:, :full.shape[2]],
@@ -379,15 +383,17 @@ def cmd_reconstruct(config, clip_path=""):
     history, controls = _reconstruction_input(config, model, clip_path)
     mask_seeds = np.random.SeedSequence((config.seed, 1)).spawn(config.num_sequences)
     run_seeds = np.random.SeedSequence((config.seed, 2)).spawn(config.num_sequences)
+    masks = [_sequence.mask_preset(
+        config.mask, markers=model.config.markers, history=t_h,
+        skeleton_spec=model.skeleton, seed=mask_seed) for mask_seed in mask_seeds]
+    results = _sequence.reconstruct_batch(model, [
+        _sequence.ReconstructionRequest(
+            history=history, mask=mask, controls=controls, horizon=horizon,
+            temperature=config.temperature, seed=run_seed)
+        for mask, run_seed in zip(masks, run_seeds)])
     written = []
     summary = ["# clip preset masked_markers bl_rmse_cm"]
-    for i, (mask_seed, run_seed) in enumerate(zip(mask_seeds, run_seeds)):
-        mask = _sequence.mask_preset(
-            config.mask, markers=model.config.markers, history=t_h,
-            skeleton_spec=model.skeleton, seed=mask_seed)
-        result = _sequence.reconstruct(
-            model, history, mask, controls, horizon=horizon,
-            temperature=config.temperature, seed=run_seed)
+    for i, (mask, result) in enumerate(zip(masks, results)):
         full = np.concatenate([result.past, result.future], axis=2)
         clip = _data.MotionClip(
             positions=full, controls=controls[:, :full.shape[2]],

@@ -29,7 +29,7 @@ def bounded_scale(raw):
     sigmoid(raw + 2) + 1e-3: zero raw gives ~0.8818, and the scale stays in
     (1e-3, 1 + 1e-3) so the inverse pass never divides by ~0.
     """
-    return nc.sigmoid(nc.add(raw, SCALE_SHIFT)) + SCALE_FLOOR
+    return nc.sigmoid(raw + SCALE_SHIFT) + SCALE_FLOOR
 
 
 def identity_scale_raw():
@@ -54,12 +54,17 @@ class Linear(nc.Module):
 
 
 class SpatialGraphConv(nc.Module):
-    """y_i = sum_k A_k[i] x W_k + bias, with A_k the partition matrices."""
+    """y_i = sum_k A_k[i] x W_k + bias, with A_k the partition matrices.
+
+    The adjacency is frozen, so its row-interleaved (M*d, M) stack, the
+    form `nc.mix_project` takes, is built once here.
+    """
 
     param_attrs = ("weight", "bias")
 
     def __init__(self, adjacency, in_channels, out_channels, rng):
         self.adjacency = adjacency  # PartitionedAdjacency, frozen
+        self._stacked = nc.interleave_mixes(adjacency.matrices)
         d = adjacency.kernel_scale
         scale = 1.0 / np.sqrt(in_channels * d)
         self.weight = rng.normal(0.0, scale, size=(d, in_channels, out_channels))
@@ -67,7 +72,7 @@ class SpatialGraphConv(nc.Module):
 
     def __call__(self, x):
         # x: (..., M, in_channels)
-        return nc.mix_project(x, self.adjacency.matrices, self.weight, self.bias)
+        return nc.mix_project(x, self._stacked, self.weight, self.bias)
 
 
 def reflect_shifts(t, kernel_size):
@@ -118,7 +123,7 @@ class TemporalConv(nc.Module):
         self._operator = None
 
     def __call__(self, x):
-        t = nc._data(x).shape[1]
+        t = x.shape[1]
         if t != self._t:
             self._shifts = reflect_shifts(t, self.kernel_size)
             self._t, self._built_from = t, None
@@ -187,7 +192,7 @@ class HistoryEncoder(nc.Module):
     def __call__(self, history):
         # history: (B, M, C, T)
         if self.variant == "mg":
-            b = nc._data(history).shape[0]
+            b = history.shape[0]
             return nc.reshape(history, (b, self.width))
         x = nc.transpose(history, (0, 3, 1, 2))  # (B, T, M, C)
         for block in self.blocks:
@@ -213,11 +218,7 @@ class LSTMLayer(nc.Module):
         so one frame is (B, D).  Returns the hidden output of every row and
         the cell state after the last frame.
         """
-        rows, d = x.shape
-        b = h.shape[0]
-        hs, c = nc.lstm_sequence(x.reshape(rows // b, b, d), h, c,
-                                 self.w_ih, self.w_hh, self.bias)
-        return hs.reshape(rows, -1), c
+        return nc.lstm_sequence(x, h, c, self.w_ih, self.w_hh, self.bias)
 
 
 class LSTMStack(nc.Module):
@@ -279,7 +280,7 @@ class CouplingConditioner(nc.Module):
         return self.lstm.initial_state(batch)
 
     def __call__(self, pose_half, pooled, controls_flat, state):
-        b = nc._data(pose_half).shape[0]
+        b = pose_half.shape[0]
         if self.sgcn is None:
             g = nc.reshape(pose_half, (b, -1))
         else:

@@ -128,8 +128,7 @@ class ActNorm(nc.Module):
         self.bias = np.zeros((markers, channels))
 
     def logdet(self):
-        sd = nc._data(self.scale)
-        if np.any(sd == 0.0):
+        if not nc._data(self.scale).all():
             raise ZeroScaleError("actnorm scale has zero entries")
         return nc.vsum(nc.log(nc.absolute(self.scale)))
 
@@ -137,10 +136,11 @@ class ActNorm(nc.Module):
         return (x + self.bias) * self.scale, self.logdet()
 
     def inverse(self, y):
-        sd = nc._data(self.scale)
-        if np.any(sd == 0.0):
+        """y / scale - bias on plain arrays (no tape)."""
+        scale = nc._data(self.scale)
+        if not scale.all():
             raise ZeroScaleError("actnorm scale has zero entries")
-        return nc.div(y, self.scale) - self.bias
+        return y / scale - nc._data(self.bias)
 
     def init_from_batch(self, x):
         """Set bias/scale so the batch maps to zero mean, unit std per cell."""
@@ -224,13 +224,12 @@ class FlowStep(nc.Module):
         return out, logdet, new_state
 
     def inverse(self, h, pooled, controls_flat, state):
+        """Inverse of `forward` on plain arrays (no tape): undo the
+        coupling, then the mix, then actnorm.  Returns (x, new_state)."""
         hb1 = h[:, :, :self.c1]
-        hb2 = h[:, :, self.c1:]
         s, offset, new_state = self.conditioner(hb1, pooled, controls_flat, state)
-        xb2 = nc.div(hb2, s) - offset
-        z = nc.concat([hb1, xb2], axis=2)
-        x = self.actnorm.inverse(self.mix.inverse(z))
-        return x, new_state
+        z = np.concatenate([hb1, h[:, :, self.c1:] / s - offset], axis=2)
+        return self.actnorm.inverse(self.mix.inverse(z)), new_state
 
 
 class FlowModel(nc.Module):
@@ -310,21 +309,19 @@ class FlowModel(nc.Module):
         self.data_std = std
 
     def standardize(self, x):
-        return nc.div(nc.sub(x, self.data_mean), self.data_std)
+        return (x - self.data_mean) / self.data_std
 
     def destandardize(self, x):
-        return nc.add(nc.mul(x, self.data_std), self.data_mean)
+        return x * self.data_std + self.data_mean
 
     def _std_logdet(self):
         return float(-np.sum(np.log(self.data_std)))
 
     def _prep_history(self, history, history_mask):
         # stats are per (marker, channel); history carries a trailing time axis
-        hist_std = nc.div(nc.sub(history, self.data_mean[:, :, None]),
-                          self.data_std[:, :, None])
+        hist_std = (history - self.data_mean[:, :, None]) / self.data_std[:, :, None]
         if history_mask is not None:
-            mask = np.asarray(history_mask, dtype=np.float64)
-            hist_std = nc.mul(hist_std, mask[..., None, :])
+            hist_std = hist_std * np.asarray(history_mask, dtype=np.float64)[..., None, :]
         return hist_std
 
     def _rows(self, x, history, controls, states, history_mask):
@@ -342,7 +339,7 @@ class FlowModel(nc.Module):
             raise ValueError(f"expected 2 to 4 dims, got {len(shape)}")
         t, b = ((1, 1) + shape[:-2])[-2:]
         hist_std = self._prep_history(history, history_mask)
-        pooled = self.encoder(nc.reshape(hist_std, (t * b,) + nc._data(hist_std).shape[-3:]))
+        pooled = self.encoder(nc.reshape(hist_std, (t * b,) + hist_std.shape[-3:]))
         ctrl_flat = nc.reshape(controls, (t * b, -1))
         if states is None:
             states = self.initial_state(b)
@@ -376,15 +373,15 @@ class FlowModel(nc.Module):
                 nc.reshape(logdet, lead), new_states)
 
     def inverse_transform_frame(self, z, history, controls, states=None, history_mask=None):
-        """Latent-to-data map; exact inverse of transform_frame."""
+        """Latent-to-data map; exact inverse of transform_frame, on plain
+        arrays (no tape)."""
         h, pooled, ctrl_flat, states, lead = self._rows(
             z, history, controls, states, history_mask)
         new_states = [None] * len(self.steps)
         for k in range(len(self.steps) - 1, -1, -1):
-            h, st = self.steps[k].inverse(h, pooled, ctrl_flat, states[k])
-            new_states[k] = st
+            h, new_states[k] = self.steps[k].inverse(h, pooled, ctrl_flat, states[k])
         x = self.destandardize(h)
-        return nc.reshape(x, lead + nc._data(x).shape[1:]), new_states
+        return x.reshape(lead + x.shape[1:]), new_states
 
     def log_likelihood(self, x, history, controls, states=None, history_mask=None):
         """Exact log density of x given history/controls.
@@ -403,10 +400,14 @@ class FlowModel(nc.Module):
         return logp, new_states
 
     def sample_frame(self, z, history, controls, states=None, temperature=1.0, history_mask=None):
-        """Draw one frame from the conditional density: x = f^{-1}(tau * z)."""
-        scaled = nc.mul(z, float(temperature))
-        x, new_states = self.inverse_transform_frame(scaled, history, controls, states, history_mask)
-        if not isinstance(x, nc.Var) and not np.all(np.isfinite(nc._data(x))):
+        """Draw one frame from the conditional density: x = f^{-1}(tau * z).
+
+        temperature is a float, or an array that broadcasts against z (one
+        value per sample of a batch).
+        """
+        x, new_states = self.inverse_transform_frame(
+            nc.mul(z, temperature), history, controls, states, history_mask)
+        if not np.isfinite(x).all():
             raise nc.NonFiniteError("sampled frame is not finite")
         return x, new_states
 

@@ -34,7 +34,12 @@ class NonFiniteGradientError(NonFiniteError):
     """A gradient came out NaN or infinite."""
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def _data(x):
+    if x.__class__ is np.ndarray and x.dtype is _FLOAT64:
+        return x
     if isinstance(x, Var):
         return x.data
     return np.asarray(x, dtype=np.float64)
@@ -79,8 +84,11 @@ class Var:
 
     def _accum(self, g):
         if self.grad is None:
-            self.grad = np.zeros(self.data.shape, dtype=np.float64)
-        self.grad += g
+            # every op hands back a gradient shaped like its input, so the
+            # first one is copied in one pass (0.0 + g == g)
+            self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
 
     def _accum_at(self, key, g):
         """Add `g` into `self.grad[key]` without a full-size temporary."""
@@ -131,7 +139,10 @@ class Var:
 
 
 def _any_var(*xs):
-    return any(isinstance(x, Var) for x in xs)
+    for x in xs:
+        if isinstance(x, Var):
+            return True
+    return False
 
 
 def add(a, b):
@@ -231,7 +242,7 @@ def matmul(a, b):
 
 def vsum(a, axis=None, keepdims=False):
     if not isinstance(a, Var):
-        return np.sum(_data(a), axis=axis, keepdims=keepdims)
+        return _data(a).sum(axis=axis, keepdims=keepdims)
     out = Var(np.sum(a.data, axis=axis, keepdims=keepdims), (a,))
 
     def bw(g):
@@ -259,7 +270,7 @@ def vmean(a, axis=None, keepdims=False):
 def reshape(a, shape):
     """Reshape; a Var whose shape does not change comes back as it is."""
     if not isinstance(a, Var):
-        return np.reshape(_data(a), shape)
+        return _data(a).reshape(shape)
     data = np.reshape(a.data, shape)
     if data.shape == a.data.shape:
         return a
@@ -270,7 +281,7 @@ def reshape(a, shape):
 
 def transpose(a, axes):
     if not isinstance(a, Var):
-        return np.transpose(_data(a), axes)
+        return _data(a).transpose(axes)
     out = Var(np.transpose(a.data, axes), (a,))
     inv = np.argsort(axes)
     out._bw = lambda g: a._accum(np.transpose(g, inv))
@@ -286,7 +297,7 @@ def getitem(a, key):
 
 
 def concat(parts, axis):
-    if not any(isinstance(p, Var) for p in parts):
+    if not _any_var(*parts):
         return np.concatenate([_data(p) for p in parts], axis=axis)
     datas = [_data(p) for p in parts]
     out = Var(np.concatenate(datas, axis=axis), tuple(p for p in parts if isinstance(p, Var)))
@@ -386,21 +397,27 @@ def logabsdet(a):
 # -- fused layer ops: one tape node each, with a hand-written backward --------
 
 
-def mix_project(x, mats, weight, bias):
+def interleave_mixes(mats):
+    """Stack a (d, M, M) set of mixing matrices row-interleaved as the
+    (M*d, M) matrix `mix_project` takes: row i*d + k is mats[k, i]."""
+    d, m = mats.shape[0], mats.shape[1]
+    return mats.transpose(1, 0, 2).reshape(m * d, m)
+
+
+def mix_project(x, stacked, weight, bias):
     """y = sum_k mats[k] @ x @ weight[k] + bias, mixing x along axis -2.
 
-    x is (..., M, C_in); `mats` is a fixed (d, M, M) ndarray, `weight`
-    (d, C_in, C_out) and `bias` (C_out,).  The forward is two GEMMs: the d
-    mixes stacked row-interleaved into one (M*d, M) matrix, whose product
-    with x is already laid out as (rows, d*C_in), then one 2-d
+    x is (..., M, C_in); `stacked` is `interleave_mixes(mats)` of a fixed
+    (d, M, M) ndarray, `weight` (d, C_in, C_out) and `bias` (C_out,).  The
+    forward is two GEMMs: the row-interleaved mixes times x, which is
+    already laid out as (rows, d*C_in), then one 2-d
     (rows, d*C_in) @ (d*C_in, C_out) projection.  The backward mirrors
     them, so the weight gradient is a single 2-d GEMM.
     """
     xd, wd = _data(x), _data(weight)
     shape = xd.shape
-    d, m = mats.shape[0], shape[-2]
-    c_in, c_out = wd.shape[1], wd.shape[2]
-    stacked = mats.transpose(1, 0, 2).reshape(m * d, m)  # row i*d + k = mats[k, i]
+    d, c_in, c_out = wd.shape
+    m = shape[-2]
     flat_w = wd.reshape(d * c_in, c_out)
     rows = (stacked @ xd.reshape(-1, m, c_in)).reshape(-1, d * c_in)
     out = (rows @ flat_w).reshape(shape[:-1] + (c_out,)) + _data(bias)
@@ -475,77 +492,82 @@ def temporal_conv(x, shifts, kernel, bias, operator=None):
 
 
 def lstm_sequence(x, h0, c0, w_ih, w_hh, bias):
-    """An LSTM layer over T frames: x (T, B, D) from state (h0, c0), each
-    (B, H).  Returns (hs, c): the hidden output of every frame, (T, B, H),
-    and the cell state after the last; the final hidden state is hs[-1].
+    """An LSTM layer over T frames of B sequences from state (h0, c0), each
+    (B, H).  x is (T*B, D), time-major: frame k is rows k*B to (k + 1)*B.
+    Returns (hs, c): the hidden output of every row, (T*B, H), and the
+    cell state after the last frame; the final hidden state is hs[-B:].
 
     Gates are ordered (input, forget, cell, output) along the 4H axis of
     the weights.  Only the recurrence runs frame by frame: the input
     projection x @ w_ih is one GEMM over the T*B rows, and so are the
     weight gradients of the backward, which is backpropagation through
-    time.  On ndarrays the outputs are plain arrays; on Vars they are two
-    slices of one (T + 1, B, H) tape node.
+    time.  On ndarrays the outputs are plain arrays, and one frame (as in
+    a rollout) returns its hidden state as it is; on Vars they are two
+    slices of one ((T + 1)*B, H) tape node.
     """
     xd, hd, cd = _data(x), _data(h0), _data(c0)
     w_ihd, w_hhd, bd = _data(w_ih), _data(w_hh), _data(bias)
-    t, b, d = xd.shape
-    n = hd.shape[-1]
-    x_proj = (xd.reshape(t * b, d) @ w_ihd).reshape(t, b, 4 * n)
-    # per frame: sigmoid of every gate (the cell gate's is unused), tanh of
-    # the cell gate, the cell state before the frame, tanh of the one after
+    b, n = hd.shape
+    t = xd.shape[0] // b
+    if t * b != xd.shape[0]:
+        raise ValueError(f"{xd.shape[0]} rows are not whole frames of {b} sequences")
+    x_proj = xd @ w_ihd
+    recording = _any_var(x, h0, c0, w_ih, w_hh, bias)
+    # kept per frame for the backward: sigmoid of every gate (the cell
+    # gate's is unused), tanh of the cell gate, the cell state before the
+    # frame, tanh of the one after
     sig, cell_in, cs, tcs, hs = [], [], [cd], [], []
     h, c = hd, cd
     for k in range(t):
-        gates = x_proj[k] + h @ w_hhd + bd
+        gates = x_proj[k * b:(k + 1) * b] + h @ w_hhd + bd
         a = expit(gates)
         g = np.tanh(gates[:, 2 * n:3 * n])
         c = a[:, n:2 * n] * c + a[:, :n] * g
         tc = np.tanh(c)
         h = a[:, 3 * n:] * tc
-        sig.append(a)
-        cell_in.append(g)
-        cs.append(c)
-        tcs.append(tc)
         hs.append(h)
-    if not _any_var(x, h0, c0, w_ih, w_hh, bias):
-        # one frame, as in a rollout, returns a view instead of a stacked copy
-        return (h[None] if t == 1 else np.stack(hs)), c
-    both = Var(np.stack(hs + [c]),
+        if recording:
+            sig.append(a)
+            cell_in.append(g)
+            cs.append(c)
+            tcs.append(tc)
+    if not recording:
+        return (h if t == 1 else np.concatenate(hs)), c
+    both = Var(np.concatenate(hs + [c]),
                tuple(v for v in (x, h0, c0, w_ih, w_hh, bias) if isinstance(v, Var)))
 
     def bw(grad):
-        g_gates = np.empty((t, b, 4 * n))
-        g_c = grad[t]  # gradient on the cell state after frame k
+        g_gates = np.empty((t * b, 4 * n))
+        g_c = grad[t * b:]  # gradient on the cell state after frame k
         g_h_next = None  # gradient on frame k's hidden state from frame k + 1
         for k in range(t - 1, -1, -1):
+            rows = slice(k * b, (k + 1) * b)
             a, g, tc = sig[k], cell_in[k], tcs[k]
             i, f, o = a[:, :n], a[:, n:2 * n], a[:, 3 * n:]
-            g_h = grad[k] if g_h_next is None else grad[k] + g_h_next
+            g_h = grad[rows] if g_h_next is None else grad[rows] + g_h_next
             g_c = g_c + g_h * o * (1.0 - tc * tc)
-            gg = g_gates[k]
+            gg = g_gates[rows]
             gg[:, :n] = g_c * g * i * (1.0 - i)
             gg[:, n:2 * n] = g_c * cs[k] * f * (1.0 - f)
             gg[:, 2 * n:3 * n] = g_c * i * (1.0 - g * g)
             gg[:, 3 * n:] = g_h * tc * o * (1.0 - o)
             g_c = g_c * f
             g_h_next = gg @ w_hhd.T
-        flat = g_gates.reshape(t * b, 4 * n)
         if isinstance(x, Var):
-            x._accum((flat @ w_ihd.T).reshape(xd.shape))
+            x._accum(g_gates @ w_ihd.T)
         if isinstance(h0, Var):
             h0._accum(g_h_next)
         if isinstance(c0, Var):
             c0._accum(g_c)
         if isinstance(w_ih, Var):
-            w_ih._accum(xd.reshape(t * b, d).T @ flat)
+            w_ih._accum(xd.T @ g_gates)
         if isinstance(w_hh, Var):
-            h_prev = np.stack([hd] + hs[:-1]).reshape(t * b, n)
-            w_hh._accum(h_prev.T @ flat)
+            w_hh._accum(np.concatenate([hd] + hs[:-1]).T @ g_gates)
         if isinstance(bias, Var):
-            bias._accum(flat.sum(axis=0))
+            bias._accum(g_gates.sum(axis=0))
 
     both._bw = bw
-    return both[:t], both[t]
+    return both[:t * b], both[t * b:]
 
 
 def backward(loss, keep=()):

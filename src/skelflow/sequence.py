@@ -11,6 +11,7 @@ missing.  Observed cells pass through bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,53 +72,89 @@ def _check_mask(mask, markers, history):
     return mask
 
 
-def generate(model, request):
-    """Roll the model forward and return the generated (M, C, T) frames.
+def _check_history(history, cfg):
+    history = nc._data(history)
+    shape = (cfg.markers, cfg.channels, cfg.history)
+    if history.shape != shape:
+        raise ValueError(f"history must be {shape}, got {history.shape}")
+    return history
 
-    The conditioning history at step k is exactly the last T_h frames of
-    seed-window-plus-output; recurrent states advance once per frame.
+
+def _check_controls(controls, need):
+    controls = nc._data(controls)
+    if controls.ndim != 2 or controls.shape[0] != 3 or controls.shape[1] < need:
+        raise ValueError(
+            f"control track must cover history plus horizon: need (3, >= {need}), "
+            f"got {controls.shape}")
+    return controls
+
+
+def generate_batch(model, requests):
+    """Roll B requests forward as one batch; returns their (B, M, C, T) frames.
+
+    The requests share one horizon; histories, controls and masks are
+    stacked, and every frame is one (B, ...) call of `model.sample_frame`.
+    Request b draws its latents from its own generator, in the order a
+    rollout of it alone draws them, and rollouts do not interact, so a
+    request's frames match its own B=1 rollout up to the floating-point
+    order of the batched products.  The conditioning history at step k is
+    exactly the last T_h frames of seed-window-plus-output; recurrent
+    states advance once per frame.  A single request rolls out unbatched.
     """
     cfg = model.config
     markers, channels, t_h = cfg.markers, cfg.channels, cfg.history
-    history = np.array(nc._data(request.history), dtype=np.float64)
-    if history.shape != (markers, channels, t_h):
-        raise ValueError(
-            f"history must be ({markers}, {channels}, {t_h}), got {history.shape}")
-    controls = np.asarray(nc._data(request.controls), dtype=np.float64)
-    horizon = int(request.horizon)
+    requests = list(requests)
+    if not requests:
+        raise ValueError("need at least one generation request")
+    horizon = int(requests[0].horizon)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if controls.ndim != 2 or controls.shape[0] != 3 or controls.shape[1] < t_h + horizon:
-        raise ValueError(
-            f"control track must cover history plus horizon: need (3, >= {t_h + horizon}), "
-            f"got {controls.shape}")
-    if request.history_mask is None:
-        rolling_mask = np.ones((markers, t_h))
-    else:
-        rolling_mask = _check_mask(request.history_mask, markers, t_h)
+    b, span = len(requests), t_h + horizon
+    # seed window plus output; the history of frame k is [k, k + T_h)
+    timeline = np.empty((b, markers, channels, span))
+    controls = np.empty((b, 3, span))
+    masks = None  # (B, M, span): 1 after the seed window, or None if unmasked
+    latents = np.empty((b, horizon, markers, channels))
+    temperature = np.empty((b, 1, 1))
+    for i, request in enumerate(requests):
+        if int(request.horizon) != horizon:
+            raise ValueError(
+                f"requests must share one horizon: {int(request.horizon)} != {horizon}")
+        timeline[i, :, :, :t_h] = _check_history(request.history, cfg)
+        controls[i] = _check_controls(request.controls, span)[:, :span]
+        if request.history_mask is not None:
+            if masks is None:
+                masks = np.ones((b, markers, span))
+            masks[i, :, :t_h] = _check_mask(request.history_mask, markers, t_h)
+        latents[i] = np.random.default_rng(request.seed).standard_normal(
+            (horizon, markers, channels))
+        tau = float(request.temperature)
+        if not math.isfinite(tau):
+            raise ValueError(f"temperature must be finite, got {tau}")
+        temperature[i] = tau
 
-    rng = np.random.default_rng(request.seed)
-    states = model.initial_state(1)
-    rolling = history.copy()
-    frames = []
+    one = slice(None) if b > 1 else 0  # index that keeps or drops the batch axis
+    states = model.initial_state(b)
     for k in range(horizon):
         t = t_h + k
-        window = controls[:, t - t_h:t + 1]
-        z = rng.standard_normal((markers, channels))
         try:
             x, states = model.sample_frame(
-                z, rolling, window, states,
-                temperature=float(request.temperature), history_mask=rolling_mask)
+                latents[one, k], timeline[one, :, :, k:t], controls[one, :, k:t + 1],
+                states, temperature=temperature[one],
+                history_mask=None if masks is None else masks[one, :, k:t])
         except nc.NonFiniteError as exc:
             raise NonFiniteFrameError(f"non-finite frame at rollout step {k}") from exc
-        x = np.asarray(nc._data(x), dtype=np.float64)
-        if not np.all(np.isfinite(x)):
+        x = nc._data(x)
+        if not np.isfinite(x).all():
             raise NonFiniteFrameError(f"non-finite frame at rollout step {k}")
-        frames.append(x)
-        rolling = np.concatenate([rolling[:, :, 1:], x[:, :, None]], axis=2)
-        rolling_mask = np.concatenate(
-            [rolling_mask[:, 1:], np.ones((markers, 1))], axis=1)
-    return np.stack(frames, axis=2)
+        timeline[one, :, :, t] = x
+    return timeline[..., t_h:].copy()
+
+
+def generate(model, request):
+    """Roll the model forward and return the generated (M, C, T) frames:
+    `generate_batch` of the one request."""
+    return generate_batch(model, [request])[0]
 
 
 def reverse_sequence(frames, controls):
@@ -188,49 +225,72 @@ class ReconstructionResult:
     observed: np.ndarray
 
 
-def reconstruct(model, history, mask, controls, horizon=None, temperature=0.0, seed=0):
-    """Fill masked markers via forward rollout plus time-reversed rollout.
+@dataclass
+class ReconstructionRequest:
+    """One reconstruction job; the arguments of `reconstruct`."""
 
-    Step 1 generates `horizon` future frames from the masked window.  Step 2
-    reverses the generated future together with its controls, rolls the
-    model across the reversed window (recurrent states restart from zero,
-    since states from step 1 are not time-symmetric), un-reverses the
-    result, and writes it into the masked cells only.
+    history: object
+    mask: object
+    controls: object
+    horizon: object = None
+    temperature: float = 0.0
+    seed: object = 0
+
+
+def reconstruct_batch(model, requests):
+    """Fill masked markers of B windows via forward rollout plus
+    time-reversed rollout, each step one `generate_batch` call.
+
+    Step 1 generates `horizon` future frames from each masked window (the
+    requests share one horizon, T_h by default).  Step 2 reverses each
+    generated future together with its controls, rolls the model across
+    the reversed window (recurrent states restart from zero, since states
+    from step 1 are not time-symmetric), un-reverses the result, and
+    writes it into the masked cells only.  Returns one
+    ReconstructionResult per request.
     """
     cfg = model.config
-    markers, channels, t_h = cfg.markers, cfg.channels, cfg.history
-    history = np.array(nc._data(history), dtype=np.float64)
-    if history.shape != (markers, channels, t_h):
-        raise ValueError(
-            f"history must be ({markers}, {channels}, {t_h}), got {history.shape}")
-    mask = _check_mask(mask, markers, t_h)
-    horizon = t_h if horizon is None else int(horizon)
-    if horizon < t_h:
-        raise ValueError(
-            f"reconstruction horizon must be >= the history length {t_h}")
-    controls = np.asarray(nc._data(controls), dtype=np.float64)
-    if controls.ndim != 2 or controls.shape[0] != 3 or controls.shape[1] < t_h + horizon:
-        raise ValueError(
-            f"control track must cover history plus horizon: need (3, >= {t_h + horizon}), "
-            f"got {controls.shape}")
+    markers, t_h = cfg.markers, cfg.history
+    requests = list(requests)
+    if not requests:
+        raise ValueError("need at least one reconstruction request")
+    forward, backward = [], []
+    for request in requests:
+        history = _check_history(request.history, cfg)
+        mask = _check_mask(request.mask, markers, t_h)
+        horizon = t_h if request.horizon is None else int(request.horizon)
+        if horizon < t_h:
+            raise ValueError(
+                f"reconstruction horizon must be >= the history length {t_h}")
+        controls = _check_controls(request.controls, t_h + horizon)
+        seed = request.seed
+        entropy = seed if isinstance(seed, np.random.SeedSequence) \
+            else np.random.SeedSequence(seed)
+        seed_fwd, seed_bwd = entropy.spawn(2)
+        forward.append(GenerationRequest(
+            history=history, controls=controls, horizon=horizon,
+            temperature=request.temperature, seed=seed_fwd, history_mask=mask))
+        # Reverse the combined past-plus-future timeline; its final T_h
+        # frames, regenerated in step 2, are the original past in reverse.
+        rev_controls = (-controls[:, :t_h + horizon][:, ::-1]).copy()
+        backward.append((rev_controls[:, horizon - t_h:], request.temperature, seed_bwd))
+    futures = generate_batch(model, forward)
+    rev_pasts = generate_batch(model, [
+        GenerationRequest(history=future[:, :, :t_h][..., ::-1].copy(),
+                          controls=rev_controls, horizon=t_h,
+                          temperature=temperature, seed=seed_bwd)
+        for future, (rev_controls, temperature, seed_bwd) in zip(futures, backward)])
+    results = []
+    for request, future, rev_past in zip(forward, futures, rev_pasts):
+        observed = request.history_mask.astype(bool)
+        past = np.where(observed[:, None, :], request.history, rev_past[..., ::-1])
+        results.append(ReconstructionResult(past=past, future=future, observed=observed))
+    return results
 
-    entropy = seed if isinstance(seed, np.random.SeedSequence) \
-        else np.random.SeedSequence(seed)
-    seed_fwd, seed_bwd = entropy.spawn(2)
-    future = generate(model, GenerationRequest(
-        history=history, controls=controls, horizon=horizon,
-        temperature=temperature, seed=seed_fwd, history_mask=mask))
 
-    # Reverse the combined past-plus-future timeline, then regenerate the
-    # final T_h reversed frames, which are the original past in reverse.
-    track = controls[:, :t_h + horizon]
-    rev_controls = (-track[:, ::-1]).copy()
-    rev_history = future[:, :, :t_h][..., ::-1].copy()
-    rev_past = generate(model, GenerationRequest(
-        history=rev_history, controls=rev_controls[:, horizon - t_h:],
-        horizon=t_h, temperature=temperature, seed=seed_bwd))
-    filled = rev_past[..., ::-1]
-
-    observed = mask.astype(bool)
-    past = np.where(observed[:, None, :], history, filled)
-    return ReconstructionResult(past=past, future=future, observed=observed)
+def reconstruct(model, history, mask, controls, horizon=None, temperature=0.0, seed=0):
+    """Fill masked markers of one window: `reconstruct_batch` of one
+    request (see there)."""
+    return reconstruct_batch(model, [ReconstructionRequest(
+        history=history, mask=mask, controls=controls, horizon=horizon,
+        temperature=temperature, seed=seed)])[0]

@@ -9,6 +9,7 @@ trajectories.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -39,6 +40,18 @@ class TrainingDivergedError(ArithmeticError):
         self.last_good_step = last_good_step
 
 
+def require_finite(**values):
+    """Raise ValueError naming the first value that is not a finite number;
+    NaN and inf slip through every `< 0` and `<= 0` range check."""
+    for name, value in values.items():
+        try:
+            finite = math.isfinite(value)
+        except TypeError:
+            finite = False
+        if not finite:
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     steps: int = 2000
@@ -51,6 +64,7 @@ class TrainConfig:
     init_batch: int = 64
 
     def validate(self):
+        require_finite(learning_rate=self.learning_rate, grad_clip=self.grad_clip)
         if self.steps < 1 or self.batch_size < 1 or self.nll_frames < 1:
             raise ValueError("steps, batch_size and nll_frames must be >= 1")
         if self.learning_rate <= 0 or self.grad_clip <= 0:

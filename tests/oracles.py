@@ -144,3 +144,64 @@ def adam_step_reference(params, grads, state, step_size, beta1=0.9,
         new_params[k] = p - step_size * m_hat / (np.sqrt(v_hat) + eps)
     state.step = t
     return new_params, state
+
+
+def accum_zeros_then_add(var, g):
+    """`Var._accum` as a fresh zero array plus each gradient, the first
+    one included; the reference for the copy on first accumulation."""
+    if var.grad is None:
+        var.grad = np.zeros(var.data.shape, dtype=np.float64)
+    var.grad += g
+
+
+def inverse_transform_frame_reference(model, z, history, controls, states=None,
+                                      history_mask=None):
+    """`FlowModel.inverse_transform_frame` op by op through numcore's
+    dispatching ops: every flow step's conditioner, coupling inverse,
+    channel-mix inverse (a fresh inverse and singularity check per call)
+    and actnorm inverse, on z shaped (M, C), (B, M, C) or (T, B, M, C).
+    The history encoder is the model's own.  Returns (x, new_states)."""
+    shape = nc._data(z).shape
+    t, b = ((1, 1) + shape[:-2])[-2:]
+    rows = t * b
+    hist_std = nc.div(nc.sub(history, model.data_mean[:, :, None]),
+                      model.data_std[:, :, None])
+    if history_mask is not None:
+        hist_std = nc.mul(hist_std, np.asarray(history_mask, dtype=np.float64)[..., None, :])
+    pooled = model.encoder(nc.reshape(hist_std, (rows,) + nc._data(hist_std).shape[-3:]))
+    ctrl_flat = nc.reshape(controls, (rows, -1))
+    if states is None:
+        states = model.initial_state(b)
+    h = nc.reshape(z, (rows,) + shape[-2:])
+    new_states = [None] * len(model.steps)
+    for k in range(len(model.steps) - 1, -1, -1):
+        step = model.steps[k]
+        cond = step.conditioner
+        hb1 = h[:, :, :step.c1]
+        hb2 = h[:, :, step.c1:]
+        if cond.sgcn is None:
+            g = nc.reshape(hb1, (rows, -1))
+        else:
+            sgcn = cond.sgcn
+            mixed = nc.mix_project(hb1, nc.interleave_mixes(sgcn.adjacency.matrices),
+                                   sgcn.weight, sgcn.bias)
+            g = nc.reshape(nc.relu(mixed), (rows, -1))
+        u = nc.concat([g, pooled, ctrl_flat], axis=1)
+        layer_states = []
+        for layer, (h_prev, c_prev) in zip(cond.lstm.layers, states[k]):
+            u, c = nc.lstm_sequence(u, h_prev, c_prev, layer.w_ih, layer.w_hh, layer.bias)
+            layer_states.append((u[-b:], c))
+        new_states[k] = layer_states
+        raw = nc.reshape(nc.add(nc.matmul(u, cond.out.weight), cond.out.bias),
+                         (rows, 2, cond.markers, cond.out_channels))
+        s = nc.add(nc.sigmoid(nc.add(raw[:, 0], 2.0)), 1e-3)
+        xb2 = nc.sub(nc.div(hb2, s), raw[:, 1])
+        zz = nc.concat([hb1, xb2], axis=2)
+        if nc.logabsdet(step.mix.weight) < np.log(1e-12):
+            raise nc.SingularMatrixError("channel mix matrix is near singular")
+        y = nc.matmul(zz, np.linalg.inv(step.mix.weight))
+        if np.any(step.actnorm.scale == 0.0):
+            raise ArithmeticError("actnorm scale has zero entries")
+        h = nc.sub(nc.div(y, step.actnorm.scale), step.actnorm.bias)
+    x = nc.add(nc.mul(h, model.data_std), model.data_mean)
+    return nc.reshape(x, shape[:-2] + nc._data(x).shape[1:]), new_states

@@ -294,6 +294,47 @@ class TestJobConfig:
         assert run(["synth", "--config", str(bad),
                     "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
 
+    # (command, flag, value, JobConfig or TrainConfig field)
+    NON_FINITE = [
+        ("synth", "--noise", "nan", "noise_std"),
+        ("synth", "--noise", "inf", "noise_std"),
+        ("synth", "--fps", "nan", "fps"),
+        ("synth", "--fps", "inf", "fps"),
+        ("generate", "--temperature", "nan", "temperature"),
+        ("generate", "--temperature", "inf", "temperature"),
+        ("reconstruct", "--temperature", "nan", "temperature"),
+        ("evaluate", "--grid-max", "inf", "grid_max"),
+        ("evaluate", "--grid-step", "nan", "grid_step"),
+        ("train", "--learning-rate", "nan", "learning_rate"),
+        ("train", "--grad-clip", "inf", "grad_clip"),
+    ]
+
+    @pytest.mark.parametrize("command,flag,value,field", NON_FINITE)
+    def test_non_finite_floats_are_config_errors(self, tmp_path, capsys,
+                                                 command, flag, value, field):
+        out = tmp_path / "o"
+        args = [command, "--out", str(out), flag, value]
+        if command in ("generate", "reconstruct"):
+            # rejected before the (missing) checkpoint is opened
+            args += ["--checkpoint", str(tmp_path / "missing.ckpt")]
+        assert run(args) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and field in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("blob,field", [
+        ('{"noise_std": NaN}', "noise_std"),
+        ('{"temperature": Infinity}', "temperature"),
+        ('{"train": {"learning_rate": NaN}}', "learning_rate"),
+    ])
+    def test_non_finite_config_file_values_are_config_errors(self, tmp_path, capsys,
+                                                             blob, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(blob)
+        assert run(["synth", "--config", str(path),
+                    "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+        assert field in capsys.readouterr().err
+
     def test_malformed_json_is_io_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -6,8 +6,10 @@ import pytest
 from skelflow import flow
 from skelflow import numcore as nc
 
+from skelflow import skeleton as sk
+
 from conftest import make_tiny_config, random_frame_inputs
-from oracles import fd_jacobian_logdet
+from oracles import fd_jacobian_logdet, inverse_transform_frame_reference
 
 
 def make_model(tiny_skeleton, ablation="stmg", seed=0, init="random"):
@@ -124,6 +126,41 @@ def test_roundtrip_all_ablations(tiny_skeleton, ablation):
     assert np.max(np.abs(back - frame)) < 1e-9
     assert logdet.shape == (3,)
     assert np.all(np.isfinite(z))
+
+
+@pytest.mark.parametrize("ablation", ["stmg", "smg", "mg"])
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("size", ["tiny", "desk"])
+def test_inverse_is_bit_identical_to_op_by_op_reference(tiny_skeleton, ablation,
+                                                         masked, size):
+    """The plain-array inverse at B=1 against the numcore op composition it
+    replaced, with LSTM states threaded through three frames."""
+    if size == "tiny":
+        model = make_model(tiny_skeleton, ablation, seed=21)
+    else:
+        model = flow.FlowModel.create(flow.desk_config(ablation=ablation),
+                                      sk.default_skeleton(), seed=21, init="random")
+    cfg = model.config
+    rng = np.random.default_rng(22)
+    model.set_standardization(rng.normal(size=(cfg.markers, cfg.channels)) * 0.1,
+                              np.abs(rng.normal(size=(cfg.markers, cfg.channels))) + 0.5)
+    _, history, controls = random_frame_inputs(cfg, rng)
+    mask = None
+    if masked:
+        mask = np.ones((cfg.markers, cfg.history))
+        mask[1, :] = 0.0
+        mask[2, 0] = 0.0
+    states = ref_states = None
+    for _ in range(3):
+        z = rng.standard_normal((cfg.markers, cfg.channels))
+        x, states = model.inverse_transform_frame(z, history[0], controls[0],
+                                                  states, mask)
+        want, ref_states = inverse_transform_frame_reference(
+            model, z, history[0], controls[0], ref_states, mask)
+        assert np.array_equal(x, want)
+        for step, ref_step in zip(states, ref_states):
+            for (h, c), (ref_h, ref_c) in zip(step, ref_step):
+                assert np.array_equal(h, ref_h) and np.array_equal(c, ref_c)
 
 
 def test_unbatched_matches_batched(tiny_skeleton):

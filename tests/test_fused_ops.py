@@ -10,7 +10,8 @@ from skelflow import numcore as nc
 from skelflow import skeleton as sk
 from skelflow import training
 
-from oracles import graph_conv_chain, lstm_sequence_chain, temporal_conv_chain
+from oracles import (accum_zeros_then_add, graph_conv_chain, lstm_sequence_chain,
+                     temporal_conv_chain)
 
 TOL = 1e-10
 GRAD_TOL = 1e-6
@@ -81,7 +82,8 @@ mirror 0 4
 
 
 def spatial_fused(matrices):
-    return lambda x, w, b: (nc.mix_project(x, matrices, w, b),)
+    stacked = nc.interleave_mixes(matrices)
+    return lambda x, w, b: (nc.mix_project(x, stacked, w, b),)
 
 
 def spatial_chain(matrices):
@@ -230,26 +232,41 @@ def lstm_inputs(rng, frames, batch=3, d=4, n=3):
             rng.uniform(-k, k, size=(n, 4 * n)), rng.normal(size=4 * n)]
 
 
+def lstm_frames(x, h, c, w_ih, w_hh, bias):
+    """nc.lstm_sequence on the time-major rows of x (T, B, D), with the
+    hidden outputs put back as (T, B, H), the chain's layout."""
+    t, b, d = nc._data(x).shape
+    hs, c_last = nc.lstm_sequence(nc.reshape(x, (t * b, d)), h, c, w_ih, w_hh, bias)
+    return nc.reshape(hs, (t, b, -1)), c_last
+
+
 @pytest.mark.parametrize("frames", [1, 3, 8])
 def test_lstm_sequence_matches_chain(frames):
     rng = np.random.default_rng(21 + frames)
-    check_against_chain(nc.lstm_sequence, lstm_sequence_chain,
+    check_against_chain(lstm_frames, lstm_sequence_chain,
                         lstm_inputs(rng, frames))
 
 
 @pytest.mark.parametrize("frames", [1, 3, 8])
 def test_lstm_sequence_grad_check(frames):
     inputs = lstm_inputs(np.random.default_rng(22 + frames), frames, 2, 3, 2)
-    grad_check_each(nc.lstm_sequence, inputs)
+    grad_check_each(lstm_frames, inputs)
 
 
 def test_lstm_sequence_var_outputs_share_one_node():
     rng = np.random.default_rng(23)
     x, h, c, w_ih, w_hh, bias = lstm_inputs(rng, 4)
-    hs, c_last = nc.lstm_sequence(nc.Var(x), h, c, w_ih, w_hh, bias)
-    assert hs.shape == (4, 3, 3) and c_last.shape == (3, 3)
+    hs, c_last = nc.lstm_sequence(nc.Var(x.reshape(12, 4)), h, c, w_ih, w_hh, bias)
+    assert hs.shape == (12, 3) and c_last.shape == (3, 3)
     assert hs._parents[0] is c_last._parents[0]
-    assert hs._parents[0].shape == (5, 3, 3)
+    assert hs._parents[0].shape == (15, 3)
+
+
+def test_lstm_sequence_rejects_partial_frames():
+    rng = np.random.default_rng(24)
+    x, h, c, w_ih, w_hh, bias = lstm_inputs(rng, 2)
+    with pytest.raises(ValueError, match="whole frames"):
+        nc.lstm_sequence(x.reshape(6, 4)[:5], h, c, w_ih, w_hh, bias)
 
 
 # --- tape size ------------------------------------------------------------------
@@ -267,7 +284,9 @@ def tape_nodes(loss):
     return len(seen)
 
 
-def test_desk_training_step_tape_census():
+@pytest.fixture(scope="module")
+def desk_segment():
+    """A desk model and one batch 8 x 8 training segment."""
     spec = sk.default_skeleton()
     windows = training.synthetic_corpus(specs=("line:speed=70",), steps=12,
                                         skeleton_spec=spec)
@@ -277,9 +296,36 @@ def test_desk_training_step_tape_census():
     rng = np.random.default_rng(0)
     picks = training._random_picks(windows, rng, 8, model.config.history, 8)
     pos, ctl = training._stack_crops(windows, picks, model.config.history, 8)
+    return model, pos, ctl
+
+
+def desk_step(model, pos, ctl):
+    """The segment loss and every parameter gradient."""
+    lifted = nc.lift(model)
+    try:
+        loss = training.segment_nll(model, pos, ctl, 8)
+        return loss, nc.grad(loss, list(lifted.values()))
+    finally:
+        nc.restore(model)
+
+
+def test_desk_training_step_tape_census(desk_segment):
+    model, pos, ctl = desk_segment
     nc.lift(model)
     try:
         loss = training.segment_nll(model, pos, ctl, 8)
     finally:
         nc.restore(model)
-    assert tape_nodes(loss) <= 360
+    assert tape_nodes(loss) <= 330
+
+
+def test_first_accumulation_copy_is_bit_identical(desk_segment, monkeypatch):
+    """Copying the first gradient into a node, instead of adding it to
+    zeros, leaves a desk step's loss and gradients unchanged."""
+    loss, grads = desk_step(*desk_segment)
+    monkeypatch.setattr(nc.Var, "_accum", accum_zeros_then_add)
+    want_loss, want_grads = desk_step(*desk_segment)
+    assert float(loss.data) == float(want_loss.data)
+    assert len(grads) == len(want_grads) == 90
+    for got, want in zip(grads, want_grads):
+        assert np.array_equal(got, want)

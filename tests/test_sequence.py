@@ -7,7 +7,8 @@ import pytest
 from skelflow import flow, sequence
 from skelflow.sequence import (
     AllMarkersMissingError, GenerationRequest, MaskPresetError,
-    NonFiniteFrameError, generate, mask_preset, reconstruct, reverse_sequence,
+    NonFiniteFrameError, ReconstructionRequest, generate, generate_batch,
+    mask_preset, reconstruct, reconstruct_batch, reverse_sequence,
 )
 from skelflow.skeleton import build_skeleton, default_skeleton
 
@@ -155,6 +156,129 @@ class TestGenerate:
             controls=rng.normal(size=(3, config.history + 5)), horizon=5)
         with pytest.raises(NonFiniteFrameError, match="step 2"):
             generate(model, req)
+
+
+# -- generate_batch -------------------------------------------------------------------
+
+
+BATCH_TOL = 1e-10
+
+
+@pytest.fixture(scope="module")
+def desk_model():
+    model = flow.FlowModel.create(flow.desk_config(), default_skeleton(), seed=4,
+                                  init="random")
+    rng = np.random.default_rng(1)
+    model.set_standardization(rng.normal(size=(21, 3)), np.abs(rng.normal(size=(21, 3))) + 2.0)
+    return model
+
+
+def _mixed_requests(model, rng, count, horizon=5):
+    """Requests with their own tracks, seeds, temperatures (0 included) and
+    masks (some None)."""
+    cfg = model.config
+    temperatures = (1.0, 0.0, 0.6, 1.3, 0.0, 0.9, 1.0, 0.4)
+    requests = []
+    for i in range(count):
+        mask = None
+        if i % 3 == 1:
+            mask = np.ones((cfg.markers, cfg.history))
+            mask[i % cfg.markers, :] = 0.0
+        elif i % 3 == 2:
+            mask = mask_preset("random4", markers=cfg.markers, history=cfg.history,
+                               seed=i) if cfg.markers > 4 else None
+        requests.append(_request(model, rng, horizon=horizon, seed=100 + 7 * i,
+                                 temperature=temperatures[i], history_mask=mask))
+    return requests
+
+
+class TestGenerateBatch:
+    @pytest.mark.parametrize("count", [3, 5, 8])
+    def test_matches_each_request_alone(self, tiny_model, count):
+        rng = np.random.default_rng(20 + count)
+        requests = _mixed_requests(tiny_model, rng, count)
+        batch = generate_batch(tiny_model, requests)
+        assert batch.shape == (count, 4, 2, 5)
+        for frames, request in zip(batch, requests):
+            assert np.max(np.abs(frames - generate(tiny_model, request))) <= BATCH_TOL
+
+    def test_matches_each_request_alone_at_desk_size(self, desk_model):
+        rng = np.random.default_rng(30)
+        requests = _mixed_requests(desk_model, rng, 4, horizon=4)
+        batch = generate_batch(desk_model, requests)
+        for frames, request in zip(batch, requests):
+            want = generate(desk_model, request)
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert np.max(np.abs(frames - want)) <= BATCH_TOL * scale
+
+    def test_single_request_is_generate(self, tiny_model):
+        request = _request(tiny_model, np.random.default_rng(31), seed=2)
+        assert np.array_equal(generate_batch(tiny_model, [request])[0],
+                              generate(tiny_model, request))
+
+    def test_mismatched_requests_rejected(self, tiny_model):
+        rng = np.random.default_rng(32)
+        cfg = tiny_model.config
+        good = _request(tiny_model, rng, horizon=5)
+        with pytest.raises(ValueError, match="horizon"):
+            generate_batch(tiny_model, [good, _request(tiny_model, rng, horizon=4)])
+        bad_history = GenerationRequest(
+            history=np.zeros((cfg.markers, cfg.channels, cfg.history + 1)),
+            controls=good.controls, horizon=5)
+        with pytest.raises(ValueError, match="history"):
+            generate_batch(tiny_model, [good, bad_history])
+        bad_mask = GenerationRequest(history=good.history, controls=good.controls,
+                                     horizon=5, history_mask=np.ones((cfg.markers, 2)))
+        with pytest.raises(ValueError, match="mask"):
+            generate_batch(tiny_model, [good, bad_mask])
+        short = GenerationRequest(history=good.history, controls=good.controls[:, :-1],
+                                  horizon=5)
+        with pytest.raises(ValueError, match="control"):
+            generate_batch(tiny_model, [good, short])
+        hot = GenerationRequest(history=good.history, controls=good.controls,
+                                horizon=5, temperature=float("nan"))
+        with pytest.raises(ValueError, match="temperature"):
+            generate_batch(tiny_model, [good, hot])
+        with pytest.raises(ValueError):
+            generate_batch(tiny_model, [])
+
+
+class TestReconstructBatch:
+    def _requests(self, model, rng, count):
+        cfg = model.config
+        requests = []
+        for i in range(count):
+            history = rng.normal(size=(cfg.markers, cfg.channels, cfg.history))
+            controls = rng.normal(size=(3, 2 * cfg.history)) * 0.1
+            mask = np.ones((cfg.markers, cfg.history))
+            mask[i % cfg.markers, :] = 0.0
+            mask[(i + 2) % cfg.markers, i % cfg.history] = 0.0
+            requests.append(ReconstructionRequest(
+                history=history, mask=mask, controls=controls,
+                temperature=(0.0, 1.0, 0.5, 0.8)[i % 4], seed=40 + i))
+        return requests
+
+    def test_observed_cells_bit_exact_per_request(self, tiny_model):
+        requests = self._requests(tiny_model, np.random.default_rng(41), 4)
+        results = reconstruct_batch(tiny_model, requests)
+        for request, result in zip(requests, results):
+            observed = np.broadcast_to(result.observed[:, None, :], request.history.shape)
+            assert np.array_equal(result.observed, request.mask.astype(bool))
+            assert np.array_equal(result.past[observed], request.history[observed])
+            alone = reconstruct(tiny_model, request.history, request.mask,
+                                request.controls, temperature=request.temperature,
+                                seed=request.seed)
+            assert np.max(np.abs(result.past - alone.past)) <= BATCH_TOL
+            assert np.max(np.abs(result.future - alone.future)) <= BATCH_TOL
+
+    def test_mismatched_horizons_rejected(self, tiny_model):
+        a, b = self._requests(tiny_model, np.random.default_rng(42), 2)
+        b.horizon = tiny_model.config.history + 1
+        b.controls = np.zeros((3, 2 * tiny_model.config.history + 1))
+        with pytest.raises(ValueError, match="horizon"):
+            reconstruct_batch(tiny_model, [a, b])
+        with pytest.raises(ValueError):
+            reconstruct_batch(tiny_model, [])
 
 
 # -- reverse_sequence -----------------------------------------------------------------
