@@ -106,18 +106,8 @@ class JobConfig:
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if "model" in d:
-            d["model"] = _flow.ModelConfig.from_dict(d["model"])
-        if "train" in d:
-            d["train"] = _training.TrainConfig(**d["train"])
-        if "paths" in d:
-            d["paths"] = tuple(d["paths"])
-        return cls(**d)
+        """Read a (partial) job config (see `data.config_fields`)."""
+        return cls(**_data.config_fields(cls, d))
 
 
 # -- manifest / file plumbing ----------------------------------------------------------
@@ -233,16 +223,21 @@ def cmd_synth(config):
 # -- train ------------------------------------------------------------------------------
 
 
-def _ingest_directory(config, spec):
+def _clip_paths(directory):
+    """Sorted clip files of a directory; EmptyBatchError if there are none."""
     paths = sorted(
-        os.path.join(config.data_dir, n) for n in os.listdir(config.data_dir)
+        os.path.join(directory, n) for n in os.listdir(directory)
         if os.path.splitext(n)[1] in CLIP_EXTENSIONS)
     if not paths:
-        raise EmptyBatchError(f"no clip files in '{config.data_dir}'")
+        raise EmptyBatchError(f"no clip files in '{directory}'")
+    return paths
+
+
+def _ingest_directory(directory, fps, spec):
     out = []
-    for p in paths:
+    for p in _clip_paths(directory):
         clip = _data.load_clip(p)
-        clip = _data.resample(clip, target_fps=config.fps)
+        clip = _data.resample(clip, target_fps=fps)
         rel = clip if clip.root_relative else _data.to_root_relative(
             clip, skeleton_spec=spec)
         for w in _data.windows(rel):
@@ -255,7 +250,7 @@ def _ingest_directory(config, spec):
 def _training_windows(config, spec):
     data_dir = config.data_dir or os.environ.get(DATA_DIR_ENV, "")
     if data_dir:
-        return _ingest_directory(replace(config, data_dir=data_dir), spec)
+        return _ingest_directory(data_dir, config.fps, spec)
     return _training.synthetic_corpus(
         specs=config.paths, steps=config.walker_steps, fps=config.fps,
         seed=config.seed, noise_std=config.noise_std, skeleton_spec=spec)
@@ -440,17 +435,12 @@ def cmd_evaluate(config, clips_dir=""):
     source = clips_dir or config.data_dir or os.environ.get(DATA_DIR_ENV, "")
     if not source:
         raise ValueError("evaluate needs --clips (or data_dir/config)")
-    paths = sorted(
-        os.path.join(source, n) for n in os.listdir(source)
-        if os.path.splitext(n)[1] in CLIP_EXTENSIONS)
-    if not paths:
-        raise EmptyBatchError(f"no clip files in '{source}'")
     grid = _metric_grid(config)
     reference = None if config.reference == "auto" else config.reference
     written = []
     rows = [SUMMARY_HEADER]
     reports = []
-    for p in paths:
+    for p in _clip_paths(source):
         clip = _data.load_clip(p)
         stem = os.path.splitext(os.path.basename(p))[0]
         sweep = _metrics.footstep_sweep(

@@ -105,7 +105,7 @@ class TemporalConv(nc.Module):
     `reflect_shifts`), folded into the kernel as one dense operator and
     applied by the fused `nc.temporal_conv`.  While the kernel is a plain
     ndarray (rollout, evaluation) the layer keeps the operator it built,
-    and rebuilds it when T or the kernel's values change.
+    and rebuilds it when T or the kernel's bytes change.
     """
 
     param_attrs = ("kernel", "bias")
@@ -119,7 +119,7 @@ class TemporalConv(nc.Module):
         self.bias = np.zeros(channels_out)
         self._t = None  # history length the shifts are built for
         self._shifts = None
-        self._built_from = None  # copy of the kernel the operator was built from
+        self._built_from = None  # bytes of the kernel the operator was built from
         self._operator = None
 
     def __call__(self, x):
@@ -129,9 +129,9 @@ class TemporalConv(nc.Module):
             self._t, self._built_from = t, None
         operator = None  # a lifted kernel builds its operator per call
         if not isinstance(self.kernel, nc.Var):
-            if self._built_from is None or not np.array_equal(self._built_from, self.kernel):
+            if self.kernel.tobytes() != self._built_from:
                 self._operator = nc.shift_operator(self._shifts, self.kernel)
-                self._built_from = self.kernel.copy()
+                self._built_from = self.kernel.tobytes()
             operator = self._operator
         # mix along time on the time-major (B, M, T, C) layout
         y = nc.temporal_conv(nc.transpose(x, (0, 2, 1, 3)), self._shifts,

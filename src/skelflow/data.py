@@ -9,8 +9,9 @@ Conventions used throughout the package:
 * controls are (3, T): row 0 forward and row 1 sideways per-frame
   displacement in cm, row 2 per-frame heading change in radians, each
   expressed in the heading frame of the previous frame; column 0 repeats
-  column 1 so the track has no bogus leading zero
-* time reversal negates all three control rows (they are velocities)
+  column 1 so the track has no bogus leading zero; `_controls_from_path`
+  and `_path_from_controls` are the one codec between path and controls
+* time reversal (`reverse_sequence`) negates all three control rows (velocities)
 * a clip is either world-frame or root-relative; `to_root_relative` and
   `world_positions` convert between the two using a smoothed reference
   trajectory, so the root marker keeps a little residual motion instead of
@@ -21,16 +22,15 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, replace
 
 import numpy as np
 
-from .sequence import reverse_sequence
 from .skeleton import default_skeleton
 
 CLIP_MAGIC = b"SKCLIP01"
 DEFAULT_WINDOW_FRAMES = 80
-DEFAULT_SMOOTH_WINDOW = 7
+SMOOTH_WINDOW = 7
 STD_FLOOR = 1e-6
 
 
@@ -275,6 +275,37 @@ def read_container(path, magic, error):
     return header, payload
 
 
+def config_fields(cls, d, prefix=""):
+    """Keyword arguments for config dataclass `cls` from a JSON object: each
+    value has the type of its field's default (a bool is no int, an int may
+    stand for a float, a list for a tuple); a factory field uses `from_dict`."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{prefix.rstrip('.') or 'config'} must be a JSON object, "
+                         f"got {type(d).__name__}")
+    fields = cls.__dataclass_fields__
+    kwargs = {}
+    for key, value in d.items():
+        if key not in fields:
+            raise ValueError(f"unknown config key '{prefix}{key}'")
+        default = fields[key].default
+        if default is MISSING:
+            kwargs[key] = fields[key].default_factory.from_dict(value)
+        else:
+            kwargs[key] = _config_value(prefix + key, value, default)
+    return kwargs
+
+
+def _config_value(name, value, default):
+    kind = list if isinstance(default, tuple) else type(default)
+    if kind is float and type(value) is int:
+        value = float(value)
+    if type(value) is not kind:
+        raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
+    if kind is list:
+        return tuple(_config_value(name, item, default[0]) for item in value)
+    return value
+
+
 def _write_binary(clip, path):
     m, _, t = clip.positions.shape
     header = {
@@ -357,31 +388,11 @@ def _smooth1(track, window):
     return np.convolve(ext, np.full(w, 1.0 / w), mode="valid")
 
 
-def _reference_trajectory(positions, skeleton_spec, smooth_window):
+def _reference_trajectory(positions, skeleton_spec=None):
     """Smoothed root path (2, T) and heading (T,) from world positions.
 
     Heading is the planar angle of the lateral left-minus-right marker axis,
     unwrapped over time.
-    """
-    if skeleton_spec.lateral_markers is None:
-        raise ValueError("skeleton config must name a lateral marker pair")
-    left_ix, right_ix = skeleton_spec.lateral_markers
-    late = positions[left_ix, 0:2, :] - positions[right_ix, 0:2, :]
-    if np.any(np.hypot(late[0], late[1]) < 1e-9):
-        raise ValueError("lateral markers coincide; heading undefined")
-    theta = np.unwrap(np.arctan2(late[1], late[0]))
-    root_xy = positions[skeleton_spec.root_marker, 0:2, :]
-    ref_xy = np.stack([_smooth1(root_xy[0], smooth_window),
-                       _smooth1(root_xy[1], smooth_window)])
-    return ref_xy, _smooth1(theta, smooth_window)
-
-
-def extract_controls(positions, fps, skeleton_spec=None,
-                     smooth_window=DEFAULT_SMOOTH_WINDOW):
-    """Per-frame forward/sideways/rotational velocities of the root path.
-
-    Displacements are expressed in the heading frame of the previous frame;
-    column 0 repeats column 1.
     """
     positions = np.asarray(positions, dtype=np.float64)
     if skeleton_spec is None:
@@ -391,11 +402,25 @@ def extract_controls(positions, fps, skeleton_spec=None,
             f"positions must be ({skeleton_spec.marker_count}, 3, T), got {positions.shape}")
     if positions.shape[2] < 2:
         raise ValueError("need at least 2 frames to extract controls")
-    del fps  # controls are per-frame quantities; kept for call-site clarity
-    ref_xy, theta = _reference_trajectory(positions, skeleton_spec, smooth_window)
-    dxy = ref_xy[:, 1:] - ref_xy[:, :-1]
+    if skeleton_spec.lateral_markers is None:
+        raise ValueError("skeleton config must name a lateral marker pair")
+    left_ix, right_ix = skeleton_spec.lateral_markers
+    late = positions[left_ix, 0:2, :] - positions[right_ix, 0:2, :]
+    if np.any(np.hypot(late[0], late[1]) < 1e-9):
+        raise ValueError("lateral markers coincide; heading undefined")
+    theta = np.unwrap(np.arctan2(late[1], late[0]))
+    root_xy = positions[skeleton_spec.root_marker, 0:2, :]
+    ref_xy = np.stack([_smooth1(root_xy[0], SMOOTH_WINDOW),
+                       _smooth1(root_xy[1], SMOOTH_WINDOW)])
+    return ref_xy, _smooth1(theta, SMOOTH_WINDOW)
+
+
+def _controls_from_path(xy, theta):
+    """Control track (3, T) of a planar path xy (2, T) with heading theta
+    (T,); `_path_from_controls` from the pose (xy[:, 0], theta[0]) inverts it."""
+    dxy = xy[:, 1:] - xy[:, :-1]
     cos, sin = np.cos(theta[:-1]), np.sin(theta[:-1])
-    controls = np.zeros((3, positions.shape[2]))
+    controls = np.zeros((3, theta.shape[0]))
     controls[0, 1:] = -sin * dxy[0] + cos * dxy[1]
     controls[1, 1:] = cos * dxy[0] + sin * dxy[1]
     controls[2, 1:] = theta[1:] - theta[:-1]
@@ -403,7 +428,31 @@ def extract_controls(positions, fps, skeleton_spec=None,
     return controls
 
 
-def to_root_relative(clip, skeleton_spec=None, smooth_window=DEFAULT_SMOOTH_WINDOW):
+def _path_from_controls(controls, initial_xy, initial_heading):
+    """Integrate a control track (3, T) into a planar path (2, T) and its
+    heading (T,), starting at the given pose; column 0 is not used."""
+    c = controls
+    theta = np.empty(c.shape[1])
+    theta[0] = initial_heading
+    theta[1:] = initial_heading + np.cumsum(c[2, 1:])
+    cos_p, sin_p = np.cos(theta[:-1]), np.sin(theta[:-1])
+    xy = np.empty((2, c.shape[1]))
+    xy[:, 0] = initial_xy
+    xy[0, 1:] = xy[0, 0] + np.cumsum(cos_p * c[1, 1:] - sin_p * c[0, 1:])
+    xy[1, 1:] = xy[1, 0] + np.cumsum(sin_p * c[1, 1:] + cos_p * c[0, 1:])
+    return xy, theta
+
+
+def extract_controls(positions, skeleton_spec=None):
+    """Per-frame forward/sideways/rotational velocities of the root path.
+
+    Displacements are expressed in the heading frame of the previous frame;
+    column 0 repeats column 1.
+    """
+    return _controls_from_path(*_reference_trajectory(positions, skeleton_spec))
+
+
+def to_root_relative(clip, skeleton_spec=None):
     """Re-express a world clip in the smoothed heading-aligned root frame.
 
     The reference trajectory is folded into the control track; vertical
@@ -411,17 +460,15 @@ def to_root_relative(clip, skeleton_spec=None, smooth_window=DEFAULT_SMOOTH_WIND
     """
     if clip.root_relative:
         return clip.copy()
-    if skeleton_spec is None:
-        skeleton_spec = default_skeleton()
-    controls = extract_controls(clip.positions, clip.fps, skeleton_spec, smooth_window)
-    ref_xy, theta = _reference_trajectory(clip.positions, skeleton_spec, smooth_window)
+    ref_xy, theta = _reference_trajectory(clip.positions, skeleton_spec)
     cos, sin = np.cos(theta)[None], np.sin(theta)[None]
     dx = clip.positions[:, 0, :] - ref_xy[0][None]
     dy = clip.positions[:, 1, :] - ref_xy[1][None]
     local = clip.positions.copy()
     local[:, 0, :] = cos * dx + sin * dy
     local[:, 1, :] = -sin * dx + cos * dy
-    return MotionClip(local, controls, clip.fps, root_relative=True, source=clip.source)
+    return MotionClip(local, _controls_from_path(ref_xy, theta), clip.fps,
+                      root_relative=True, source=clip.source)
 
 
 def world_positions(clip, initial_xy=(0.0, 0.0), initial_heading=0.0):
@@ -432,20 +479,7 @@ def world_positions(clip, initial_xy=(0.0, 0.0), initial_heading=0.0):
     """
     if not clip.root_relative:
         return clip.positions.copy()
-    c = clip.controls
-    t = clip.frame_count
-    theta = np.empty(t)
-    theta[0] = float(initial_heading)
-    if t > 1:
-        theta[1:] = float(initial_heading) + np.cumsum(c[2, 1:])
-    cos_p, sin_p = np.cos(theta[:-1]), np.sin(theta[:-1])
-    ref = np.empty((2, t))
-    ref[0, 0], ref[1, 0] = float(initial_xy[0]), float(initial_xy[1])
-    if t > 1:
-        dx = cos_p * c[1, 1:] - sin_p * c[0, 1:]
-        dy = sin_p * c[1, 1:] + cos_p * c[0, 1:]
-        ref[0, 1:] = ref[0, 0] + np.cumsum(dx)
-        ref[1, 1:] = ref[1, 0] + np.cumsum(dy)
+    ref, theta = _path_from_controls(clip.controls, initial_xy, initial_heading)
     cos, sin = np.cos(theta)[None], np.sin(theta)[None]
     lx, ly = clip.positions[:, 0, :], clip.positions[:, 1, :]
     world = clip.positions.copy()
@@ -488,22 +522,9 @@ def resample(clip, target_fps=20.0):
     positions = np.stack([np.interp(grid, src, row) for row in flat])
     positions = positions.reshape(m, 3, t_new)
 
-    c = clip.controls
-    theta = np.zeros(t)
-    theta[1:] = np.cumsum(c[2, 1:])
-    cos_p, sin_p = np.cos(theta[:-1]), np.sin(theta[:-1])
-    path = np.zeros((2, t))
-    path[0, 1:] = np.cumsum(cos_p * c[1, 1:] - sin_p * c[0, 1:])
-    path[1, 1:] = np.cumsum(sin_p * c[1, 1:] + cos_p * c[0, 1:])
-    theta_q = np.interp(grid, src, theta)
+    path, theta = _path_from_controls(clip.controls, (0.0, 0.0), 0.0)
     path_q = np.stack([np.interp(grid, src, path[0]), np.interp(grid, src, path[1])])
-    dxy = path_q[:, 1:] - path_q[:, :-1]
-    cos_q, sin_q = np.cos(theta_q[:-1]), np.sin(theta_q[:-1])
-    controls = np.zeros((3, t_new))
-    controls[0, 1:] = -sin_q * dxy[0] + cos_q * dxy[1]
-    controls[1, 1:] = cos_q * dxy[0] + sin_q * dxy[1]
-    controls[2, 1:] = theta_q[1:] - theta_q[:-1]
-    controls[:, 0] = controls[:, 1]
+    controls = _controls_from_path(path_q, np.interp(grid, src, theta))
     return MotionClip(positions, controls, target_fps,
                       root_relative=clip.root_relative, source=clip.source)
 
@@ -548,8 +569,25 @@ def mirror_window(window, skeleton_spec):
                    mirrored=not window.mirrored)
 
 
+def reverse_sequence(frames, controls):
+    """Reverse a clip in time.
+
+    Frame order flips; the control track flips and every channel negates,
+    because forward, sideways and rotational controls are per-frame
+    velocities.  Applying the operation twice returns the input.
+    """
+    frames = np.asarray(frames, dtype=np.float64)
+    controls = np.asarray(controls, dtype=np.float64)
+    if controls.ndim != 2 or controls.shape[0] != 3:
+        raise ValueError(f"controls must be (3, T), got {controls.shape}")
+    if frames.shape[-1] != controls.shape[-1]:
+        raise ValueError(
+            f"frames cover {frames.shape[-1]} steps but controls cover {controls.shape[-1]}")
+    return frames[..., ::-1].copy(), (-controls[:, ::-1]).copy()
+
+
 def reverse_window(window):
-    """Time reversal of a window; reuses the sequence-level reversal rule."""
+    """Time reversal of a window (`reverse_sequence`)."""
     positions, controls = reverse_sequence(window.positions, window.controls)
     return replace(window, positions=positions, controls=controls,
                    time_reversed=not window.time_reversed)
@@ -676,31 +714,6 @@ class _Path:
             return np.stack([r * (np.cos(psi) - 1.0), r * np.sin(psi)])
         return np.stack([np.interp(s, self._table_s, self._table_pos[0]),
                          np.interp(s, self._table_s, self._table_pos[1])])
-
-
-def path_controls(params, frames, fps):
-    """Control track (3, frames) for a body moving along a walker path.
-
-    Used to drive generation along a prescribed route without synthesizing
-    an entire clip first.
-    """
-    params = _check_path_params(dict(params))
-    frames = int(frames)
-    if frames < 2:
-        raise ValueError("need at least 2 frames of controls")
-    seconds = np.arange(frames) / float(fps)
-    s = params["speed"] * seconds
-    path = _Path(params, -1.0, float(s[-1]) + 1.0)
-    psi = path.heading(s)
-    xy = path.pos(s)
-    dxy = xy[:, 1:] - xy[:, :-1]
-    cos, sin = np.cos(psi[:-1]), np.sin(psi[:-1])
-    controls = np.zeros((3, frames))
-    controls[0, 1:] = -sin * dxy[0] + cos * dxy[1]
-    controls[1, 1:] = cos * dxy[0] + sin * dxy[1]
-    controls[2, 1:] = psi[1:] - psi[:-1]
-    controls[:, 0] = controls[:, 1]
-    return controls
 
 
 # -- synthetic gait -------------------------------------------------------------------
@@ -946,7 +959,7 @@ def synth_gait(path_spec, steps=20, fps=20.0, seed=0, cadence=2.0, noise_std=0.0
         rng = np.random.default_rng(seed)
         positions = positions + rng.normal(0.0, noise_std, positions.shape)
 
-    controls = extract_controls(positions, fps, skeleton_spec)
+    controls = extract_controls(positions, skeleton_spec)
     clip = MotionClip(positions, controls, fps, root_relative=False,
                       source=f"synth:{path_spec_string(params)}")
     intervals = tuple(

@@ -98,10 +98,12 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        d["kernel_schedule"] = tuple(d["kernel_schedule"])
-        d["encoder_channels"] = tuple(d["encoder_channels"])
-        return cls(**d).validate()
+        """Read a complete model config (see `data.config_fields`)."""
+        kwargs = _data.config_fields(cls, d, "model.")
+        missing = [name for name in cls.__dataclass_fields__ if name not in kwargs]
+        if missing:
+            raise ValueError(f"model config is missing keys {missing}")
+        return cls(**kwargs).validate()
 
 
 def desk_config(markers=21, ablation="stmg"):
@@ -169,7 +171,7 @@ class InvertibleMix(nc.Module):
             q, r = np.linalg.qr(rng.normal(size=(channels, channels)))
             q = q * np.sign(np.diag(r))  # fix reflection ambiguity
             self.weight = q
-        self._inverted = None  # (weight copy, its inverse) after a passing check
+        self._inverted = (None, None)  # (weight bytes, inverse) after a passing check
 
     def _logabsdet(self):
         lad = nc.logabsdet(self.weight)
@@ -181,13 +183,13 @@ class InvertibleMix(nc.Module):
         return nc.matmul(x, self.weight), nc.mul(self._logabsdet(), float(markers))
 
     def inverse(self, y):
-        """y @ inv(weight); the inverse is reused while the weight's values
+        """y @ inv(weight); the inverse is reused while the weight's bytes
         are unchanged, and only a weight that passed the singularity check
         is ever kept."""
         weight = nc._data(self.weight)
-        if self._inverted is None or not np.array_equal(self._inverted[0], weight):
+        if weight.tobytes() != self._inverted[0]:
             self._logabsdet()
-            self._inverted = (weight.copy(), np.linalg.inv(weight))
+            self._inverted = (weight.tobytes(), np.linalg.inv(weight))
         return y @ self._inverted[1]
 
 

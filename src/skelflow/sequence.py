@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
+from .data import reverse_sequence
 
 # Marker indices used by the mask presets when the skeleton config does not
 # override them through named groups.
@@ -157,23 +158,6 @@ def generate(model, request):
     return generate_batch(model, [request])[0]
 
 
-def reverse_sequence(frames, controls):
-    """Reverse a clip in time.
-
-    Frame order flips; the control track flips and every channel negates,
-    because forward, sideways and rotational controls are per-frame
-    velocities.  Applying the operation twice returns the input.
-    """
-    frames = np.asarray(frames, dtype=np.float64)
-    controls = np.asarray(controls, dtype=np.float64)
-    if controls.ndim != 2 or controls.shape[0] != 3:
-        raise ValueError(f"controls must be (3, T), got {controls.shape}")
-    if frames.shape[-1] != controls.shape[-1]:
-        raise ValueError(
-            f"frames cover {frames.shape[-1]} steps but controls cover {controls.shape[-1]}")
-    return frames[..., ::-1].copy(), (-controls[:, ::-1]).copy()
-
-
 def _preset_group(skeleton_spec, name, default):
     if skeleton_spec is not None and name in skeleton_spec.groups:
         return tuple(skeleton_spec.groups[name])
@@ -254,7 +238,7 @@ def reconstruct_batch(model, requests):
     requests = list(requests)
     if not requests:
         raise ValueError("need at least one reconstruction request")
-    forward, backward = [], []
+    forward, seeds_bwd = [], []
     for request in requests:
         history = _check_history(request.history, cfg)
         mask = _check_mask(request.mask, markers, t_h)
@@ -262,7 +246,7 @@ def reconstruct_batch(model, requests):
         if horizon < t_h:
             raise ValueError(
                 f"reconstruction horizon must be >= the history length {t_h}")
-        controls = _check_controls(request.controls, t_h + horizon)
+        controls = _check_controls(request.controls, t_h + horizon)[:, :t_h + horizon]
         seed = request.seed
         entropy = seed if isinstance(seed, np.random.SeedSequence) \
             else np.random.SeedSequence(seed)
@@ -270,16 +254,17 @@ def reconstruct_batch(model, requests):
         forward.append(GenerationRequest(
             history=history, controls=controls, horizon=horizon,
             temperature=request.temperature, seed=seed_fwd, history_mask=mask))
-        # Reverse the combined past-plus-future timeline; its final T_h
-        # frames, regenerated in step 2, are the original past in reverse.
-        rev_controls = (-controls[:, :t_h + horizon][:, ::-1]).copy()
-        backward.append((rev_controls[:, horizon - t_h:], request.temperature, seed_bwd))
+        seeds_bwd.append(seed_bwd)
     futures = generate_batch(model, forward)
+    # Reverse each past-plus-future timeline; step 2 regenerates its final
+    # T_h frames, the original past in reverse, from the T_h before them.
+    start = futures.shape[-1] - t_h
+    reversed_runs = [reverse_sequence(np.concatenate([r.history, f], axis=-1), r.controls)
+                     for r, f in zip(forward, futures)]
     rev_pasts = generate_batch(model, [
-        GenerationRequest(history=future[:, :, :t_h][..., ::-1].copy(),
-                          controls=rev_controls, horizon=t_h,
-                          temperature=temperature, seed=seed_bwd)
-        for future, (rev_controls, temperature, seed_bwd) in zip(futures, backward)])
+        GenerationRequest(history=frames[..., start:start + t_h], controls=controls[:, start:],
+                          horizon=t_h, temperature=r.temperature, seed=seed)
+        for r, (frames, controls), seed in zip(forward, reversed_runs, seeds_bwd)])
     results = []
     for request, future, rev_past in zip(forward, futures, rev_pasts):
         observed = request.history_mask.astype(bool)

@@ -63,6 +63,11 @@ class TrainConfig:
     eval_every: int = 100
     init_batch: int = 64
 
+    @classmethod
+    def from_dict(cls, d):
+        """Read a (partial) train config (see `data.config_fields`)."""
+        return cls(**_data.config_fields(cls, d, "train."))
+
     def validate(self):
         require_finite(learning_rate=self.learning_rate, grad_clip=self.grad_clip)
         if self.steps < 1 or self.batch_size < 1 or self.nll_frames < 1:

@@ -281,12 +281,37 @@ class TestJobConfig:
 
     def test_config_file_values_apply_and_flags_override(self, tmp_path):
         blob = tmp_path / "cfg.json"
-        blob.write_text(json.dumps({"horizon": 55, "temperature": 0.5}))
+        blob.write_text(json.dumps({"horizon": 55, "temperature": 0.5, "fps": 20,
+                                    "train": {"learning_rate": 1}}))
         args = cli.build_parser().parse_args(
             ["generate", "--config", str(blob), "--temperature", "0.25"])
         config = cli.resolve_config(args)
         assert config.horizon == 55
         assert config.temperature == 0.25
+        # an int is read as a float for a float field
+        assert type(config.fps) is float and config.fps == 20.0
+        assert type(config.train.learning_rate) is float
+
+    @pytest.mark.parametrize("blob,key", [
+        ('{"horizon": "5"}', "horizon"),
+        ('{"seed": 1.5}', "seed"),
+        ('{"seed": true}', "seed"),
+        ('{"paths": "line:speed=70"}', "paths"),
+        ('{"paths": ["line:speed=70", 3]}', "paths"),
+        ('{"train": {"steps": "3"}}', "train.steps"),
+        ('{"train": {"bogus": 1}}', "train.bogus"),
+        ('{"train": [1]}', "train"),
+        ('{"model": {"markers": 21}}', "kernel_schedule"),
+        ('[1, 2]', "config"),
+    ])
+    def test_wrong_typed_config_file_values_are_config_errors(self, tmp_path, capsys,
+                                                              blob, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(blob)
+        assert run(["synth", "--config", str(path),
+                    "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
 
     def test_invalid_values_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"

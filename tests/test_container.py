@@ -49,6 +49,10 @@ CHECKPOINT_FAULTS = {
         raw, lambda h: h.pop("config")),
     "unknown_config_key": lambda raw: _with_header(
         raw, lambda h: h["config"].update(wings=2)),
+    "partial_config": lambda raw: _with_header(
+        raw, lambda h: h.update(config={"markers": h["config"]["markers"]})),
+    "string_config_value": lambda raw: _with_header(
+        raw, lambda h: h["config"].update(history=str(h["config"]["history"]))),
     "bad_skeleton_text": lambda raw: _with_header(
         raw, lambda h: h.update(skeleton_text="markers two\n")),
     "non_numeric_shape": lambda raw: _with_header(

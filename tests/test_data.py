@@ -287,8 +287,8 @@ class TestAugment:
         perm = skel.mirror_permutation()
         mirrored = clip.positions[perm].copy()
         mirrored[:, 0, :] *= -1.0
-        c_orig = data.extract_controls(clip.positions, clip.fps, skel)
-        c_mirr = data.extract_controls(mirrored, clip.fps, skel)
+        c_orig = data.extract_controls(clip.positions, skel)
+        c_mirr = data.extract_controls(mirrored, skel)
         np.testing.assert_allclose(c_mirr[0], c_orig[0], atol=1e-12)
         np.testing.assert_allclose(c_mirr[1], -c_orig[1], atol=1e-12)
         np.testing.assert_allclose(c_mirr[2], -c_orig[2], atol=1e-12)
@@ -313,14 +313,14 @@ class TestAugment:
 class TestExtractControls:
     def test_stationary_pose_gives_exact_zeros(self, base_pose, skel):
         positions = np.repeat(base_pose[:, :, None], 40, axis=2)
-        controls = data.extract_controls(positions, 20.0, skel)
+        controls = data.extract_controls(positions, skel)
         assert np.all(controls == 0.0)
 
     def test_constant_velocity_straight_walk(self, base_pose, skel):
         frames, fps, speed = 60, 20.0, 70.0
         positions = np.repeat(base_pose[:, :, None], frames, axis=2)
         positions[:, 1, :] += speed * np.arange(frames) / fps
-        controls = data.extract_controls(positions, fps, skel)
+        controls = data.extract_controls(positions, skel)
         np.testing.assert_allclose(controls[0], speed / fps, atol=1e-9)
         np.testing.assert_allclose(controls[1], 0.0, atol=1e-9)
         np.testing.assert_allclose(controls[2], 0.0, atol=1e-9)
@@ -333,14 +333,14 @@ class TestExtractControls:
         positions[:, 0, :] = base_pose[:, 0:1] * cos[None] - base_pose[:, 1:2] * sin[None]
         positions[:, 1, :] = base_pose[:, 0:1] * sin[None] + base_pose[:, 1:2] * cos[None]
         positions[:, 2, :] = base_pose[:, 2:3]
-        controls = data.extract_controls(positions, fps, skel)
+        controls = data.extract_controls(positions, skel)
         assert np.all(controls[0] == 0.0)
         assert np.all(controls[1] == 0.0)
         np.testing.assert_allclose(controls[2], omega / fps, atol=1e-12)
 
     def test_too_short_clip_rejected(self, base_pose, skel):
         with pytest.raises(ValueError):
-            data.extract_controls(base_pose[:, :, None], 20.0, skel)
+            data.extract_controls(base_pose[:, :, None], skel)
 
 
 # -- root-relative conversion ----------------------------------------------------------
@@ -351,8 +351,7 @@ class TestRootRelative:
         clip = walker[0]
         local = data.to_root_relative(clip, skel)
         assert local.root_relative
-        ref_xy, theta = data._reference_trajectory(
-            clip.positions, skel, data.DEFAULT_SMOOTH_WINDOW)
+        ref_xy, theta = data._reference_trajectory(clip.positions, skel)
         back = data.world_positions(local, initial_xy=ref_xy[:, 0],
                                     initial_heading=theta[0])
         np.testing.assert_allclose(back, clip.positions, atol=1e-9)
@@ -454,9 +453,10 @@ class TestPathSpecs:
 
     def test_circle_path_controls_turn_at_speed_over_radius(self):
         speed, radius, fps = 60.0, 220.0, 20.0
-        pc = data.path_controls({"kind": "circle", "speed": speed, "radius": radius},
-                                frames=100, fps=fps)
         dpsi = speed / fps / radius
+        psi = dpsi * np.arange(100)
+        pc = data._controls_from_path(
+            radius * np.stack([np.cos(psi) - 1.0, np.sin(psi)]), psi)
         np.testing.assert_allclose(pc[2, 1:] * fps, speed / radius, atol=1e-12)
         # chord of the per-frame arc, in the previous heading frame
         np.testing.assert_allclose(pc[0, 1:], radius * np.sin(dpsi), atol=1e-9)

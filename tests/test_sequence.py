@@ -412,6 +412,29 @@ class TestReconstruct:
         res = reconstruct(tiny_model, history, mask, controls, horizon=7, seed=2)
         assert res.future.shape == (4, 2, 7)
 
+    def test_reversed_rollout_wiring_beyond_history_length(self):
+        config = make_tiny_config()
+        model = RecordingModel(config)
+        rng = np.random.default_rng(18)
+        t_h, horizon = config.history, config.history + 2
+        history = rng.normal(size=(config.markers, config.channels, t_h))
+        controls = rng.normal(size=(3, t_h + horizon))
+        mask = np.ones((config.markers, t_h))
+        mask[1, :] = 0.0
+        res = reconstruct(model, history, mask, controls, horizon=horizon)
+        assert model.calls == horizon + t_h
+        # step 2 starts from the first T_h generated frames, reversed
+        assert np.array_equal(model.histories[horizon], res.future[:, :, :t_h][..., ::-1])
+        # and reads the negated, reversed track from index horizon - T_h
+        reversed_track = -controls[:, ::-1]
+        start = horizon - t_h
+        for k in range(t_h):
+            assert np.array_equal(model.windows[horizon + k],
+                                  reversed_track[:, start + k:start + k + t_h + 1])
+        # its frames, un-reversed, fill the masked marker
+        expect = np.arange(horizon + t_h, horizon, -1.0)
+        assert np.array_equal(res.past[1], np.broadcast_to(expect, (config.channels, t_h)))
+
     def test_deterministic_under_seed(self, tiny_model):
         rng = np.random.default_rng(15)
         history, controls = self._inputs(tiny_model, rng)
