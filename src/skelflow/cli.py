@@ -280,7 +280,7 @@ def cmd_train(config, init_from=""):
             on_eval=lambda s, t, h: print(
                 f"step {s} train {t:.6f} holdout {h:.6f}"))
     except _training.TrainingDivergedError as err:
-        _training.restore_snapshot(model, err.snapshot)
+        # the model holds the parameters of the last good step
         meta["aborted_at_step"] = err.step
         meta["last_good_step"] = err.last_good_step
         _flow.save_checkpoint(model, ckpt_path, meta=meta)

@@ -14,6 +14,7 @@ bit-identical gradients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -610,16 +611,14 @@ def backward(loss, keep=()):
 def grad(loss, leaves):
     """Gradients of scalar `loss` w.r.t. a list of Vars, leaves or not.
 
-    Vars that do not influence the loss get exact zeros.
+    Returns each Var's own `.grad` array, not a copy: `backward` gives every
+    node a fresh gradient array on each pass, so a later pass never writes
+    into an earlier result.  Vars that do not influence the loss get exact
+    zeros.
     """
     backward(loss, keep=leaves)
-    out = []
-    for v in leaves:
-        if v.grad is None:
-            out.append(np.zeros(v.data.shape, dtype=np.float64))
-        else:
-            out.append(v.grad.copy())
-    return out
+    return [np.zeros(v.data.shape, dtype=np.float64) if v.grad is None
+            else v.grad for v in leaves]
 
 
 def _scalar(x):
@@ -680,10 +679,10 @@ def adam_init(params):
 
 
 def adam_step(params, grads, state, step_size, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One Adam update.  Returns (new params dict, state); state mutated in place.
+    """One Adam update, written into the `params` arrays and the moments.
 
-    Raises NonFiniteGradientError if any gradient entry is NaN/inf; params are
-    left untouched in that case.
+    Every gradient is scanned first: on a NaN/inf entry it raises
+    NonFiniteGradientError before any array is written.
     """
     for k in params:
         if not np.all(np.isfinite(grads[k])):
@@ -691,15 +690,14 @@ def adam_step(params, grads, state, step_size, beta1=0.9, beta2=0.999, eps=1e-8)
     t = state.step + 1
     b1t = 1.0 - beta1 ** t
     b2t = 1.0 - beta2 ** t
-    new_params = {}
     for k, p in params.items():
         g = grads[k]
         m, v = state.m[k], state.v[k]
         # in place, in the operation order of
         #   m = beta1 * m + (1 - beta1) * g
         #   v = beta2 * v + (1 - beta2) * (g * g)
-        #   p - step_size * (m / b1t) / (sqrt(v / b2t) + eps)
-        # with two full-size temporaries, one of which becomes the new param
+        #   p = p - step_size * (m / b1t) / (sqrt(v / b2t) + eps)
+        # with two full-size temporaries
         tmp = np.multiply(1.0 - beta1, g)
         m *= beta1
         m += tmp
@@ -713,21 +711,38 @@ def adam_step(params, grads, state, step_size, beta1=0.9, beta2=0.999, eps=1e-8)
         update = np.divide(m, b1t)
         update *= step_size
         update /= tmp
-        new_params[k] = np.subtract(_data(p), update, out=update)
+        np.subtract(p, update, out=p)
     state.step = t
-    return new_params, state
 
 
 def clip_grad_norm(grads, max_norm):
-    """Scale the whole gradient dict so its global L2 norm is <= max_norm."""
+    """Scale the gradient arrays in place so their global L2 norm is at most
+    `max_norm`; returns the norm before clipping.
+
+    When the sum of squares overflows on finite entries, the norm is taken
+    from the gradients divided by their largest magnitude.  A NaN or inf
+    entry leaves the gradients unscaled, for `adam_step`'s scan to reject.
+    """
     sq = 0.0
-    for g in grads.values():
-        sq += float(np.sum(g * g))
-    norm = np.sqrt(sq)
-    if norm > max_norm and norm > 0.0:
+    with np.errstate(over="ignore"):
+        for g in grads.values():
+            # squares laid out in C order, so the sum's rounding does not
+            # depend on the gradient's layout (the mix weight's is Fortran)
+            sq += float(np.sum(np.multiply(g, g, order="C")))
+    norm = float(np.sqrt(sq))
+    if math.isinf(sq) and all(np.isfinite(g).all() for g in grads.values()):
+        big = max(float(np.abs(g).max(initial=0.0)) for g in grads.values())
+        rel = math.sqrt(sum(float(np.sum(np.square(g / big)))
+                            for g in grads.values()))
+        norm = big * rel  # inf if the norm itself is past float64's range
+        scale = min(1.0, max_norm / big / rel)
+    elif math.isfinite(norm) and norm > max_norm and norm > 0.0:
         scale = max_norm / norm
-        grads = {k: g * scale for k, g in grads.items()}
-    return grads, float(norm)
+    else:
+        return norm
+    for g in grads.values():
+        g *= scale
+    return norm
 
 
 def make_rng(seed):
@@ -797,14 +812,9 @@ def lift(module):
     return lifted
 
 
-def restore(module, values=None):
-    """Put plain ndarrays back on the module after `lift`.
-
-    `values` maps path -> ndarray; parameters not in it keep their current
-    (possibly lifted) data.
-    """
+def restore(module):
+    """Put plain ndarrays back on the module after `lift`: each parameter
+    gets back the array its Var wrapped."""
     for path, cur in list(module.named_parameters()):
-        if values is not None and path in values:
-            module.set_parameter(path, np.asarray(values[path], dtype=np.float64))
-        elif isinstance(cur, Var):
+        if isinstance(cur, Var):
             module.set_parameter(path, cur.data)

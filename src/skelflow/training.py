@@ -31,13 +31,13 @@ DEFAULT_CORPUS_SPECS = (
 
 
 class TrainingDivergedError(ArithmeticError):
-    """Loss or gradients went non-finite; carries the last good snapshot."""
+    """Loss or gradients went non-finite at `step`; the model still holds the
+    parameters of `last_good_step`, the step before."""
 
-    def __init__(self, step, snapshot, last_good_step):
+    def __init__(self, step):
         super().__init__(f"non-finite loss or gradient at step {step}")
         self.step = step
-        self.snapshot = snapshot
-        self.last_good_step = last_good_step
+        self.last_good_step = step - 1
 
 
 def require_finite(**values):
@@ -196,21 +196,19 @@ def evaluate_nll(model, window_list, config):
 
 
 def train(model, train_windows, holdout_windows, config, on_eval=None):
-    """Run the Adam loop; returns a TrainLog.
+    """Run the Adam loop, updating the model's parameter arrays in place;
+    returns a TrainLog.
 
-    Raises TrainingDivergedError on a non-finite loss or gradient, carrying
-    the parameters after the last step whose loss and gradient were finite
-    so callers can persist them.  The snapshot holds the parameter arrays
-    by reference: `adam_step` returns new arrays and nothing here writes
-    into a parameter array.
+    Raises TrainingDivergedError on a non-finite loss or gradient.  The loss
+    is checked before the update and `adam_step` scans every gradient before
+    it writes, so the model is then left with the parameters of the last
+    step whose loss and gradient were finite, for callers to persist.
     """
     config.validate()
     t_h = model.config.history
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 11)))
     log = TrainLog()
     adam_state = nc.adam_init(dict(model.named_parameters()))
-    snapshot = {k: nc._data(v) for k, v in model.named_parameters()}
-    last_good = 0
     for step in range(1, config.steps + 1):
         picks = _random_picks(train_windows, rng, config.batch_size,
                               t_h, config.nll_frames)
@@ -223,19 +221,14 @@ def train(model, train_windows, holdout_windows, config, on_eval=None):
             nc.restore(model)
         loss_value = float(nc._data(loss))
         if not np.isfinite(loss_value):
-            raise TrainingDivergedError(step, snapshot, last_good)
+            raise TrainingDivergedError(step)
         grads = dict(zip(lifted.keys(), grads_list))
-        grads, grad_norm = nc.clip_grad_norm(grads, config.grad_clip)
-        params = dict(model.named_parameters())
+        grad_norm = nc.clip_grad_norm(grads, config.grad_clip)
         try:
-            # adam_step scans the gradients and leaves params untouched
-            new_params, adam_state = nc.adam_step(
-                params, grads, adam_state, step_size=config.learning_rate)
+            nc.adam_step(dict(model.named_parameters()), grads, adam_state,
+                         step_size=config.learning_rate)
         except nc.NonFiniteGradientError as exc:
-            raise TrainingDivergedError(step, snapshot, last_good) from exc
-        for k, v in new_params.items():
-            model.set_parameter(k, v)
-        snapshot, last_good = new_params, step
+            raise TrainingDivergedError(step) from exc
         log.train_nll.append(loss_value)
         log.grad_norm.append(grad_norm)
         if step % config.eval_every == 0 or step == config.steps:
@@ -245,10 +238,3 @@ def train(model, train_windows, holdout_windows, config, on_eval=None):
             if on_eval is not None:
                 on_eval(step, loss_value, held)
     return log
-
-
-def restore_snapshot(model, snapshot):
-    """Load a parameter snapshot produced by the training loop."""
-    for k, v in snapshot.items():
-        model.set_parameter(k, v.copy())
-    return model

@@ -11,6 +11,7 @@ import skelflow.cli as cli
 import skelflow.data as data
 import skelflow.flow as flow
 import skelflow.metrics as metrics
+import skelflow.numcore as nc
 import skelflow.skeleton as skeleton
 
 TINY_SKELETON = "markers 3\ncenter 1\nheels 0 2\nroot 0\nedge 0 1\nedge 1 2\n"
@@ -123,6 +124,37 @@ class TestTrain:
                     "--steps", "2", "--batch-size", "2", "--nll-frames", "2",
                     "--eval-every", "2"]) == 0
         assert os.path.exists(os.path.join(out, "model.ckpt"))
+
+    def test_divergence_saves_last_good_parameters(self, tmp_path,
+                                                   monkeypatch):
+        args = ["--batch-size", "2", "--nll-frames", "2", "--eval-every", "5",
+                "--walker-steps", "12", "--path", "line:speed=70",
+                "--seed", "3"]
+        good = str(tmp_path / "good")
+        assert run(["train", "--out", good, "--steps", "2"] + args) == 0
+        real_grad = nc.grad
+        calls = []
+
+        def nan_at_step_3(loss, leaves):
+            grads = real_grad(loss, leaves)
+            calls.append(1)
+            if len(calls) == 3:
+                grads[0] = np.full_like(grads[0], np.nan)
+            return grads
+
+        monkeypatch.setattr(nc, "grad", nan_at_step_3)
+        out = str(tmp_path / "diverged")
+        assert run(["train", "--out", out, "--steps", "5"] + args) == \
+            cli.EXIT_NUMERIC
+        model, meta = flow.load_checkpoint(os.path.join(out, "model.ckpt"))
+        assert meta["aborted_at_step"] == 3
+        assert meta["last_good_step"] == 2
+        assert "steps_done" not in meta
+        reference, _ = flow.load_checkpoint(os.path.join(good, "model.ckpt"))
+        for (k, v), (kr, vr) in zip(model.named_parameters(),
+                                    reference.named_parameters()):
+            assert k == kr
+            np.testing.assert_array_equal(v, vr)
 
 
 class TestGenerate:
