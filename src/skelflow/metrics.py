@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import data as _data
 
@@ -91,7 +92,7 @@ def count_footsteps(speeds, v_tol, fps, min_duration_frames=DEFAULT_MIN_DURATION
     below v_tol on one heel, lasting at least min_duration_frames.  Counts
     sum over heels; durations are seconds, heel-major and chronological.
     """
-    if v_tol < 0:
+    if not v_tol >= 0:
         raise ValueError("v_tol must be non-negative")
     if min_duration_frames < 1:
         raise ValueError("min_duration_frames must be >= 1")
@@ -106,17 +107,45 @@ def count_footsteps(speeds, v_tol, fps, min_duration_frames=DEFAULT_MIN_DURATION
     return count, tuple(durations)
 
 
+def _sweep_counts(speeds, grid, min_duration_frames):
+    """Footstep counts at every grid tolerance, summed over heels.
+
+    Frame t starts a counted run at tolerance v exactly when every speed in
+    the window t..t+d-1 is below v and speed[t-1] is not (or t == 0), i.e.
+    for v in (lo_t, hi_t] with lo_t the window maximum and hi_t = speed[t-1]
+    (+inf at t == 0, or when speed[t-1] is NaN).  Counting those half-open
+    intervals below each v gives the same counts as thresholding the trace
+    once per tolerance, from comparisons alone.
+    """
+    speeds = np.atleast_2d(np.asarray(speeds, dtype=np.float64))
+    d = min_duration_frames
+    if speeds.shape[1] < d:
+        return np.zeros(len(grid), dtype=np.int64)
+    lo = sliding_window_view(speeds, d, axis=1).max(axis=2)
+    prev = np.full_like(lo, np.inf)
+    prev[:, 1:] = speeds[:, :lo.shape[1] - 1]
+    prev[np.isnan(prev)] = np.inf
+    # A NaN window maximum never opens a run; maximum() carries the NaN into
+    # hi so the interval is empty on both sides of the subtraction.
+    hi = np.maximum(prev, lo)
+    return (np.searchsorted(np.sort(lo, axis=None), grid, "left")
+            - np.searchsorted(np.sort(hi, axis=None), grid, "left"))
+
+
 def footstep_sweep(clip, skeleton_spec, grid=None,
                    min_duration_frames=DEFAULT_MIN_DURATION_FRAMES):
     """Sweep the speed tolerance and report the footstep-count curve."""
     grid = DEFAULT_SWEEP_GRID_MM_S if grid is None else np.asarray(grid, dtype=np.float64)
     if grid.size == 0:
         raise ValueError("sweep grid is empty")
+    if not np.all(np.isfinite(grid)) or np.any(grid < 0):
+        raise ValueError("sweep grid values must be finite and non-negative")
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise ValueError("sweep grid must be strictly increasing")
+    if min_duration_frames < 1:
+        raise ValueError("min_duration_frames must be >= 1")
     speeds = heel_speeds(clip, skeleton_spec)
-    counts = np.array([count_footsteps(speeds, v, clip.fps, min_duration_frames)[0]
-                       for v in grid], dtype=np.int64)
+    counts = _sweep_counts(speeds, grid, min_duration_frames)
     max_count = int(counts.max())
     threshold = math.ceil(0.95 * max_count)
     hit = int(np.argmax(counts >= threshold))
@@ -124,8 +153,8 @@ def footstep_sweep(clip, skeleton_spec, grid=None,
     mean = float(np.mean(durations)) if durations else 0.0
     std = float(np.std(durations)) if durations else 0.0
     return FootstepReport(
-        grid=tuple(float(v) for v in grid),
-        counts=tuple(int(c) for c in counts),
+        grid=tuple(grid.tolist()),
+        counts=tuple(counts.tolist()),
         max_count=max_count,
         v_tol_95=float(grid[hit]),
         step_mean=mean,
@@ -163,10 +192,9 @@ def bone_length_analysis(clip, skeleton_spec, reference=None):
     reference: explicit per-edge array, 'config' (skeleton bone_cm,
     required), 'self' (per-bone clip means), or None for config-else-self.
     """
-    edges = skeleton_spec.edges
+    ia, ib = np.asarray(skeleton_spec.edges, dtype=np.intp).T
     pos = clip.positions
-    lengths = np.stack(
-        [np.linalg.norm(pos[a] - pos[b], axis=0) for a, b in edges])
+    lengths = np.linalg.norm(pos[ia] - pos[ib], axis=1)
     ref = _resolve_reference(clip, skeleton_spec, reference, lengths)
     dev = lengths - ref[:, None]
     per_bone_mean = lengths.mean(axis=1)

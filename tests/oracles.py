@@ -7,6 +7,7 @@ wrong.
 
 import numpy as np
 
+from skelflow import metrics
 from skelflow import numcore as nc
 
 
@@ -50,6 +51,30 @@ def brute_force_footsteps(speeds, v_tol, min_frames):
             count += 1
             durations.append(run)
     return count, durations
+
+
+def footstep_counts_per_tolerance(speeds, grid, fps, d):
+    """Footstep counts by re-thresholding the trace once per tolerance."""
+    return np.array([metrics.count_footsteps(speeds, v, fps, d)[0]
+                     for v in grid], dtype=np.int64)
+
+
+def footstep_sweep_reference(clip, skeleton_spec, grid, d):
+    """`metrics.footstep_sweep` built from the per-tolerance count loop."""
+    grid = np.asarray(grid, dtype=np.float64)
+    speeds = metrics.heel_speeds(clip, skeleton_spec)
+    counts = footstep_counts_per_tolerance(speeds, grid, clip.fps, d)
+    max_count = int(counts.max())
+    hit = int(np.argmax(counts >= np.ceil(0.95 * max_count)))
+    _, durations = metrics.count_footsteps(speeds, grid[hit], clip.fps, d)
+    return metrics.FootstepReport(
+        grid=tuple(float(v) for v in grid),
+        counts=tuple(int(c) for c in counts),
+        max_count=max_count,
+        v_tol_95=float(grid[hit]),
+        step_mean=float(np.mean(durations)) if durations else 0.0,
+        step_std=float(np.std(durations)) if durations else 0.0,
+    )
 
 
 # --- op-by-op layer compositions ------------------------------------------

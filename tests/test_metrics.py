@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 import skelflow.data as data
 import skelflow.metrics as metrics
 import skelflow.skeleton as skeleton
-from oracles import brute_force_footsteps
+from oracles import (brute_force_footsteps, footstep_counts_per_tolerance,
+                     footstep_sweep_reference)
+from test_acceptance import WALKERS
 
 FPS = 20.0
 
@@ -144,6 +146,8 @@ class TestCountFootsteps:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             metrics.count_footsteps(np.zeros((1, 5)), -1.0, FPS)
+        with pytest.raises(ValueError, match="non-negative"):
+            metrics.count_footsteps(np.zeros((1, 5)), float("nan"), FPS)
         with pytest.raises(ValueError):
             metrics.count_footsteps(np.zeros((1, 5)), 10.0, FPS,
                                     min_duration_frames=0)
@@ -235,6 +239,9 @@ class TestFootstepSweep:
         with pytest.raises(ValueError, match="increasing"):
             metrics.footstep_sweep(clip, tiny_skel,
                                    grid=np.asarray([0.0, 5.0, 5.0]))
+        for bad in ([0.0, np.inf], [np.nan], [-1.0, 0.0], [np.inf]):
+            with pytest.raises(ValueError, match="sweep grid.*finite"):
+                metrics.footstep_sweep(clip, tiny_skel, grid=np.asarray(bad))
 
     def test_default_grid_covers_0_to_600(self, skel, walker):
         clip, _ = walker
@@ -242,6 +249,68 @@ class TestFootstepSweep:
         assert report.grid[0] == 0.0
         assert report.grid[-1] == 600.0
         assert len(report.grid) == 601
+
+
+# Speed levels that tie with SWEEP_GRID values, zero plateaus and inf.
+SPEED_LEVELS = (0.0, 50.0, 100.0, 125.0, 150.0, 300.0, np.inf)
+SWEEP_GRID = np.arange(0.0, 301.0, 25.0)
+
+
+class TestSweepCountsMatchPerToleranceLoop:
+    def test_random_traces(self):
+        rng = np.random.default_rng(41)
+        for _ in range(400):
+            t = int(rng.integers(0, 40))
+            rows = int(rng.integers(1, 3))
+            d = int(rng.integers(1, 6))
+            if rng.uniform() < 0.5:
+                speeds = rng.choice(SPEED_LEVELS, size=(rows, t))
+            else:
+                speeds = rng.uniform(0.0, 300.0, size=(rows, t))
+                speeds[rng.uniform(size=speeds.shape) < 0.3] = 0.0
+                speeds[rng.uniform(size=speeds.shape) < 0.05] = np.nan
+            np.testing.assert_array_equal(
+                metrics._sweep_counts(speeds, SWEEP_GRID, d),
+                footstep_counts_per_tolerance(speeds, SWEEP_GRID, FPS, d))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=0, max_value=30).flatmap(
+               lambda t: st.lists(st.lists(st.sampled_from(SPEED_LEVELS),
+                                           min_size=t, max_size=t),
+                                  min_size=1, max_size=2)),
+           st.integers(min_value=1, max_value=5))
+    def test_property(self, rows, d):
+        speeds = np.asarray(rows, dtype=np.float64)
+        np.testing.assert_array_equal(
+            metrics._sweep_counts(speeds, SWEEP_GRID, d),
+            footstep_counts_per_tolerance(speeds, SWEEP_GRID, FPS, d))
+
+    def test_reports_equal_on_walkers(self, skel, walker):
+        clips = [walker[0]] + [
+            data.synth_gait(path, steps=steps, fps=FPS, seed=50 + i,
+                            noise_std=0.0)[0]
+            for i, (path, steps) in enumerate(WALKERS)]
+        grid = metrics.DEFAULT_SWEEP_GRID_MM_S
+        for clip in clips:
+            for d in (1, 2, 4):
+                assert metrics.footstep_sweep(
+                    clip, skel, min_duration_frames=d) \
+                    == footstep_sweep_reference(clip, skel, grid, d)
+
+    def test_sweep_counts_with_one_threshold_per_clip(self, skel, walker,
+                                                      monkeypatch):
+        # The count curve comes from one pass over the trace; only the step
+        # statistics at v_tol_95 threshold it.
+        calls = []
+        count = metrics.count_footsteps
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return count(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "count_footsteps", counted)
+        report = metrics.footstep_sweep(walker[0], skel)
+        assert calls == [report.v_tol_95]
 
 
 class TestBoneLengthAnalysis:
