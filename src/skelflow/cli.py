@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 config error, 3 numeric failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -475,18 +476,31 @@ def cmd_evaluate(config, clips_dir=""):
 # -- argument parsing -------------------------------------------------------------------
 
 
+# Every flag's argparse `dest` is the JobConfig field it sets ("train.<field>"
+# and "model.<field>" for the nested configs); only these dests are command
+# inputs instead.
+COMMAND_INPUTS = ("config", "scale", "init_from", "report", "clip", "clips",
+                  "command")
+
+# `train --scale` model presets; each keeps the markers and ablation it is given
+MODEL_SCALES = {"desk": _flow.desk_config, "full": _flow.ModelConfig}
+
+
 def _add_common(parser):
     parser.add_argument("--config", default="", help="JSON job config file")
-    parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--skeleton", default=None,
+    parser.add_argument("--out", help="output directory")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--skeleton", dest="skeleton_path",
                         help="skeleton config file (default: bundled 21-marker)")
-    parser.add_argument("--format", choices=("text", "binary"), default=None,
+    parser.add_argument("--format", dest="clip_format", choices=("text", "binary"),
                         help="clip file format")
-    parser.add_argument("--fps", type=float, default=None)
+    parser.add_argument("--fps", type=float)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The command-line parser, built once per process and shared by every
+    call (parse with it; do not change it)."""
     parser = argparse.ArgumentParser(
         prog="skelflow",
         description="Graph-based autoregressive flow for skeletal motion")
@@ -494,130 +508,104 @@ def build_parser():
 
     p = sub.add_parser("synth", help="write synthetic walker clips")
     _add_common(p)
-    p.add_argument("--path", action="append", default=None,
+    p.add_argument("--path", dest="paths", action="append",
                    help="path spec kind:key=value,... (repeatable)")
-    p.add_argument("--steps", type=int, default=None, help="footsteps per walker")
-    p.add_argument("--noise", type=float, default=None, help="marker noise std (cm)")
+    p.add_argument("--steps", dest="walker_steps", type=int,
+                   help="footsteps per walker")
+    p.add_argument("--noise", dest="noise_std", type=float,
+                   help="marker noise std (cm)")
 
     p = sub.add_parser("train", help="train a model")
     _add_common(p)
-    p.add_argument("--data-dir", default=None,
+    p.add_argument("--data-dir",
                    help=f"clip directory (default: synthetic corpus or ${DATA_DIR_ENV})")
-    p.add_argument("--path", action="append", default=None,
+    p.add_argument("--path", dest="paths", action="append",
                    help="synthetic corpus path spec (repeatable)")
-    p.add_argument("--walker-steps", type=int, default=None,
+    p.add_argument("--walker-steps", type=int,
                    help="footsteps per synthetic corpus walker")
-    p.add_argument("--noise", type=float, default=None,
+    p.add_argument("--noise", dest="noise_std", type=float,
                    help="synthetic corpus marker noise std (cm)")
-    p.add_argument("--scale", choices=("desk", "full"), default="desk",
-                   help="model size preset")
-    p.add_argument("--ablation", choices=ABLATIONS, default=None)
-    p.add_argument("--steps", type=int, default=None, help="optimizer steps")
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--learning-rate", type=float, default=None)
-    p.add_argument("--nll-frames", type=int, default=None)
-    p.add_argument("--eval-every", type=int, default=None)
-    p.add_argument("--grad-clip", type=float, default=None)
-    p.add_argument("--checkpoint", default=None, help="checkpoint file name")
+    p.add_argument("--scale", choices=tuple(MODEL_SCALES),
+                   help="model size preset (default model: desk)")
+    p.add_argument("--ablation", dest="model.ablation", choices=ABLATIONS)
+    p.add_argument("--steps", dest="train.steps", type=int, help="optimizer steps")
+    p.add_argument("--batch-size", dest="train.batch_size", type=int)
+    p.add_argument("--learning-rate", dest="train.learning_rate", type=float)
+    p.add_argument("--nll-frames", dest="train.nll_frames", type=int)
+    p.add_argument("--eval-every", dest="train.eval_every", type=int)
+    p.add_argument("--grad-clip", dest="train.grad_clip", type=float)
+    p.add_argument("--checkpoint", help="checkpoint file name")
     p.add_argument("--init-from", default="", help="checkpoint to continue from")
 
     p = sub.add_parser("generate", help="sample sequences from a checkpoint")
     _add_common(p)
-    p.add_argument("--checkpoint", default=None, help="checkpoint file path")
-    p.add_argument("--num", type=int, default=None, help="sequences to write")
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--temperature", type=float, default=None)
-    p.add_argument("--control", default=None, help="path spec for controls")
+    p.add_argument("--checkpoint", help="checkpoint file path")
+    p.add_argument("--num", dest="num_sequences", type=int, help="sequences to write")
+    p.add_argument("--horizon", type=int)
+    p.add_argument("--temperature", type=float)
+    p.add_argument("--control", help="path spec for controls")
     p.add_argument("--report", action="store_true",
                    help="also write a bone-length report")
 
     p = sub.add_parser("reconstruct", help="fill masked markers in a window")
     _add_common(p)
-    p.add_argument("--checkpoint", default=None)
+    p.add_argument("--checkpoint")
     p.add_argument("--clip", default="", help="input clip (default: synthetic)")
-    p.add_argument("--mask", default=None,
+    p.add_argument("--mask",
                    help="masking preset: " + ", ".join(_sequence.MASK_PRESETS))
-    p.add_argument("--num", type=int, default=None)
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--temperature", type=float, default=None)
-    p.add_argument("--control", default=None)
+    p.add_argument("--num", dest="num_sequences", type=int)
+    p.add_argument("--horizon", type=int)
+    p.add_argument("--temperature", type=float)
+    p.add_argument("--control")
 
     p = sub.add_parser("evaluate", help="footstep and bone reports for clips")
     _add_common(p)
     p.add_argument("--clips", default="", help="directory of clip files")
-    p.add_argument("--grid-max", type=float, default=None)
-    p.add_argument("--grid-step", type=float, default=None)
-    p.add_argument("--min-duration", type=int, default=None)
-    p.add_argument("--reference", choices=("auto", "config", "self"),
-                   default=None)
+    p.add_argument("--grid-max", type=float)
+    p.add_argument("--grid-step", type=float)
+    p.add_argument("--min-duration", dest="min_duration_frames", type=int)
+    p.add_argument("--reference", choices=("auto", "config", "self"))
     return parser
 
 
-# argparse attribute -> JobConfig field, applied only when the flag was given
-_FLAG_FIELDS = (
-    ("out", "out"), ("seed", "seed"), ("fps", "fps"),
-    ("skeleton", "skeleton_path"), ("format", "clip_format"),
-    ("data_dir", "data_dir"), ("num", "num_sequences"),
-    ("horizon", "horizon"), ("temperature", "temperature"),
-    ("control", "control"), ("mask", "mask"), ("noise", "noise_std"),
-    ("walker_steps", "walker_steps"),
-    ("grid_max", "grid_max"), ("grid_step", "grid_step"),
-    ("min_duration", "min_duration_frames"), ("reference", "reference"),
-)
+def _set_field(config, key, value):
+    """`config` with field `key` ("seed", "train.steps") set to `value`."""
+    section, _, name = key.rpartition(".")
+    if section:
+        value = replace(getattr(config, section), **{name: value})
+        name = section
+    return replace(config, **{name: value})
 
 
 def resolve_config(args):
+    """Defaults, then the --config file, then the flags actually given.
+
+    `train` defaults to the desk model, and its training seed to the job
+    seed unless the file's `train` object sets one; `--scale` swaps in a
+    preset that keeps the current model's markers and ablation."""
+    config = JobConfig(model=_flow.desk_config() if args.command == "train"
+                       else _flow.ModelConfig())
+    file_train_seed = False
     if args.config:
         with open(args.config) as fh:
-            config = JobConfig.from_dict(json.load(fh))
-    else:
-        config = JobConfig()
-    for flag, fname in _FLAG_FIELDS:
-        value = getattr(args, flag, None)
-        if value is not None:
-            config = replace(config, **{fname: value})
-    if getattr(args, "path", None):
-        config = replace(config, paths=tuple(args.path))
-    if args.command == "synth" and getattr(args, "steps", None) is not None:
-        config = replace(config, walker_steps=args.steps)
-    if args.command == "train":
-        config = _resolve_train_flags(args, config)
-    if args.command in ("generate", "reconstruct") \
-            and getattr(args, "checkpoint", None) is not None:
-        config = replace(config, checkpoint=args.checkpoint)
-    config.validate()
-    return config
-
-
-def _resolve_train_flags(args, config):
-    model = config.model
-    if args.scale == "desk":
-        model = _flow.desk_config(markers=model.markers,
-                                  ablation=model.ablation)
-    if args.ablation is not None:
-        model = replace(model, ablation=args.ablation)
-    train = config.train
-    overrides = {}
-    for flag, fname in (("steps", "steps"), ("batch_size", "batch_size"),
-                        ("learning_rate", "learning_rate"),
-                        ("nll_frames", "nll_frames"),
-                        ("eval_every", "eval_every"),
-                        ("grad_clip", "grad_clip")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[fname] = value
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        train = replace(train, **overrides)
-    if args.checkpoint is not None:
-        config = replace(config, checkpoint=args.checkpoint)
-    return replace(config, model=model.validate(), train=train.validate())
+            blob = json.load(fh)
+        config = replace(config, **_data.config_fields(JobConfig, blob))
+        file_train_seed = "seed" in blob.get("train", {})
+    if getattr(args, "scale", None):
+        config = replace(config, model=MODEL_SCALES[args.scale](
+            markers=config.model.markers, ablation=config.model.ablation))
+    given = {key: value for key, value in vars(args).items()
+             if value is not None and key not in COMMAND_INPUTS}
+    for key, value in given.items():
+        config = _set_field(config, key,
+                            tuple(value) if isinstance(value, list) else value)
+    if args.command == "train" and ("seed" in given or not file_train_seed):
+        config = _set_field(config, "train.seed", config.seed)
+    return config.validate()
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = resolve_config(args)
         if args.command == "synth":

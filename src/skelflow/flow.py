@@ -422,13 +422,9 @@ class FlowModel(nc.Module):
         all raw.  Each step's actnorm maps its own input batch to zero mean
         and unit std per (marker, channel).
         """
-        frames = nc._data(frames)
-        n = frames.shape[0]
-        hist_std = self._prep_history(histories, history_mask)
-        pooled = self.encoder(nc._data(hist_std))
-        ctrl_flat = nc._data(controls).reshape(n, -1)
-        states = self.initial_state(n)
-        h = nc._data(self.standardize(frames))
+        h, pooled, ctrl_flat, states, _ = self._rows(
+            nc._data(frames), histories, controls, None, history_mask)
+        h = nc._data(self.standardize(h))
         for step, state in zip(self.steps, states):
             step.actnorm.init_from_batch(h)
             h, _, _ = step.forward(h, pooled, ctrl_flat, state)

@@ -147,25 +147,11 @@ def build_skeleton(config_text):
         norm_edges.append(e)
     norm_edges.sort()
 
-    # connectivity check (BFS from 0)
-    if markers > 1:
-        adj = [[] for _ in range(markers)]
-        for i, j in norm_edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        visited = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in adj[u]:
-                    if v not in visited:
-                        visited.add(v)
-                        nxt.append(v)
-            frontier = nxt
-        if len(visited) != markers:
-            missing = sorted(set(range(markers)) - visited)
-            raise DisconnectedGraphError(f"markers {missing} are not reachable from marker 0")
+    # connectivity: every marker is reachable from marker 0
+    missing = np.flatnonzero(hop_distances(
+        SkeletonSpec(markers, tuple(norm_edges), center, heels))[0] < 0).tolist()
+    if missing:
+        raise DisconnectedGraphError(f"markers {missing} are not reachable from marker 0")
 
     used = set()
     for a, b in mirror:
@@ -236,15 +222,16 @@ def default_skeleton():
 
 
 def hop_distances(spec):
-    """All-pairs shortest hop counts, (M, M) int array, BFS per source."""
+    """All-pairs shortest hop counts, (M, M) int array, BFS per source;
+    -1 where a marker is unreachable."""
     m = spec.marker_count
     adj = [[] for _ in range(m)]
     for i, j in spec.edges:
         adj[i].append(j)
         adj[j].append(i)
-    dist = np.full((m, m), -1, dtype=np.int64)
-    for src in range(m):
-        dist[src, src] = 0
+    dist = [[-1] * m for _ in range(m)]
+    for src, row in enumerate(dist):
+        row[src] = 0
         frontier = [src]
         d = 0
         while frontier:
@@ -252,11 +239,11 @@ def hop_distances(spec):
             nxt = []
             for u in frontier:
                 for v in adj[u]:
-                    if dist[src, v] < 0:
-                        dist[src, v] = d
+                    if row[v] < 0:
+                        row[v] = d
                         nxt.append(v)
             frontier = nxt
-    return dist
+    return np.array(dist, dtype=np.int64)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -13,6 +14,7 @@ import skelflow.flow as flow
 import skelflow.metrics as metrics
 import skelflow.numcore as nc
 import skelflow.skeleton as skeleton
+import skelflow.training as training
 
 TINY_SKELETON = "markers 3\ncenter 1\nheels 0 2\nroot 0\nedge 0 1\nedge 1 2\n"
 
@@ -397,3 +399,101 @@ class TestJobConfig:
         bad.write_text("{not json")
         assert run(["synth", "--config", str(bad),
                     "--out", str(tmp_path / "o")]) == cli.EXIT_IO
+
+
+def resolve(argv):
+    return cli.resolve_config(cli.build_parser().parse_args(argv))
+
+
+def write_config(tmp_path, blob):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(blob))
+    return str(path)
+
+
+class TestResolveConfig:
+    """Defaults, then the --config file, then the flags actually given."""
+
+    def test_train_defaults_to_the_desk_model(self):
+        assert resolve(["train"]).model == flow.desk_config()
+        assert resolve(["synth"]).model == flow.ModelConfig()
+        assert resolve(["train", "--scale", "full"]).model == flow.ModelConfig()
+
+    def test_train_uses_the_config_file_model(self, tmp_path):
+        model = flow.desk_config(markers=5, ablation="mg").to_dict()
+        model["lstm_hidden"] = 20
+        path = write_config(tmp_path, {"model": model})
+        assert resolve(["train", "--config", path]).model == \
+            flow.ModelConfig.from_dict(model)
+        # an explicit preset keeps the file's markers and ablation
+        assert resolve(["train", "--config", path, "--scale", "desk"]).model == \
+            flow.desk_config(markers=5, ablation="mg")
+        assert resolve(["train", "--config", path, "--scale", "full"]).model == \
+            flow.ModelConfig(markers=5, ablation="mg")
+        assert resolve(["train", "--config", path, "--scale", "desk",
+                        "--ablation", "smg"]).model == \
+            flow.desk_config(markers=5, ablation="smg")
+
+    def test_file_seed_and_seed_flag_resolve_alike(self, tmp_path):
+        from_file = resolve(["train", "--config", write_config(tmp_path, {"seed": 5})])
+        assert from_file == resolve(["train", "--seed", "5"])
+        assert from_file.train.seed == 5
+        # the file's train object may set its own seed; --seed sets both
+        path = write_config(tmp_path, {"seed": 5, "train": {"seed": 7}})
+        config = resolve(["train", "--config", path])
+        assert (config.seed, config.train.seed) == (5, 7)
+        config = resolve(["train", "--config", path, "--seed", "9"])
+        assert (config.seed, config.train.seed) == (9, 9)
+
+    def test_flags_not_given_leave_the_file_values(self, tmp_path):
+        path = write_config(tmp_path, {
+            "walker_steps": 9, "checkpoint": "a.ckpt", "paths": ["circle:radius=250"],
+            "train": {"steps": 7, "batch_size": 3}})
+        config = resolve(["train", "--config", path])
+        assert (config.walker_steps, config.checkpoint, config.paths) == \
+            (9, "a.ckpt", ("circle:radius=250",))
+        assert (config.train.steps, config.train.batch_size) == (7, 3)
+        config = resolve(["train", "--config", path, "--steps", "3",
+                          "--path", "line:speed=70", "--path", "s_curve:speed=70"])
+        assert (config.train.steps, config.train.batch_size) == (3, 3)
+        assert config.paths == ("line:speed=70", "s_curve:speed=70")
+        assert config.walker_steps == 9
+
+    def test_every_flag_names_a_config_field(self):
+        assert set(cli.COMMAND_INPUTS) == {
+            "config", "scale", "init_from", "report", "clip", "clips", "command"}
+        assert not set(cli.COMMAND_INPUTS) & set(cli.JobConfig.__dataclass_fields__)
+        nested = {"": cli.JobConfig, "train": training.TrainConfig,
+                  "model": flow.ModelConfig}
+        parser = cli.build_parser()
+        commands, = [a for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+        actions = [("", a) for a in parser._actions] + [
+            (name, a) for name, sub in commands.choices.items() for a in sub._actions]
+        bad = []
+        for command, action in actions:
+            if action.default is argparse.SUPPRESS:  # -h/--help
+                continue
+            section, _, name = action.dest.rpartition(".")
+            if action.dest not in cli.COMMAND_INPUTS and \
+                    name not in getattr(nested.get(section), "__dataclass_fields__", ()):
+                bad.append((command, action.option_strings, action.dest))
+        assert not bad
+        assert {name for name, _ in actions} == {
+            "", "synth", "train", "generate", "reconstruct", "evaluate"}
+
+    def test_two_calls_build_at_most_one_parser(self, tmp_path, monkeypatch):
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        for _ in range(2):
+            assert run(["evaluate", "--clips", str(empty),
+                        "--out", str(tmp_path / "o")]) == cli.EXIT_IO
+        assert built.count("skelflow") <= 1

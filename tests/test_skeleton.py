@@ -73,7 +73,8 @@ def test_mirror_permutation_is_involution():
 
 def test_parse_rejects_disconnected():
     text = "markers 4\ncenter 0\nheels 0 1\nedge 0 1\nedge 2 3"
-    with pytest.raises(sk.DisconnectedGraphError):
+    with pytest.raises(sk.DisconnectedGraphError,
+                       match=r"^markers \[2, 3\] are not reachable from marker 0$"):
         sk.build_skeleton(text)
 
 
