@@ -760,24 +760,23 @@ def _smooth5(u):
     return u * u * u * (10.0 + u * (6.0 * u - 15.0))
 
 
-def _rot_z(a):
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def _rot_x(a):
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def _rot_y(a):
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+def _rotations(axis, angles):
+    """Rotations about world axis 0 (x), 1 (y) or 2 (z): (T, 3, 3) for (T,)
+    angles, one (3, 3) for a scalar."""
+    c, s = np.cos(angles), np.sin(angles)
+    i, j = (axis + 1) % 3, (axis + 2) % 3
+    rot = np.zeros(np.shape(angles) + (3, 3))
+    rot[..., axis, axis] = 1.0
+    rot[..., i, i] = rot[..., j, j] = c
+    rot[..., i, j] = -s
+    rot[..., j, i] = s
+    return rot
 
 
 def _segment(yaw, lean, roll, length):
-    """A bone vector of exact length: rotations applied to (0, 0, length)."""
-    return _rot_z(yaw) @ _rot_x(-lean) @ _rot_y(roll) @ np.array([0.0, 0.0, length])
+    """Bone vectors of exact length, (T, 3): rotations applied to (0, 0, length)."""
+    return (_rotations(2, yaw) @ _rotations(0, -lean) @ _rotations(1, roll)
+            @ np.array([0.0, 0.0, length]))
 
 
 def _expected_bone_lengths(skeleton_spec):
@@ -796,25 +795,32 @@ def _expected_bone_lengths(skeleton_spec):
     return tuple(by_edge[edge] for edge in skeleton_spec.edges)
 
 
-def _leg_chain(hip, heel, forward):
-    """Two-bone knee solve; thigh and shank lengths hold exactly."""
-    delta = heel - hip
-    dist = float(np.linalg.norm(delta))
-    if dist > _LEG_REACH_LIMIT:
+def _dot(a, b):
+    """Dot products over the last axis, kept as a length-1 axis.  Stacked
+    1 x 3 @ 3 x 1 products round like a per-frame np.dot; a row sum, einsum
+    or np.linalg.norm(axis=-1) can differ in the last bit."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0]
+
+
+def _leg_chains(hips, heels, forward):
+    """Two-bone knee solves, (T, 2, 3) hips and heels -> knees; thigh and
+    shank lengths hold exactly.  The first leg out of reach in frame order,
+    left before right, raises PathSpecError."""
+    delta = heels - hips
+    dist = np.sqrt(_dot(delta, delta))
+    over = np.flatnonzero(dist > _LEG_REACH_LIMIT)
+    if over.size:
         raise PathSpecError(
-            f"invalid path parameters: leg span {dist:.1f} cm exceeds "
+            f"invalid path parameters: leg span {dist.flat[over[0]]:.1f} cm exceeds "
             f"{_LEG_REACH_LIMIT:.1f} cm reach")
     axis = delta / dist
     half = 0.5 * dist
     bend = np.sqrt(_THIGH * _THIGH - half * half)
-    side = forward - np.dot(forward, axis) * axis
-    norm = float(np.linalg.norm(side))
-    if norm < 1e-9:
-        seed = np.array([1.0, 0.0, 0.0]) if abs(axis[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-        side = seed - np.dot(seed, axis) * axis
-        norm = float(np.linalg.norm(side))
-    side = side / norm
-    return hip + half * axis + bend * side
+    side = forward - _dot(forward, axis) * axis
+    # |side| >= |axis_z| >= 0.77: the hip sits at least 68.5 cm above the
+    # heel and the reach is at most 89 cm, so the knee plane is never degenerate.
+    norm = np.sqrt(_dot(side, side))
+    return hips + half * axis + bend * (side / norm)
 
 
 def synth_gait(path_spec, steps=20, fps=20.0, seed=0, cadence=2.0, noise_std=0.0):
@@ -855,105 +861,85 @@ def synth_gait(path_spec, steps=20, fps=20.0, seed=0, cadence=2.0, noise_std=0.0
     s_hi = float(s_body[-1]) + stride + 10.0
     path = _Path(params, s_lo, s_hi)
 
-    # Cached footfalls: world xy and frozen foot heading per stance index.
-    footfalls = {}
-    for n in range(-2, steps + 3):
-        s_n = speed * (n + _DUTY) / cadence
-        psi_n = float(path.heading(s_n))
-        lateral = _FOOT_LATERAL if n % 2 == 0 else -_FOOT_LATERAL
-        xy = path.pos(s_n) + lateral * np.array([np.cos(psi_n), np.sin(psi_n)])
-        footfalls[n] = (xy, psi_n)
+    # Footfall n = -2 .. steps + 2: world x, y and frozen heading of stance n.
+    fall_n = np.arange(-2, steps + 3)
+    fall_s = speed * (fall_n + _DUTY) / cadence
+    fall_psi = path.heading(fall_s)
+    lateral = np.where(fall_n % 2 == 0, _FOOT_LATERAL, -_FOOT_LATERAL)
+    fall_xy = path.pos(fall_s) + lateral * np.stack([np.cos(fall_psi), np.sin(fall_psi)])
+    fall = np.vstack([fall_xy, fall_psi]).T
 
     psi = path.heading(s_body)
     base = path.pos(s_body)
-    osc = np.sin(np.pi * cadence * seconds)
+    phase = np.pi * cadence * seconds
+    osc = np.sin(phase)
     osc2 = np.sin(2.0 * np.pi * cadence * seconds)
     osc2b = np.sin(2.0 * np.pi * cadence * seconds + 1.1)
     surge = np.sin(2.0 * np.pi * cadence * seconds + 0.3)
     left_axis = np.stack([np.cos(psi), np.sin(psi)])
     fwd_axis = np.stack([-np.sin(psi), np.cos(psi)])
 
-    pelvis = np.zeros((3, frames))
-    pelvis[0:2] = base + _SWAY * osc * left_axis + _SURGE * surge * fwd_axis
-    pelvis[2] = _PELVIS_HEIGHT + _BOB * osc2b
-
+    # Every track below is (T, 3), or (T, 2, 3) for a left/right pair.
+    pelvis = np.vstack([base + _SWAY * osc * left_axis + _SURGE * surge * fwd_axis,
+                        _PELVIS_HEIGHT + _BOB * osc2b]).T
     yaw_pelvis = psi + 0.06 * osc
     yaw_chest = psi - 0.05 * osc
     lean = 0.05 + 0.02 * osc2
     roll = 0.03 * osc
-    arm_left = _ARM_SWING * np.sin(np.pi * cadence * seconds + np.pi)
-    flex_left = 0.55 + 0.15 * np.sin(np.pi * cadence * seconds + np.pi + 0.8)
-    flex_right = 0.55 + 0.15 * np.sin(np.pi * cadence * seconds + 0.8)
+    mirror = np.array([-1.0, 1.0, 1.0])
 
-    positions = np.zeros((21, 3, frames))
-    swing_time = (2.0 - _DUTY) / cadence
-    for t in range(frames):
-        now = seconds[t]
-        rz_pelvis = _rot_z(yaw_pelvis[t])
-        positions[0, :, t] = pelvis[:, t]
-        positions[1, :, t] = pelvis[:, t] + rz_pelvis @ _HIP_OFFSET
-        positions[5, :, t] = pelvis[:, t] + rz_pelvis @ (_HIP_OFFSET * np.array([-1.0, 1.0, 1.0]))
+    rz_pelvis = _rotations(2, yaw_pelvis)
+    hips = np.stack([pelvis + rz_pelvis @ _HIP_OFFSET,
+                     pelvis + rz_pelvis @ (_HIP_OFFSET * mirror)], axis=1)
 
-        m9 = pelvis[:, t] + _segment(yaw_pelvis[t] + 0.3 * (yaw_chest[t] - yaw_pelvis[t]),
-                                     lean[t], roll[t], _LOWER_SPINE)
-        m10 = m9 + _segment(yaw_chest[t], lean[t] + 0.02, roll[t], _UPPER_SPINE)
-        m11 = m10 + _segment(yaw_chest[t], 0.02 * osc2[t], 0.0, _NECK)
-        m12 = m11 + _segment(yaw_chest[t], 0.03 + 0.02 * osc2[t], 0.0, _HEAD)
-        positions[9, :, t] = m9
-        positions[10, :, t] = m10
-        positions[11, :, t] = m11
-        positions[12, :, t] = m12
+    m9 = pelvis + _segment(yaw_pelvis + 0.3 * (yaw_chest - yaw_pelvis), lean, roll,
+                           _LOWER_SPINE)
+    m10 = m9 + _segment(yaw_chest, lean + 0.02, roll, _UPPER_SPINE)
+    m11 = m10 + _segment(yaw_chest, 0.02 * osc2, 0.0, _NECK)
+    m12 = m11 + _segment(yaw_chest, 0.03 + 0.02 * osc2, 0.0, _HEAD)
 
-        rz_chest = _rot_z(yaw_chest[t])
-        m13 = m10 + rz_chest @ _SHOULDER_OFFSET
-        m14 = m10 + rz_chest @ (_SHOULDER_OFFSET * np.array([-1.0, 1.0, 1.0]))
-        positions[13, :, t] = m13
-        positions[14, :, t] = m14
-        for shoulder, sign, flex, first in ((m13, 1.0, flex_left[t], True),
-                                            (m14, -1.0, flex_right[t], False)):
-            alpha = sign * arm_left[t]
-            upper = rz_chest @ np.array([0.0, _UPPER_ARM * np.sin(alpha),
-                                         -_UPPER_ARM * np.cos(alpha)])
-            fore_dir = rz_chest @ np.array([0.0, np.sin(alpha + flex),
-                                            -np.cos(alpha + flex)])
-            elbow = shoulder + upper
-            wrist = elbow + _FOREARM * fore_dir
-            hand = wrist + _HAND * fore_dir
-            if first:
-                positions[15, :, t] = elbow
-                positions[16, :, t] = wrist
-                positions[17, :, t] = hand
-            else:
-                positions[18, :, t] = elbow
-                positions[19, :, t] = wrist
-                positions[20, :, t] = hand
+    rz_chest = _rotations(2, yaw_chest)
+    shoulders = np.stack([m10 + rz_chest @ _SHOULDER_OFFSET,
+                          m10 + rz_chest @ (_SHOULDER_OFFSET * mirror)], axis=1)
+    alpha = (_ARM_SWING * np.sin(phase + np.pi))[:, None] * np.array([1.0, -1.0])
+    flex = 0.55 + 0.15 * np.sin(np.stack([phase + np.pi + 0.8, phase + 0.8], axis=1))
+    arm = np.zeros_like(alpha)
+    upper = np.stack([arm, _UPPER_ARM * np.sin(alpha), -_UPPER_ARM * np.cos(alpha)], axis=-1)
+    fore_dir = np.stack([arm, np.sin(alpha + flex), -np.cos(alpha + flex)], axis=-1)
+    upper = (rz_chest[:, None] @ upper[..., None])[..., 0]
+    fore_dir = (rz_chest[:, None] @ fore_dir[..., None])[..., 0]
+    elbows = shoulders + upper
+    wrists = elbows + _FOREARM * fore_dir
+    hands = wrists + _HAND * fore_dir
 
-        forward3 = np.array([fwd_axis[0, t], fwd_axis[1, t], 0.0])
-        for foot, (hip_ix, knee_ix, heel_ix, toe_ix) in ((0, (1, 2, 3, 4)),
-                                                         (1, (5, 6, 7, 8))):
-            n = int(np.floor(cadence * now + 1e-12))
-            if n % 2 != foot:
-                n -= 1
-            lift_time = (n + _DUTY) / cadence
-            if now <= lift_time + 1e-12:
-                xy, chi = footfalls[n]
-                heel = np.array([xy[0], xy[1], _HEEL_HEIGHT])
-            else:
-                u = (now - lift_time) / swing_time
-                w = _smooth5(u)
-                xy_a, chi_a = footfalls[n]
-                xy_b, chi_b = footfalls[n + 2]
-                xy = (1.0 - w) * xy_a + w * xy_b
-                chi = (1.0 - w) * chi_a + w * chi_b
-                heel = np.array([xy[0], xy[1],
-                                 _HEEL_HEIGHT + _LIFT * np.sin(np.pi * u) ** 2])
-            hip = positions[hip_ix, :, t]
-            positions[knee_ix, :, t] = _leg_chain(hip, heel, forward3)
-            positions[heel_ix, :, t] = heel
-            horiz = np.sqrt(_FOOT * _FOOT - _HEEL_HEIGHT * _HEEL_HEIGHT)
-            toe_dir = np.array([-np.sin(chi), np.cos(chi), 0.0])
-            positions[toe_ix, :, t] = heel + horiz * toe_dir \
-                - np.array([0.0, 0.0, _HEEL_HEIGHT])
+    # Each heel holds footfall n through stance n (left even n, right odd)
+    # and swings to footfall n + 2 after liftoff.
+    now = seconds[:, None]
+    n = np.floor(cadence * now + 1e-12).astype(np.int64)
+    n = n - (n - np.arange(2)) % 2
+    lift_time = (n + _DUTY) / cadence
+    stance = now <= lift_time + 1e-12
+    u = (now - lift_time) / ((2.0 - _DUTY) / cadence)
+    w = _smooth5(u)[..., None]
+    a, b = fall[n + 2], fall[n + 4]
+    xy_chi = np.where(stance[..., None], a, (1.0 - w) * a + w * b)
+    # float_power is libm pow, as the scalar `** 2` of the per-frame walker;
+    # an array `** 2` squares instead and differs in the last bit.
+    z = np.where(stance, _HEEL_HEIGHT,
+                 _HEEL_HEIGHT + _LIFT * np.float_power(np.sin(np.pi * u), 2))
+    heels = np.concatenate([xy_chi[..., :2], z[..., None]], axis=-1)
+    forward = np.stack([fwd_axis[0], fwd_axis[1], np.zeros(frames)], axis=-1)[:, None]
+    knees = _leg_chains(hips, heels, forward)
+    horiz = np.sqrt(_FOOT * _FOOT - _HEEL_HEIGHT * _HEEL_HEIGHT)
+    chi = xy_chi[..., 2]
+    toe_dir = np.stack([-np.sin(chi), np.cos(chi), np.zeros_like(chi)], axis=-1)
+    toes = heels + horiz * toe_dir - np.array([0.0, 0.0, _HEEL_HEIGHT])
+
+    legs = np.stack([hips, knees, heels, toes], axis=2).reshape(frames, 8, 3)
+    arms = np.stack([elbows, wrists, hands], axis=2).reshape(frames, 6, 3)
+    tracks = np.concatenate([pelvis[:, None], legs, np.stack([m9, m10, m11, m12], axis=1),
+                             shoulders, arms], axis=1)
+    positions = np.ascontiguousarray(tracks.transpose(1, 2, 0))
 
     if noise_std > 0:
         rng = np.random.default_rng(seed)

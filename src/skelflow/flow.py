@@ -164,8 +164,8 @@ class InvertibleMix(nc.Module):
 
     param_attrs = ("weight",)
 
-    def __init__(self, channels, rng=None, identity=False):
-        if identity or rng is None:
+    def __init__(self, channels, rng=None):
+        if rng is None:
             self.weight = np.eye(channels)
         else:
             q, r = np.linalg.qr(rng.normal(size=(channels, channels)))

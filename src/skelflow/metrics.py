@@ -62,6 +62,12 @@ class BoneLengthReport:
     worst_per_frame: tuple
 
 
+def _check_marker_count(clip, skeleton_spec):
+    if clip.marker_count != skeleton_spec.marker_count:
+        raise ValueError(f"clip has {clip.marker_count} markers but the skeleton "
+                         f"has {skeleton_spec.marker_count}")
+
+
 def heel_speeds(clip, skeleton_spec):
     """Horizontal heel speeds in mm/s, shape (2, T).
 
@@ -69,6 +75,7 @@ def heel_speeds(clip, skeleton_spec):
     travel contributes.  Speeds are backward differences; frame 0 repeats
     frame 1 so the track has no leading artifact.
     """
+    _check_marker_count(clip, skeleton_spec)
     if not skeleton_spec.heel_markers:
         raise ValueError("skeleton config declares no heel markers")
     world = _data.world_positions(clip) if clip.root_relative else clip.positions
@@ -192,6 +199,7 @@ def bone_length_analysis(clip, skeleton_spec, reference=None):
     reference: explicit per-edge array, 'config' (skeleton bone_cm,
     required), 'self' (per-bone clip means), or None for config-else-self.
     """
+    _check_marker_count(clip, skeleton_spec)
     ia, ib = np.asarray(skeleton_spec.edges, dtype=np.intp).T
     pos = clip.positions
     lengths = np.linalg.norm(pos[ia] - pos[ib], axis=1)

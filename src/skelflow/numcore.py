@@ -317,14 +317,6 @@ def concat(parts, axis):
     return out
 
 
-def flip(a, axis):
-    if not isinstance(a, Var):
-        return np.flip(_data(a), axis=axis)
-    out = Var(np.flip(a.data, axis=axis), (a,))
-    out._bw = lambda g: a._accum(np.flip(g, axis=axis))
-    return out
-
-
 def log(a):
     if not isinstance(a, Var):
         return np.log(_data(a))

@@ -100,7 +100,7 @@ def generate_batch(model, requests):
     request's frames match its own B=1 rollout up to the floating-point
     order of the batched products.  The conditioning history at step k is
     exactly the last T_h frames of seed-window-plus-output; recurrent
-    states advance once per frame.  A single request rolls out unbatched.
+    states advance once per frame.
     """
     cfg = model.config
     markers, channels, t_h = cfg.markers, cfg.channels, cfg.history
@@ -134,21 +134,20 @@ def generate_batch(model, requests):
             raise ValueError(f"temperature must be finite, got {tau}")
         temperature[i] = tau
 
-    one = slice(None) if b > 1 else 0  # index that keeps or drops the batch axis
     states = model.initial_state(b)
     for k in range(horizon):
         t = t_h + k
         try:
             x, states = model.sample_frame(
-                latents[one, k], timeline[one, :, :, k:t], controls[one, :, k:t + 1],
-                states, temperature=temperature[one],
-                history_mask=None if masks is None else masks[one, :, k:t])
+                latents[:, k], timeline[..., k:t], controls[:, :, k:t + 1], states,
+                temperature=temperature,
+                history_mask=None if masks is None else masks[..., k:t])
         except nc.NonFiniteError as exc:
             raise NonFiniteFrameError(f"non-finite frame at rollout step {k}") from exc
         x = nc._data(x)
         if not np.isfinite(x).all():
             raise NonFiniteFrameError(f"non-finite frame at rollout step {k}")
-        timeline[one, :, :, t] = x
+        timeline[..., t] = x
     return timeline[..., t_h:].copy()
 
 

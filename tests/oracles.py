@@ -7,7 +7,7 @@ wrong.
 
 import numpy as np
 
-from skelflow import metrics
+from skelflow import data, metrics
 from skelflow import numcore as nc
 
 
@@ -92,6 +92,15 @@ def graph_conv_chain(matrices, x, weight, bias):
     return out + bias
 
 
+def flip(a, axis):
+    """np.flip as a taped op: the gradient flips back along the same axis."""
+    if not isinstance(a, nc.Var):
+        return np.flip(nc._data(a), axis=axis)
+    out = nc.Var(np.flip(a.data, axis=axis), (a,))
+    out._bw = lambda g: a._accum(np.flip(g, axis=axis))
+    return out
+
+
 def temporal_conv_chain(x, kernel, bias):
     """Edge-reflecting padding by flip and concat, then one sliced matmul
     per tap, along the time axis of (B, T, M, C) features."""
@@ -99,8 +108,8 @@ def temporal_conv_chain(x, kernel, bias):
     k = nc._data(kernel).shape[0]
     pad = (k - 1) // 2
     if pad > 0:
-        left = nc.flip(x[:, :pad], axis=1)
-        right = nc.flip(x[:, t - pad:], axis=1)
+        left = flip(x[:, :pad], axis=1)
+        right = flip(x[:, t - pad:], axis=1)
         xp = nc.concat([left, x, right], axis=1)
     else:
         xp = x
@@ -230,3 +239,197 @@ def inverse_transform_frame_reference(model, z, history, controls, states=None,
         h = nc.sub(nc.div(y, step.actnorm.scale), step.actnorm.bias)
     x = nc.add(nc.mul(h, model.data_std), model.data_mean)
     return nc.reshape(x, shape[:-2] + nc._data(x).shape[1:]), new_states
+
+
+# -- the per-frame synthetic walker --------------------------------------------
+
+def _rot_z(a):
+    c, s = np.cos(a), np.sin(a)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def _rot_x(a):
+    c, s = np.cos(a), np.sin(a)
+    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+
+
+def _rot_y(a):
+    c, s = np.cos(a), np.sin(a)
+    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+
+
+def _segment(yaw, lean, roll, length):
+    """A bone vector of exact length: rotations applied to (0, 0, length)."""
+    return _rot_z(yaw) @ _rot_x(-lean) @ _rot_y(roll) @ np.array([0.0, 0.0, length])
+
+
+def _leg_chain(hip, heel, forward):
+    """Two-bone knee solve; thigh and shank lengths hold exactly."""
+    delta = heel - hip
+    dist = float(np.linalg.norm(delta))
+    if dist > data._LEG_REACH_LIMIT:
+        raise data.PathSpecError(
+            f"invalid path parameters: leg span {dist:.1f} cm exceeds "
+            f"{data._LEG_REACH_LIMIT:.1f} cm reach")
+    axis = delta / dist
+    half = 0.5 * dist
+    bend = np.sqrt(data._THIGH * data._THIGH - half * half)
+    side = forward - np.dot(forward, axis) * axis
+    norm = float(np.linalg.norm(side))
+    if norm < 1e-9:
+        seed = (np.array([1.0, 0.0, 0.0]) if abs(axis[0]) < 0.9
+                else np.array([0.0, 1.0, 0.0]))
+        side = seed - np.dot(seed, axis) * axis
+        norm = float(np.linalg.norm(side))
+    side = side / norm
+    return hip + half * axis + bend * side
+
+
+def synth_gait_per_frame(path_spec, steps=20, fps=20.0, seed=0, cadence=2.0,
+                         noise_std=0.0):
+    """`data.synth_gait` as it was first written: one Python pass per frame,
+    footfalls in a dict, scalar 3 x 3 rotations and a knee solve per leg per
+    frame.  Kept as the reference that the whole-trajectory walker must
+    reproduce byte for byte, errors included."""
+    params = data._check_path_params(dict(path_spec)) if isinstance(path_spec, dict) \
+        else data.parse_path_spec(path_spec)
+    steps = int(steps)
+    if steps < 2:
+        raise ValueError("need at least 2 footsteps")
+    fps = float(fps)
+    cadence = float(cadence)
+    if cadence <= 0:
+        raise ValueError("cadence must be positive")
+    if fps < 5.0 * cadence:
+        raise ValueError(
+            f"fps {fps:g} too low to resolve stances; need fps >= {5.0 * cadence:g}")
+    if noise_std < 0:
+        raise ValueError("noise_std must be non-negative")
+    skeleton_spec = data.default_skeleton()
+
+    speed = params["speed"]
+    frames = int(round(fps * (steps - 1 + data._DUTY) / cadence)) + 1
+    seconds = np.arange(frames) / fps
+    s_body = speed * seconds
+    stride = 2.0 * speed / cadence
+    s_lo = speed * (-1 + data._DUTY) / cadence - stride - 10.0
+    s_hi = float(s_body[-1]) + stride + 10.0
+    path = data._Path(params, s_lo, s_hi)
+
+    # Cached footfalls: world xy and frozen foot heading per stance index.
+    footfalls = {}
+    for n in range(-2, steps + 3):
+        s_n = speed * (n + data._DUTY) / cadence
+        psi_n = float(path.heading(s_n))
+        lateral = data._FOOT_LATERAL if n % 2 == 0 else -data._FOOT_LATERAL
+        xy = path.pos(s_n) + lateral * np.array([np.cos(psi_n), np.sin(psi_n)])
+        footfalls[n] = (xy, psi_n)
+
+    psi = path.heading(s_body)
+    base = path.pos(s_body)
+    osc = np.sin(np.pi * cadence * seconds)
+    osc2 = np.sin(2.0 * np.pi * cadence * seconds)
+    osc2b = np.sin(2.0 * np.pi * cadence * seconds + 1.1)
+    surge = np.sin(2.0 * np.pi * cadence * seconds + 0.3)
+    left_axis = np.stack([np.cos(psi), np.sin(psi)])
+    fwd_axis = np.stack([-np.sin(psi), np.cos(psi)])
+
+    pelvis = np.zeros((3, frames))
+    pelvis[0:2] = base + data._SWAY * osc * left_axis + data._SURGE * surge * fwd_axis
+    pelvis[2] = data._PELVIS_HEIGHT + data._BOB * osc2b
+
+    yaw_pelvis = psi + 0.06 * osc
+    yaw_chest = psi - 0.05 * osc
+    lean = 0.05 + 0.02 * osc2
+    roll = 0.03 * osc
+    arm_left = data._ARM_SWING * np.sin(np.pi * cadence * seconds + np.pi)
+    flex_left = 0.55 + 0.15 * np.sin(np.pi * cadence * seconds + np.pi + 0.8)
+    flex_right = 0.55 + 0.15 * np.sin(np.pi * cadence * seconds + 0.8)
+
+    positions = np.zeros((21, 3, frames))
+    swing_time = (2.0 - data._DUTY) / cadence
+    for t in range(frames):
+        now = seconds[t]
+        rz_pelvis = _rot_z(yaw_pelvis[t])
+        positions[0, :, t] = pelvis[:, t]
+        positions[1, :, t] = pelvis[:, t] + rz_pelvis @ data._HIP_OFFSET
+        positions[5, :, t] = pelvis[:, t] + rz_pelvis @ (data._HIP_OFFSET
+                                                          * np.array([-1.0, 1.0, 1.0]))
+
+        m9 = pelvis[:, t] + _segment(yaw_pelvis[t] + 0.3 * (yaw_chest[t] - yaw_pelvis[t]),
+                                     lean[t], roll[t], data._LOWER_SPINE)
+        m10 = m9 + _segment(yaw_chest[t], lean[t] + 0.02, roll[t], data._UPPER_SPINE)
+        m11 = m10 + _segment(yaw_chest[t], 0.02 * osc2[t], 0.0, data._NECK)
+        m12 = m11 + _segment(yaw_chest[t], 0.03 + 0.02 * osc2[t], 0.0, data._HEAD)
+        positions[9, :, t] = m9
+        positions[10, :, t] = m10
+        positions[11, :, t] = m11
+        positions[12, :, t] = m12
+
+        rz_chest = _rot_z(yaw_chest[t])
+        m13 = m10 + rz_chest @ data._SHOULDER_OFFSET
+        m14 = m10 + rz_chest @ (data._SHOULDER_OFFSET * np.array([-1.0, 1.0, 1.0]))
+        positions[13, :, t] = m13
+        positions[14, :, t] = m14
+        for shoulder, sign, flex, first in ((m13, 1.0, flex_left[t], True),
+                                            (m14, -1.0, flex_right[t], False)):
+            alpha = sign * arm_left[t]
+            upper = rz_chest @ np.array([0.0, data._UPPER_ARM * np.sin(alpha),
+                                         -data._UPPER_ARM * np.cos(alpha)])
+            fore_dir = rz_chest @ np.array([0.0, np.sin(alpha + flex),
+                                            -np.cos(alpha + flex)])
+            elbow = shoulder + upper
+            wrist = elbow + data._FOREARM * fore_dir
+            hand = wrist + data._HAND * fore_dir
+            if first:
+                positions[15, :, t] = elbow
+                positions[16, :, t] = wrist
+                positions[17, :, t] = hand
+            else:
+                positions[18, :, t] = elbow
+                positions[19, :, t] = wrist
+                positions[20, :, t] = hand
+
+        forward3 = np.array([fwd_axis[0, t], fwd_axis[1, t], 0.0])
+        for foot, (hip_ix, knee_ix, heel_ix, toe_ix) in ((0, (1, 2, 3, 4)),
+                                                         (1, (5, 6, 7, 8))):
+            n = int(np.floor(cadence * now + 1e-12))
+            if n % 2 != foot:
+                n -= 1
+            lift_time = (n + data._DUTY) / cadence
+            if now <= lift_time + 1e-12:
+                xy, chi = footfalls[n]
+                heel = np.array([xy[0], xy[1], data._HEEL_HEIGHT])
+            else:
+                u = (now - lift_time) / swing_time
+                w = data._smooth5(u)
+                xy_a, chi_a = footfalls[n]
+                xy_b, chi_b = footfalls[n + 2]
+                xy = (1.0 - w) * xy_a + w * xy_b
+                chi = (1.0 - w) * chi_a + w * chi_b
+                heel = np.array([xy[0], xy[1],
+                                 data._HEEL_HEIGHT + data._LIFT * np.sin(np.pi * u) ** 2])
+            hip = positions[hip_ix, :, t]
+            positions[knee_ix, :, t] = _leg_chain(hip, heel, forward3)
+            positions[heel_ix, :, t] = heel
+            horiz = np.sqrt(data._FOOT * data._FOOT
+                            - data._HEEL_HEIGHT * data._HEEL_HEIGHT)
+            toe_dir = np.array([-np.sin(chi), np.cos(chi), 0.0])
+            positions[toe_ix, :, t] = heel + horiz * toe_dir \
+                - np.array([0.0, 0.0, data._HEEL_HEIGHT])
+
+    if noise_std > 0:
+        rng = np.random.default_rng(seed)
+        positions = positions + rng.normal(0.0, noise_std, positions.shape)
+
+    controls = data.extract_controls(positions, skeleton_spec)
+    clip = data.MotionClip(positions, controls, fps, root_relative=False,
+                           source=f"synth:{data.path_spec_string(params)}")
+    intervals = tuple(
+        (n / cadence, (n + data._DUTY) / cadence, 3 if n % 2 == 0 else 7)
+        for n in range(steps))
+    truth = data.GaitTruth(
+        step_count=steps, cadence=cadence, speed=speed, duty=data._DUTY,
+        footstep_intervals=intervals,
+        bone_lengths=data._expected_bone_lengths(skeleton_spec))
+    return clip, truth

@@ -277,6 +277,19 @@ class TestEvaluate:
         assert run(["evaluate", "--clips", str(empty),
                     "--out", str(tmp_path / "o")]) == cli.EXIT_IO
 
+    @pytest.mark.parametrize("markers", (5, 25))
+    def test_marker_count_mismatch_is_config_error(self, tmp_path, capsys, markers):
+        clips = tmp_path / "clips"
+        clips.mkdir()
+        rng = np.random.default_rng(markers)
+        clip = data.MotionClip(rng.normal(size=(markers, 3, 30)),
+                               np.zeros((3, 30)), 20.0)
+        data.save_clip(clip, str(clips / "odd.txt"))
+        assert run(["evaluate", "--clips", str(clips),
+                    "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+        assert f"clip has {markers} markers but the skeleton has 21" \
+            in capsys.readouterr().err
+
     def test_missing_clips_flag_is_config_error(self, tmp_path, monkeypatch):
         monkeypatch.delenv(cli.DATA_DIR_ENV, raising=False)
         assert run(["evaluate", "--out",

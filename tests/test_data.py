@@ -12,6 +12,9 @@ from skelflow.data import (
     PathSpecError, UpsampleRequestError,
 )
 from skelflow.skeleton import build_skeleton, default_skeleton
+from skelflow.training import DEFAULT_CORPUS_SPECS
+
+from oracles import synth_gait_per_frame
 
 
 def _file_sha(path):
@@ -519,3 +522,42 @@ class TestSynthGait:
 
     def test_source_tag_carries_canonical_spec(self, walker):
         assert walker[0].source == "synth:line:speed=70"
+
+
+def _same_walker(args, kwargs):
+    clip, truth = data.synth_gait(*args, **kwargs)
+    ref_clip, ref_truth = synth_gait_per_frame(*args, **kwargs)
+    assert clip.positions.tobytes() == ref_clip.positions.tobytes(), (args, kwargs)
+    assert clip.controls.tobytes() == ref_clip.controls.tobytes(), (args, kwargs)
+    assert (clip.fps, clip.source) == (ref_clip.fps, ref_clip.source)
+    assert truth == ref_truth
+
+
+class TestSynthGaitMatchesPerFrameWalker:
+    """The whole-trajectory walker reproduces the per-frame one byte for byte."""
+
+    @pytest.mark.parametrize("spec", DEFAULT_CORPUS_SPECS + (
+        "circle:radius=-150,speed=60", "s_curve:sway=1.2,wavelength=300,speed=65"))
+    def test_positions_controls_and_truth(self, spec):
+        for steps in (2, 8, 24):
+            for fps in (10.0, 20.0, 47.0):
+                for noise_std in (0.0, 0.25):
+                    _same_walker((spec,), dict(steps=steps, fps=fps, seed=7,
+                                               noise_std=noise_std))
+
+    def test_swing_lift_rounds_like_scalar_power(self):
+        # An array `** 2` in the heel lift moves heel and knee markers here.
+        _same_walker(("line:speed=51",), dict(steps=8, fps=26.0, cadence=1.47))
+
+    @pytest.mark.parametrize("spec, fps", (
+        ("line:speed=180", 20.0), ("line:speed=230", 20.0),
+        ("circle:radius=40,speed=170", 20.0),
+        # legs overreach in different frames: the error names the earlier one
+        ("line:speed=165", 47.0)))
+    def test_out_of_reach_error_text(self, spec, fps):
+        with pytest.raises(PathSpecError) as ref:
+            synth_gait_per_frame(spec, steps=6, fps=fps)
+        with pytest.raises(PathSpecError) as err:
+            data.synth_gait(spec, steps=6, fps=fps)
+        assert str(err.value) == str(ref.value)
+

@@ -97,6 +97,13 @@ class TestHeelSpeeds:
         with pytest.raises(ValueError, match="heel"):
             metrics.heel_speeds(make_clip(np.zeros((2, 3, 5))), bare)
 
+    @pytest.mark.parametrize("markers", (2, 4))
+    def test_marker_count_mismatch_raises(self, tiny_skel, markers):
+        clip = make_clip(np.zeros((markers, 3, 5)))
+        with pytest.raises(ValueError, match=f"clip has {markers} markers but the "
+                                             "skeleton has 3"):
+            metrics.heel_speeds(clip, tiny_skel)
+
 
 class TestCountFootsteps:
     def square_wave(self, low_frames, high_frames, cycles, high=500.0):
@@ -387,6 +394,13 @@ class TestBoneLengthAnalysis:
                                          reference=np.ones(5))
         with pytest.raises(ValueError, match="unknown reference"):
             metrics.bone_length_analysis(clip, tiny_skel, reference="truth")
+
+    @pytest.mark.parametrize("markers", (2, 4))
+    def test_marker_count_mismatch_raises(self, tiny_skel, markers):
+        clip = make_clip(np.ones((markers, 3, 4)))
+        with pytest.raises(ValueError, match=f"clip has {markers} markers but the "
+                                             "skeleton has 3"):
+            metrics.bone_length_analysis(clip, tiny_skel)
 
     def test_worst_per_frame_tracks_injected_glitch(self, skel, walker):
         clip, truth = walker

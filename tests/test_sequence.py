@@ -34,8 +34,9 @@ def _request(model, rng, horizon=6, **kw):
 
 
 class RecordingModel:
-    """Stub with the frame-model call surface; logs every conditioning set
-    and emits a recognizable constant frame per step."""
+    """Stub with the frame-model call surface for a batch of one request;
+    logs that request's conditioning set and emits a recognizable constant
+    frame per step."""
 
     def __init__(self, config):
         self.config = config
@@ -48,11 +49,11 @@ class RecordingModel:
         return ("state", 0)
 
     def sample_frame(self, z, history, controls, states, temperature, history_mask):
-        self.histories.append(np.array(history))
-        self.masks.append(np.array(history_mask))
-        self.windows.append(np.array(controls))
+        self.histories.append(np.array(history[0]))
+        self.masks.append(None if history_mask is None else np.array(history_mask[0]))
+        self.windows.append(np.array(controls[0]))
         self.calls += 1
-        frame = np.full((self.config.markers, self.config.channels), float(self.calls))
+        frame = np.full((1, self.config.markers, self.config.channels), float(self.calls))
         return frame, ("state", self.calls)
 
 
@@ -146,7 +147,7 @@ class TestGenerate:
                 frame, states = super().sample_frame(
                     z, history, controls, states, temperature, history_mask)
                 if self.calls == 3:
-                    frame[0, 0] = np.nan
+                    frame[0, 0, 0] = np.nan
                 return frame, states
 
         rng = np.random.default_rng(9)
