@@ -36,6 +36,8 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 DATA_DIR_ENV = "SKELFLOW_DATA_DIR"
+# the default metric grid has 601 points
+MAX_GRID_POINTS = 1_000_000
 CLIP_EXTENSIONS = (".txt", ".bin")
 
 
@@ -88,6 +90,13 @@ class JobConfig:
             raise ValueError("noise_std must be >= 0")
         if self.grid_max <= 0 or self.grid_step <= 0:
             raise ValueError("metric grid must have positive extent and step")
+        # the point count of `_metric_grid`'s arange, which is the ceiling
+        # of this ratio
+        points = (self.grid_max + 0.5 * self.grid_step) / self.grid_step
+        if points > MAX_GRID_POINTS:
+            raise ValueError(
+                f"metric grid grid_max / grid_step has {points:.3g} points, "
+                f"more than {MAX_GRID_POINTS}")
         if self.min_duration_frames < 1:
             raise ValueError("min_duration_frames must be >= 1")
         if self.reference not in ("auto", "config", "self"):

@@ -347,20 +347,16 @@ def save_clip(clip, path, format="text"):
         raise ValueError(f"unknown clip format '{format}'")
 
 
-def load_clip(path, format="auto"):
-    """Read a clip; format 'auto' sniffs the binary magic bytes."""
-    if format == "auto":
-        with open(path, "rb") as fh:
-            magic = fh.read(8)
-        format = "binary" if magic == CLIP_MAGIC else "text"
-    if format == "binary":
+def load_clip(path):
+    """Read a clip, binary if it starts with the container magic, else text."""
+    with open(path, "rb") as fh:
+        magic = fh.read(8)
+    if magic == CLIP_MAGIC:
         return _read_binary(path)
-    if format == "text":
-        try:
-            return _read_text(path)
-        except UnicodeDecodeError as exc:
-            raise ClipParseError(f"{path}: not an ASCII text clip: {exc}") from None
-    raise ValueError(f"unknown clip format '{format}'")
+    try:
+        return _read_text(path)
+    except UnicodeDecodeError as exc:
+        raise ClipParseError(f"{path}: not an ASCII text clip: {exc}") from None
 
 
 # -- reference trajectory and controls ----------------------------------------------

@@ -146,76 +146,62 @@ def _any_var(*xs):
     return False
 
 
+def _node(op, value, grads):
+    """The tape node of op `op`: `value`, with the Var operands as parents.
+
+    `grads` pairs each operand with a function from the node's gradient to
+    that operand's; pairs whose operand is not a Var are dropped, and the
+    backward accumulates the rest in order.  The backward is named after
+    `op` because the bench's tape census names a node by the first part of
+    its `_bw.__qualname__`.
+    """
+    pairs = [(x, fn) for x, fn in grads if isinstance(x, Var)]
+
+    def bw(g):
+        for x, fn in pairs:
+            x._accum(fn(g))
+
+    bw.__qualname__ = op + ".<locals>.bw"
+    return Var(value, tuple(x for x, _ in pairs), bw)
+
+
 def add(a, b):
     if not _any_var(a, b):
         return _data(a) + _data(b)
     ad, bd = _data(a), _data(b)
-    out = Var(ad + bd, tuple(x for x in (a, b) if isinstance(x, Var)))
-
-    def bw(g):
-        if isinstance(a, Var):
-            a._accum(_unbroadcast(g, ad.shape))
-        if isinstance(b, Var):
-            b._accum(_unbroadcast(g, bd.shape))
-
-    out._bw = bw
-    return out
+    return _node("add", ad + bd, ((a, lambda g: _unbroadcast(g, ad.shape)),
+                                  (b, lambda g: _unbroadcast(g, bd.shape))))
 
 
 def sub(a, b):
     if not _any_var(a, b):
         return _data(a) - _data(b)
     ad, bd = _data(a), _data(b)
-    out = Var(ad - bd, tuple(x for x in (a, b) if isinstance(x, Var)))
-
-    def bw(g):
-        if isinstance(a, Var):
-            a._accum(_unbroadcast(g, ad.shape))
-        if isinstance(b, Var):
-            b._accum(_unbroadcast(-g, bd.shape))
-
-    out._bw = bw
-    return out
+    return _node("sub", ad - bd, ((a, lambda g: _unbroadcast(g, ad.shape)),
+                                  (b, lambda g: _unbroadcast(-g, bd.shape))))
 
 
 def mul(a, b):
     if not _any_var(a, b):
         return _data(a) * _data(b)
     ad, bd = _data(a), _data(b)
-    out = Var(ad * bd, tuple(x for x in (a, b) if isinstance(x, Var)))
-
-    def bw(g):
-        if isinstance(a, Var):
-            a._accum(_unbroadcast(g * bd, ad.shape))
-        if isinstance(b, Var):
-            b._accum(_unbroadcast(g * ad, bd.shape))
-
-    out._bw = bw
-    return out
+    return _node("mul", ad * bd, ((a, lambda g: _unbroadcast(g * bd, ad.shape)),
+                                  (b, lambda g: _unbroadcast(g * ad, bd.shape))))
 
 
 def div(a, b):
     if not _any_var(a, b):
         return _data(a) / _data(b)
     ad, bd = _data(a), _data(b)
-    out = Var(ad / bd, tuple(x for x in (a, b) if isinstance(x, Var)))
-
-    def bw(g):
-        if isinstance(a, Var):
-            a._accum(_unbroadcast(g / bd, ad.shape))
-        if isinstance(b, Var):
-            b._accum(_unbroadcast(-g * ad / (bd * bd), bd.shape))
-
-    out._bw = bw
-    return out
+    return _node("div", ad / bd, (
+        (a, lambda g: _unbroadcast(g / bd, ad.shape)),
+        (b, lambda g: _unbroadcast(-g * ad / (bd * bd), bd.shape))))
 
 
 def neg(a):
     if not isinstance(a, Var):
         return -_data(a)
-    out = Var(-a.data, (a,))
-    out._bw = lambda g: a._accum(-g)
-    return out
+    return _node("neg", -a.data, ((a, lambda g: -g),))
 
 
 def matmul(a, b):
@@ -225,35 +211,28 @@ def matmul(a, b):
         raise ValueError("matmul operands must be at least 2-d")
     if not _any_var(a, b):
         return ad @ bd
-    out = Var(ad @ bd, tuple(x for x in (a, b) if isinstance(x, Var)))
 
-    def bw(g):
-        if isinstance(a, Var):
-            a._accum(_unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape))
-        if isinstance(b, Var):
-            if bd.ndim == 2:
-                # a weight shared by every row: one GEMM over the flattened rows
-                b._accum(ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
-            else:
-                b._accum(_unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape))
+    def grad_b(g):
+        if bd.ndim == 2:
+            # a weight shared by every row: one GEMM over the flattened rows
+            return ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        return _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape)
 
-    out._bw = bw
-    return out
+    return _node("matmul", ad @ bd, (
+        (a, lambda g: _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape)),
+        (b, grad_b)))
 
 
 def vsum(a, axis=None, keepdims=False):
     if not isinstance(a, Var):
         return _data(a).sum(axis=axis, keepdims=keepdims)
-    out = Var(np.sum(a.data, axis=axis, keepdims=keepdims), (a,))
 
-    def bw(g):
-        gg = g
+    def grad_a(g):
         if not keepdims and axis is not None:
-            gg = np.expand_dims(g, axis)
-        a._accum(np.broadcast_to(gg, a.data.shape).copy() if np.shape(gg) != a.data.shape else gg)
+            g = np.expand_dims(g, axis)
+        return np.broadcast_to(g, a.data.shape).copy() if np.shape(g) != a.data.shape else g
 
-    out._bw = bw
-    return out
+    return _node("vsum", np.sum(a.data, axis=axis, keepdims=keepdims), ((a, grad_a),))
 
 
 def vmean(a, axis=None, keepdims=False):
@@ -275,18 +254,15 @@ def reshape(a, shape):
     data = np.reshape(a.data, shape)
     if data.shape == a.data.shape:
         return a
-    out = Var(data, (a,))
-    out._bw = lambda g: a._accum(np.reshape(g, a.data.shape))
-    return out
+    return _node("reshape", data, ((a, lambda g: np.reshape(g, a.data.shape)),))
 
 
 def transpose(a, axes):
     if not isinstance(a, Var):
         return _data(a).transpose(axes)
-    out = Var(np.transpose(a.data, axes), (a,))
     inv = np.argsort(axes)
-    out._bw = lambda g: a._accum(np.transpose(g, inv))
-    return out
+    return _node("transpose", np.transpose(a.data, axes),
+                 ((a, lambda g: np.transpose(g, inv)),))
 
 
 def getitem(a, key):
@@ -301,46 +277,36 @@ def concat(parts, axis):
     if not _any_var(*parts):
         return np.concatenate([_data(p) for p in parts], axis=axis)
     datas = [_data(p) for p in parts]
-    out = Var(np.concatenate(datas, axis=axis), tuple(p for p in parts if isinstance(p, Var)))
-    sizes = [d.shape[axis] for d in datas]
-
-    def bw(g):
-        offset = 0
-        for p, n in zip(parts, sizes):
-            if isinstance(p, Var):
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(offset, offset + n)
-                p._accum(g[tuple(idx)])
-            offset += n
-
-    out._bw = bw
-    return out
+    out = np.concatenate(datas, axis=axis)
+    grads, offset = [], 0
+    for p, d in zip(parts, datas):
+        idx = [slice(None)] * out.ndim
+        idx[axis] = slice(offset, offset + d.shape[axis])
+        # the key is bound per part; a closure over the loop variable
+        # would hand every part the last slice
+        grads.append((p, lambda g, key=tuple(idx): g[key]))
+        offset += d.shape[axis]
+    return _node("concat", out, grads)
 
 
 def log(a):
     if not isinstance(a, Var):
         return np.log(_data(a))
-    out = Var(np.log(a.data), (a,))
-    out._bw = lambda g: a._accum(g / a.data)
-    return out
+    return _node("log", np.log(a.data), ((a, lambda g: g / a.data),))
 
 
 def tanh(a):
     if not isinstance(a, Var):
         return np.tanh(_data(a))
     td = np.tanh(a.data)
-    out = Var(td, (a,))
-    out._bw = lambda g: a._accum(g * (1.0 - td * td))
-    return out
+    return _node("tanh", td, ((a, lambda g: g * (1.0 - td * td)),))
 
 
 def sigmoid(a):
     if not isinstance(a, Var):
         return expit(_data(a))
     sd = expit(a.data)
-    out = Var(sd, (a,))
-    out._bw = lambda g: a._accum(g * sd * (1.0 - sd))
-    return out
+    return _node("sigmoid", sd, ((a, lambda g: g * sd * (1.0 - sd)),))
 
 
 def relu(a):
@@ -349,18 +315,14 @@ def relu(a):
         return np.maximum(ad, 0.0)
     # np.maximum (not where) so non-finite inputs stay visible in the output
     mask = a.data > 0.0
-    out = Var(np.maximum(a.data, 0.0), (a,))
-    out._bw = lambda g: a._accum(g * mask)
-    return out
+    return _node("relu", np.maximum(a.data, 0.0), ((a, lambda g: g * mask),))
 
 
 def absolute(a):
     if not isinstance(a, Var):
         return np.abs(_data(a))
     sgn = np.sign(a.data)
-    out = Var(np.abs(a.data), (a,))
-    out._bw = lambda g: a._accum(g * sgn)
-    return out
+    return _node("absolute", np.abs(a.data), ((a, lambda g: g * sgn),))
 
 
 def logabsdet(a):
@@ -377,14 +339,8 @@ def logabsdet(a):
         raise SingularMatrixError(f"matrix is singular to working precision (log|det|={ld:.3g})")
     if not isinstance(a, Var):
         return float(ld)
-    out = Var(ld, (a,))
     inv_t = np.linalg.inv(ad).T
-
-    def bw(g):
-        a._accum(g * inv_t)
-
-    out._bw = bw
-    return out
+    return _node("logabsdet", ld, ((a, lambda g: g * inv_t),))
 
 
 # -- fused layer ops: one tape node each, with a hand-written backward --------

@@ -20,7 +20,9 @@ rest are optional.  Lines starting with '#' are comments.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -49,6 +51,10 @@ class SkeletonSpec:
     mirror_pairs: tuple = ()
     groups: dict = field(default_factory=dict)
     bone_lengths_cm: tuple = None
+
+    def __post_init__(self):
+        # read-only, so a spec can be shared (see `default_skeleton`)
+        object.__setattr__(self, "groups", MappingProxyType(dict(self.groups)))
 
     def adjacency(self):
         a = np.zeros((self.marker_count, self.marker_count), dtype=np.float64)
@@ -215,8 +221,10 @@ def to_config_text(spec):
     return "\n".join(lines) + "\n"
 
 
+@functools.lru_cache(maxsize=None)
 def default_skeleton():
-    """The 21-marker locomotion skeleton shipped with the package."""
+    """The 21-marker locomotion skeleton shipped with the package, built
+    once per process; every call returns the same spec."""
     text = _resources.files("skelflow").joinpath("skeletons/locomotion21.txt").read_text()
     return build_skeleton(text)
 

@@ -290,6 +290,26 @@ class TestEvaluate:
         assert f"clip has {markers} markers but the skeleton has 21" \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [("--grid-step", "1e-12"),
+                                            ("--grid-max", "1e300"),
+                                            ("--grid-max", "1e15")])
+    def test_oversized_metric_grid_is_config_error(self, workspace, tmp_path,
+                                                   capsys, flag, value):
+        out = tmp_path / "o"
+        assert run(["evaluate", "--clips", workspace["synth"], "--out", str(out),
+                    flag, value]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert f"more than {cli.MAX_GRID_POINTS}" in err
+        assert not out.exists()
+
+    def test_largest_metric_grid_is_accepted(self):
+        config = cli.JobConfig(grid_max=float(cli.MAX_GRID_POINTS - 1), grid_step=1.0)
+        config.validate()
+        assert len(cli._metric_grid(config)) == cli.MAX_GRID_POINTS
+        with pytest.raises(ValueError, match="points"):
+            cli.JobConfig(grid_max=float(cli.MAX_GRID_POINTS), grid_step=1.0).validate()
+
     def test_missing_clips_flag_is_config_error(self, tmp_path, monkeypatch):
         monkeypatch.delenv(cli.DATA_DIR_ENV, raising=False)
         assert run(["evaluate", "--out",

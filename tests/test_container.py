@@ -148,7 +148,7 @@ def test_checkpoint_container_fault_is_typed(good_checkpoint, tmp_path, fault):
 def test_clip_container_fault_is_typed(good_clip, tmp_path, fault):
     bad = _corrupt(good_clip, CONTAINER_FAULTS[fault], tmp_path, "bad.bin")
     with pytest.raises(ClipFormatError):
-        data.load_clip(bad, format="binary")
+        data.load_clip(bad)
 
 
 @pytest.mark.parametrize("fault", sorted(CLIP_FAULTS))

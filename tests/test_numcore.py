@@ -220,6 +220,53 @@ def test_elementwise_backward_formulas():
         assert np.max(np.abs(g - num)) < 1e-6, op
 
 
+# (op, build): `build(v, c)` makes one node from the Var `v` and, for
+# binary ops, the ndarray `c`; each op is tried with the Var on either side
+CENSUS_OPS = [
+    ("add", lambda v, c: nc.add(v, c)),
+    ("add", lambda v, c: nc.add(c, v)),
+    ("sub", lambda v, c: nc.sub(v, c)),
+    ("sub", lambda v, c: nc.sub(c, v)),
+    ("mul", lambda v, c: nc.mul(v, c)),
+    ("mul", lambda v, c: nc.mul(c, v)),
+    ("div", lambda v, c: nc.div(v, c)),
+    ("div", lambda v, c: nc.div(c, v)),
+    ("neg", lambda v, c: nc.neg(v)),
+    ("matmul", lambda v, c: nc.matmul(v, c)),
+    ("matmul", lambda v, c: nc.matmul(c, v)),
+    ("vsum", lambda v, c: nc.vsum(v, axis=0)),
+    ("reshape", lambda v, c: nc.reshape(v, (9,))),
+    ("transpose", lambda v, c: nc.transpose(v, (1, 0))),
+    ("concat", lambda v, c: nc.concat([v, c], axis=1)),
+    ("concat", lambda v, c: nc.concat([c, v, c], axis=0)),
+    ("log", lambda v, c: nc.log(v)),
+    ("tanh", lambda v, c: nc.tanh(v)),
+    ("sigmoid", lambda v, c: nc.sigmoid(v)),
+    ("relu", lambda v, c: nc.relu(v)),
+    ("absolute", lambda v, c: nc.absolute(v)),
+    ("logabsdet", lambda v, c: nc.logabsdet(v)),
+]
+
+
+@pytest.mark.parametrize("name,build", CENSUS_OPS,
+                         ids=[f"{n}-{i}" for i, (n, _) in enumerate(CENSUS_OPS)])
+def test_node_has_only_var_parents_and_names_its_op(name, build):
+    # the bench's tape census names a node by this qualname prefix
+    v = nc.Var(np.eye(3) + 0.5)
+    node = build(v, np.full((3, 3), 2.0))
+    assert node._parents == (v,)
+    assert node._bw.__qualname__.split(".")[0] == name
+
+
+def test_concat_hands_each_part_its_own_slice():
+    rng = np.random.default_rng(8)
+    parts = [nc.Var(rng.normal(size=(2, n))) for n in (1, 3, 2)]
+    w = rng.normal(size=(2, 6))
+    grads = nc.grad(nc.vsum(nc.mul(nc.concat(parts, axis=-1), w)), parts)
+    assert [g.tolist() for g in grads] == [w[:, :1].tolist(), w[:, 1:4].tolist(),
+                                           w[:, 4:].tolist()]
+
+
 # --- grad_check -----------------------------------------------------------
 
 def test_grad_check_sum_of_squares():

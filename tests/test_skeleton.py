@@ -64,6 +64,27 @@ def test_default_skeleton_parses():
     assert len(spec.mirror_pairs) == 8
 
 
+def test_default_skeleton_is_built_once():
+    assert sk.default_skeleton() is sk.default_skeleton()
+
+
+def test_groups_are_read_only():
+    spec = sk.default_skeleton()
+    with pytest.raises(TypeError):
+        spec.groups["right_arm"] = (0,)
+    with pytest.raises(TypeError):
+        spec.groups["new"] = (1, 2)
+    assert spec.groups["right_arm"] == (18, 19, 20)
+
+
+def test_groups_do_not_alias_the_callers_dict():
+    groups = {"pair": (0, 1)}
+    spec = sk.SkeletonSpec(marker_count=2, edges=((0, 1),), center_marker=0,
+                           heel_markers=(0, 1), groups=groups)
+    groups["pair"] = (1,)
+    assert spec.groups["pair"] == (0, 1)
+
+
 def test_mirror_permutation_is_involution():
     spec = sk.default_skeleton()
     perm = spec.mirror_permutation()
