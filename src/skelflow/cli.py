@@ -193,23 +193,6 @@ def _metric_grid(config):
 # -- synth ------------------------------------------------------------------------------
 
 
-def _truth_dict(spec_string, steps, fps, seed, truth):
-    return {
-        "path_spec": spec_string,
-        "steps": steps,
-        "fps": fps,
-        "seed": seed,
-        "step_count": truth.step_count,
-        "cadence": truth.cadence,
-        "speed": truth.speed,
-        "duty": truth.duty,
-        "heel_markers": list(truth.heel_markers),
-        "bone_lengths": [float(b) for b in truth.bone_lengths],
-        "footstep_intervals": [[float(a), float(b), int(heel)]
-                               for a, b, heel in truth.footstep_intervals],
-    }
-
-
 def cmd_synth(config):
     out = _ensure_out(config)
     written = []
@@ -220,9 +203,9 @@ def cmd_synth(config):
         clip_path = os.path.join(out, _clip_name("clip", i, config))
         _data.save_clip(clip, clip_path, format=config.clip_format)
         truth_path = os.path.join(out, f"clip_{i:03d}.truth.json")
-        _write_text(truth_path, _canonical_json(
-            _truth_dict(spec_string, config.walker_steps, config.fps,
-                        config.seed + 1000 * i, truth)))
+        _write_text(truth_path, _canonical_json({
+            "path_spec": spec_string, "steps": config.walker_steps,
+            "fps": config.fps, "seed": config.seed + 1000 * i, **asdict(truth)}))
         written.extend([clip_path, truth_path])
         print(f"wrote {os.path.basename(clip_path)} "
               f"({truth.step_count} steps along {spec_string})")
@@ -244,17 +227,9 @@ def _clip_paths(directory):
 
 
 def _ingest_directory(directory, fps, spec):
-    out = []
-    for p in _clip_paths(directory):
-        clip = _data.load_clip(p)
-        clip = _data.resample(clip, target_fps=fps)
-        rel = clip if clip.root_relative else _data.to_root_relative(
-            clip, skeleton_spec=spec)
-        for w in _data.windows(rel):
-            out.extend(_data.augment(w, spec))
-    if not out:
-        raise ValueError("ingested clips are shorter than one training window")
-    return out
+    return _training.augmented_windows(
+        (_data.resample(_data.load_clip(p), target_fps=fps)
+         for p in _clip_paths(directory)), spec)
 
 
 def _training_windows(config, spec):

@@ -21,8 +21,9 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import MISSING, dataclass, field, replace
+from dataclasses import MISSING, dataclass, replace
 
 import numpy as np
 
@@ -56,11 +57,12 @@ class PathSpecError(ValueError):
 
 @dataclass
 class MotionClip:
-    """A marker sequence with its control track.
+    """A marker sequence with its control track; a training window is a
+    MotionClip too.
 
-    positions: (M, 3, T) cm.  controls: (3, T).  fps > 0.  root_relative
-    tells whether positions live in the heading-aligned root frame (True)
-    or in world coordinates (False).
+    positions: (M, 3, T) cm with T >= 1.  controls: (3, T).  fps finite and
+    > 0.  root_relative tells whether positions live in the heading-aligned
+    root frame (True) or in world coordinates (False).
     """
 
     positions: np.ndarray
@@ -78,14 +80,18 @@ class MotionClip:
             raise ClipFormatError(
                 f"positions must be (markers, 3, frames), got {self.positions.shape}")
         frames = self.positions.shape[2]
+        if frames < 1:
+            raise ClipFormatError("clip has no frames")
         if self.controls.shape != (3, frames):
             raise ClipFormatError(
                 f"controls must be (3, {frames}), got {self.controls.shape}")
-        if not self.fps > 0:
-            raise ClipFormatError(f"fps must be positive, got {self.fps}")
-        if not np.all(np.isfinite(self.positions)):
+        if not 0 < self.fps < math.inf:
+            raise ClipFormatError(f"fps must be finite and positive, got {self.fps}")
+        # `.all()` as a method costs less per call than `np.all`, and every
+        # training window from `windows` and `augment` pays these checks
+        if not np.isfinite(self.positions).all():
             raise ClipFormatError("positions contain non-finite values")
-        if not np.all(np.isfinite(self.controls)):
+        if not np.isfinite(self.controls).all():
             raise ClipFormatError("controls contain non-finite values")
 
     @property
@@ -103,48 +109,6 @@ class MotionClip:
     def copy(self):
         return MotionClip(self.positions.copy(), self.controls.copy(),
                           self.fps, self.root_relative, self.source)
-
-
-@dataclass
-class TrainingWindow:
-    """Fixed-length training slice with its augmentation provenance."""
-
-    positions: np.ndarray
-    controls: np.ndarray
-    fps: float
-    root_relative: bool = True
-    source: str = ""
-    start_frame: int = 0
-    mirrored: bool = False
-    time_reversed: bool = False
-
-    def __post_init__(self):
-        self.positions = np.ascontiguousarray(np.asarray(self.positions, dtype=np.float64))
-        self.controls = np.ascontiguousarray(np.asarray(self.controls, dtype=np.float64))
-        if self.positions.ndim != 3 or self.positions.shape[1] != 3:
-            raise ClipFormatError(
-                f"window positions must be (markers, 3, frames), got {self.positions.shape}")
-        if self.controls.shape != (3, self.positions.shape[2]):
-            raise ClipFormatError(
-                f"window controls must be (3, {self.positions.shape[2]}), "
-                f"got {self.controls.shape}")
-
-    @property
-    def length(self):
-        return self.positions.shape[2]
-
-    @property
-    def duration(self):
-        return self.length / self.fps
-
-    @property
-    def provenance(self):
-        tags = []
-        if self.mirrored:
-            tags.append("mirrored")
-        if self.time_reversed:
-            tags.append("reversed")
-        return "+".join(tags) if tags else "original"
 
 
 # -- clip files ---------------------------------------------------------------------
@@ -532,7 +496,7 @@ def windows(clip, length=DEFAULT_WINDOW_FRAMES, overlap=0.5):
     """Slice a clip into fixed-length windows; trailing partials drop.
 
     Stride is length * (1 - overlap); a clip shorter than one window yields
-    an empty list.
+    an empty list.  Each window is a MotionClip that owns its arrays.
     """
     if length < 1:
         raise ValueError("window length must be >= 1")
@@ -541,10 +505,9 @@ def windows(clip, length=DEFAULT_WINDOW_FRAMES, overlap=0.5):
     stride = max(1, int(round(length * (1.0 - overlap))))
     out = []
     for start in range(0, clip.frame_count - length + 1, stride):
-        out.append(TrainingWindow(
-            clip.positions[:, :, start:start + length].copy(),
-            clip.controls[:, start:start + length].copy(),
-            clip.fps, clip.root_relative, clip.source, start_frame=start))
+        out.append(replace(
+            clip, positions=clip.positions[:, :, start:start + length].copy(),
+            controls=clip.controls[:, start:start + length].copy()))
     return out
 
 
@@ -561,8 +524,7 @@ def mirror_window(window, skeleton_spec):
     controls = window.controls.copy()
     controls[1] = -controls[1]
     controls[2] = -controls[2]
-    return replace(window, positions=positions, controls=controls,
-                   mirrored=not window.mirrored)
+    return replace(window, positions=positions, controls=controls)
 
 
 def reverse_sequence(frames, controls):
@@ -585,8 +547,7 @@ def reverse_sequence(frames, controls):
 def reverse_window(window):
     """Time reversal of a window (`reverse_sequence`)."""
     positions, controls = reverse_sequence(window.positions, window.controls)
-    return replace(window, positions=positions, controls=controls,
-                   time_reversed=not window.time_reversed)
+    return replace(window, positions=positions, controls=controls)
 
 
 def augment(window, skeleton_spec):

@@ -78,6 +78,9 @@ def _check_index(value, m, what, line_no):
 
 def build_skeleton(config_text):
     """Parse skeleton config text into a validated SkeletonSpec."""
+    if not isinstance(config_text, str):
+        raise SkeletonConfigError(
+            f"skeleton config must be text, got {type(config_text).__name__}")
     markers = None
     center = None
     heels = None
@@ -128,6 +131,9 @@ def build_skeleton(config_text):
         raise SkeletonConfigError("config must declare a center marker")
     if heels is None:
         raise SkeletonConfigError("config must declare two heel markers")
+    if len(edges) < markers - 1:
+        raise SkeletonConfigError(
+            f"{markers} markers need at least {markers - 1} edge lines, got {len(edges)}")
 
     _check_index(center, markers, "center marker", 0)
     _check_index(root, markers, "root marker", 0)
@@ -157,7 +163,9 @@ def build_skeleton(config_text):
     missing = np.flatnonzero(hop_distances(
         SkeletonSpec(markers, tuple(norm_edges), center, heels))[0] < 0).tolist()
     if missing:
-        raise DisconnectedGraphError(f"markers {missing} are not reachable from marker 0")
+        more = f" and {len(missing) - 3} more" if len(missing) > 3 else ""
+        raise DisconnectedGraphError(
+            f"markers {missing[:3]}{more} are not reachable from marker 0")
 
     used = set()
     for a, b in mirror:

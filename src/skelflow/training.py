@@ -98,26 +98,29 @@ class TrainLog:
         return "\n".join(lines) + "\n"
 
 
-def synthetic_corpus(specs=DEFAULT_CORPUS_SPECS, steps=24, fps=20.0, seed=0,
-                     noise_std=0.25, skeleton_spec=None,
-                     window_length=_data.DEFAULT_WINDOW_FRAMES, overlap=0.5):
-    """Windowed, augmented, root-relative gait windows for training.
-
-    One walker per path spec, each with its own sub-seed, then the standard
-    pipeline: root-relative transform, fixed-length windowing, 4-way
-    mirror/reversal augmentation.
-    """
-    skeleton_spec = skeleton_spec or _skeleton.default_skeleton()
+def augmented_windows(clips, skeleton_spec):
+    """Root-relative training windows of clips: each clip goes to the root
+    frame, is cut by `data.windows` and each window gets its four
+    `data.augment` variants, in clip and window order."""
     out = []
-    for i, spec in enumerate(specs):
-        clip, _ = _data.synth_gait(spec, steps=steps, fps=fps,
-                                   seed=seed + 1000 * i, noise_std=noise_std)
+    for clip in clips:
         rel = _data.to_root_relative(clip, skeleton_spec=skeleton_spec)
-        for window in _data.windows(rel, length=window_length, overlap=overlap):
+        for window in _data.windows(rel):
             out.extend(_data.augment(window, skeleton_spec))
     if not out:
-        raise ValueError("corpus specs produced no windows")
+        raise ValueError("clips are shorter than one training window")
     return out
+
+
+def synthetic_corpus(specs=DEFAULT_CORPUS_SPECS, steps=24, fps=20.0, seed=0,
+                     noise_std=0.25, skeleton_spec=None):
+    """Training windows (`augmented_windows`) of one synthetic walker per
+    path spec, each with its own sub-seed."""
+    skeleton_spec = skeleton_spec or _skeleton.default_skeleton()
+    return augmented_windows(
+        (_data.synth_gait(spec, steps=steps, fps=fps, seed=seed + 1000 * i,
+                          noise_std=noise_std)[0]
+         for i, spec in enumerate(specs)), skeleton_spec)
 
 
 def split_corpus(window_list, holdout_every=5):

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -58,6 +59,13 @@ class TestSynth:
         assert truth["step_count"] == 12
         assert truth["path_spec"] == "line:speed=70"
         assert len(truth["footstep_intervals"]) == 12
+
+    def test_truth_keys_are_gait_truth_plus_job_keys(self, workspace):
+        truth = json.load(open(os.path.join(workspace["synth"],
+                                            "clip_001.truth.json")))
+        assert set(truth) == {f.name for f in dataclasses.fields(data.GaitTruth)} | {
+            "path_spec", "steps", "fps", "seed"}
+        assert (truth["path_spec"], truth["seed"]) == ("circle:radius=250", 1003)
 
     def test_manifest_hashes_match_files(self, workspace):
         manifest = json.load(open(os.path.join(workspace["synth"],
@@ -309,6 +317,16 @@ class TestEvaluate:
         assert len(cli._metric_grid(config)) == cli.MAX_GRID_POINTS
         with pytest.raises(ValueError, match="points"):
             cli.JobConfig(grid_max=float(cli.MAX_GRID_POINTS), grid_step=1.0).validate()
+
+    def test_skeleton_with_too_few_edges_is_config_error(self, workspace, tmp_path,
+                                                         capsys):
+        big = tmp_path / "big.txt"
+        big.write_text("markers 3000\ncenter 0\nheels 0 1\n")
+        assert run(["evaluate", "--clips", workspace["synth"], "--skeleton", str(big),
+                    "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == ("config error: 3000 markers need at least 2999 "
+                       "edge lines, got 0\n")
 
     def test_missing_clips_flag_is_config_error(self, tmp_path, monkeypatch):
         monkeypatch.delenv(cli.DATA_DIR_ENV, raising=False)

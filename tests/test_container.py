@@ -55,6 +55,10 @@ CHECKPOINT_FAULTS = {
         raw, lambda h: h["config"].update(history=str(h["config"]["history"]))),
     "bad_skeleton_text": lambda raw: _with_header(
         raw, lambda h: h.update(skeleton_text="markers two\n")),
+    "numeric_skeleton_text": lambda raw: _with_header(
+        raw, lambda h: h.update(skeleton_text=5)),
+    "list_skeleton_text": lambda raw: _with_header(
+        raw, lambda h: h.update(skeleton_text=h["skeleton_text"].splitlines())),
     "non_numeric_shape": lambda raw: _with_header(
         raw, lambda h: h["params"][0].__setitem__(1, ["x"])),
     "negative_shape": lambda raw: _with_header(
@@ -75,6 +79,32 @@ TEXT_CLIP_FAULTS = {
     "frames_not_a_number": lambda raw: raw.replace(b"# frames 11", b"# frames abc"),
     "root_relative_not_a_number": lambda raw: raw.replace(
         b"# root_relative 0", b"# root_relative yes"),
+}
+
+
+def _zero_frame_bin(root_relative):
+    def write(path):
+        header = {"channels": 3, "fps": 20.0, "frames": 0, "markers": 21,
+                  "root_relative": root_relative, "source": "", "version": 1}
+        data.write_container(path, data.CLIP_MAGIC, header,
+                             (np.empty((21, 3, 0)), np.empty((3, 0))))
+    return write
+
+
+def _infinite_fps_text(path):
+    clip, _ = data.synth_gait("line:speed=70", steps=8)
+    data.save_clip(clip, path, "text")
+    raw = path.read_bytes()
+    assert b"# fps 20\n" in raw
+    path.write_bytes(raw.replace(b"# fps 20\n", b"# fps inf\n"))
+
+
+# Clip files that parse but break a MotionClip invariant (at least one
+# frame, finite positive fps); each row writes one to the given path.
+INVALID_CLIPS = {
+    "zero_frames_root_relative.bin": _zero_frame_bin(True),
+    "zero_frames_world.bin": _zero_frame_bin(False),
+    "infinite_fps.txt": _infinite_fps_text,
 }
 
 
@@ -207,6 +237,20 @@ def test_evaluate_with_bad_text_clip_exits_io(good_text_clip, tmp_path, capsys, 
     assert bad.read_bytes() != good_text_clip.read_bytes()
     with pytest.raises(ClipParseError):
         data.load_clip(bad)
+    code = cli.main(["evaluate", "--clips", str(clips),
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_IO
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_CLIPS))
+def test_evaluate_with_invalid_clip_exits_io(tmp_path, capsys, name):
+    clips = tmp_path / "clips"
+    clips.mkdir()
+    INVALID_CLIPS[name](clips / name)
+    with pytest.raises(ClipFormatError):
+        data.load_clip(clips / name)
     code = cli.main(["evaluate", "--clips", str(clips),
                      "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err

@@ -63,6 +63,15 @@ class TestMotionClip:
         with pytest.raises(ClipFormatError):
             MotionClip(np.zeros((5, 3, 7)), np.zeros((3, 7)), 0.0)
 
+    @pytest.mark.parametrize("fps", [np.inf, np.nan])
+    def test_rejects_non_finite_fps(self, fps):
+        with pytest.raises(ClipFormatError, match="fps must be finite"):
+            MotionClip(np.zeros((5, 3, 7)), np.zeros((3, 7)), fps)
+
+    def test_rejects_zero_frames(self):
+        with pytest.raises(ClipFormatError, match="no frames"):
+            MotionClip(np.zeros((5, 3, 0)), np.zeros((3, 0)), 20.0)
+
     def test_rejects_nan(self):
         bad = np.zeros((5, 3, 7))
         bad[2, 1, 3] = np.nan
@@ -218,8 +227,17 @@ class TestWindows:
                           root_relative=True)
 
     def test_160_frames_give_three_windows(self):
-        out = data.windows(self._clip(160), length=80, overlap=0.5)
-        assert [w.start_frame for w in out] == [0, 40, 80]
+        rng = np.random.default_rng(4)
+        clip = _random_clip(rng, frames=160, root_relative=True, source="s")
+        out = data.windows(clip, length=80, overlap=0.5)
+        assert len(out) == 3
+        for k, w in enumerate(out):
+            # window k is the clip slice at k * stride, in its own arrays
+            assert np.array_equal(w.positions, clip.positions[:, :, 40 * k:40 * k + 80])
+            assert np.array_equal(w.controls, clip.controls[:, 40 * k:40 * k + 80])
+            assert not np.shares_memory(w.positions, clip.positions)
+            assert not np.shares_memory(w.controls, clip.controls)
+            assert (w.fps, w.root_relative, w.source) == (25.0, True, "s")
 
     def test_exact_fit_gives_one_window(self):
         assert len(data.windows(self._clip(80))) == 1
@@ -229,8 +247,8 @@ class TestWindows:
 
     def test_window_spans_four_seconds_at_20fps(self):
         w = data.windows(self._clip(80), length=80)[0]
-        assert w.length == 80
-        assert w.duration == 4.0
+        assert w.frame_count == 80
+        assert w.frame_count / w.fps == 4.0
 
     def test_bad_overlap_rejected(self):
         with pytest.raises(ValueError):
@@ -247,16 +265,21 @@ def _window_from(clip, skel, length=80):
 class TestAugment:
     def test_yields_four_variants(self, walker, skel):
         win = _window_from(walker[0], skel)
+        mirrored = data.mirror_window(win, skel)
+        expect = [win, mirrored, data.reverse_window(win),
+                  data.reverse_window(mirrored)]
         out = data.augment(win, skel)
-        assert [w.provenance for w in out] == [
-            "original", "mirrored", "reversed", "mirrored+reversed"]
+        assert len(out) == 4
+        for got, want in zip(out, expect):
+            assert isinstance(got, MotionClip)
+            assert np.array_equal(got.positions, want.positions)
+            assert np.array_equal(got.controls, want.controls)
 
     def test_mirror_twice_is_identity(self, walker, skel):
         win = _window_from(walker[0], skel)
         back = data.mirror_window(data.mirror_window(win, skel), skel)
         assert np.array_equal(back.positions, win.positions)
         assert np.array_equal(back.controls, win.controls)
-        assert back.provenance == "original"
 
     def test_reverse_twice_is_identity(self, walker, skel):
         win = _window_from(walker[0], skel)
@@ -383,8 +406,8 @@ class TestRootRelative:
 
 class TestStandardizeFit:
     def _windows(self, rng, n=3, markers=4, length=20):
-        return [data.TrainingWindow(rng.normal(size=(markers, 3, length)) * 3 + 1,
-                                    rng.normal(size=(3, length)), 20.0)
+        return [MotionClip(rng.normal(size=(markers, 3, length)) * 3 + 1,
+                           rng.normal(size=(3, length)), 20.0)
                 for _ in range(n)]
 
     def test_matches_two_pass_oracle(self):
@@ -402,8 +425,8 @@ class TestStandardizeFit:
         rng = np.random.default_rng(11)
         ws = self._windows(rng, n=6, length=400)
         mean, std = data.standardize_fit(ws)
-        zs = [data.TrainingWindow((w.positions - mean[:, :, None]) / std[:, :, None],
-                                  w.controls, w.fps) for w in ws]
+        zs = [MotionClip((w.positions - mean[:, :, None]) / std[:, :, None],
+                         w.controls, w.fps) for w in ws]
         m2, s2 = data.standardize_fit(zs)
         np.testing.assert_allclose(m2, 0.0, atol=1e-12)
         np.testing.assert_allclose(s2, 1.0, atol=1e-12)

@@ -93,9 +93,35 @@ def test_mirror_permutation_is_involution():
 
 
 def test_parse_rejects_disconnected():
-    text = "markers 4\ncenter 0\nheels 0 1\nedge 0 1\nedge 2 3"
+    # M-1 edges, but 2-3-4 is a cycle apart from 0-1
+    text = "markers 5\ncenter 0\nheels 0 1\nedge 0 1\nedge 2 3\nedge 3 4\nedge 2 4"
     with pytest.raises(sk.DisconnectedGraphError,
-                       match=r"^markers \[2, 3\] are not reachable from marker 0$"):
+                       match=r"^markers \[2, 3, 4\] are not reachable from marker 0$"):
+        sk.build_skeleton(text)
+
+
+def test_disconnected_error_lists_a_few_markers():
+    text = ("markers 8\ncenter 0\nheels 0 1\nedge 0 1\n"
+            + "".join(f"edge {i} {i + 1}\n" for i in range(2, 7)) + "edge 2 7\n")
+    with pytest.raises(sk.DisconnectedGraphError,
+                       match=r"^markers \[2, 3, 4\] and 3 more are not reachable"):
+        sk.build_skeleton(text)
+
+
+def test_too_few_edge_lines_rejected_before_graph_search(monkeypatch):
+    def no_search(spec):
+        raise AssertionError("graph searched")
+    monkeypatch.setattr(sk, "hop_distances", no_search)
+    with pytest.raises(sk.SkeletonConfigError,
+                       match=r"^3000 markers need at least 2999 edge lines, got 0$"):
+        sk.build_skeleton("markers 3000\ncenter 0\nheels 0 1\n")
+    with pytest.raises(sk.SkeletonConfigError, match="need at least 3 edge lines"):
+        sk.build_skeleton("markers 4\ncenter 0\nheels 0 1\nedge 0 1\nedge 2 3")
+
+
+@pytest.mark.parametrize("text", [5, ["markers 2"], None, b"markers 2\n"])
+def test_parse_rejects_non_text(text):
+    with pytest.raises(sk.SkeletonConfigError, match="must be text"):
         sk.build_skeleton(text)
 
 

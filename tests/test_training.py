@@ -1,5 +1,6 @@
 """Tests for corpus assembly and the seeded training loop."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,11 @@ import skelflow.training as training
 
 from conftest import TINY_SKELETON_TEXT, make_tiny_config
 from oracles import segment_nll_per_frame
+
+# sha256 of the 112 windows of `training.synthetic_corpus()`, each window's
+# positions, controls, then "fps source\n"
+DEFAULT_CORPUS_SHA256 = (
+    "b76217fa268e7dd8843330cbce2862ea6d903ab681fc8ed5f4736d2c3dfd813d")
 
 
 def small_model(seed=0, history=4):
@@ -57,8 +63,31 @@ class TestSyntheticCorpus:
             assert w.root_relative
 
     def test_augmentation_provenance_mix(self, corpus):
-        assert sorted(w.provenance for w in corpus) == [
-            "mirrored", "mirrored+reversed", "original", "reversed"]
+        # the corpus is the walker's one window and its three augmented variants
+        clip, _ = data.synth_gait("line:speed=70", steps=12, noise_std=0.25)
+        spec = skeleton.default_skeleton()
+        window = data.windows(data.to_root_relative(clip, spec))[0]
+        expect = data.augment(window, spec)
+        assert len(corpus) == len(expect)
+        for got, want in zip(corpus, expect):
+            np.testing.assert_array_equal(got.positions, want.positions)
+            np.testing.assert_array_equal(got.controls, want.controls)
+
+    def test_default_corpus_is_pinned(self):
+        # every window's bytes in order; a change to the walker, windowing
+        # or augmentation shows here (the bench only checks that set-up
+        # repeats)
+        digest = hashlib.sha256()
+        for w in training.synthetic_corpus():
+            digest.update(w.positions.tobytes())
+            digest.update(w.controls.tobytes())
+            digest.update(f"{w.fps!r} {w.source}\n".encode())
+        assert digest.hexdigest() == DEFAULT_CORPUS_SHA256
+
+    def test_clips_shorter_than_a_window_are_rejected(self):
+        clip, _ = data.synth_gait("line:speed=70", steps=2)
+        with pytest.raises(ValueError, match="shorter than one training window"):
+            training.augmented_windows([clip], skeleton.default_skeleton())
 
     def test_deterministic_given_seed(self):
         a = small_corpus()
