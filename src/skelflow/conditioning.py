@@ -5,7 +5,7 @@ to the coupling scale/offset.
 
 Array layouts:
   history features           (B, M, C, T)
-  encoder internal           (B, T, M, channels)
+  encoder internal           (B, M, T, channels), marker-major
   per-frame pose slices      (B, M, channels)
 
 All layers run on plain ndarrays or on numcore Vars; parameters are float64.
@@ -64,7 +64,7 @@ class SpatialGraphConv(nc.Module):
 
     def __init__(self, adjacency, in_channels, out_channels, rng):
         self.adjacency = adjacency  # PartitionedAdjacency, frozen
-        self._stacked = nc.interleave_mixes(adjacency.matrices)
+        self.stacked = nc.interleave_mixes(adjacency.matrices)
         d = adjacency.kernel_scale
         scale = 1.0 / np.sqrt(in_channels * d)
         self.weight = rng.normal(0.0, scale, size=(d, in_channels, out_channels))
@@ -72,7 +72,7 @@ class SpatialGraphConv(nc.Module):
 
     def __call__(self, x):
         # x: (..., M, in_channels)
-        return nc.mix_project(x, self._stacked, self.weight, self.bias)
+        return nc.mix_project(x, self.stacked, self.weight, self.bias)
 
 
 def reflect_shifts(t, kernel_size):
@@ -102,10 +102,12 @@ class TemporalConv(nc.Module):
     Symmetric (edge-reflecting) padding keeps the output length equal to the
     input length.  Requires T >= (kernel - 1) // 2.  The padding and taps
     are one fixed stack of shift matrices per history length (see
-    `reflect_shifts`), folded into the kernel as one dense operator and
-    applied by the fused `nc.temporal_conv`.  While the kernel is a plain
-    ndarray (rollout, evaluation) the layer keeps the operator it built,
-    and rebuilds it when T or the kernel's bytes change.
+    `reflect_shifts`), folded into the kernel as one dense operator.  The
+    history encoder takes them from `operator` for `nc.graph_temporal_encoder`;
+    called on its own, the layer applies them with `nc.temporal_conv`.
+    While the kernel is a plain ndarray (rollout, evaluation) the layer
+    keeps the operator it built, and rebuilds it when T or the kernel's
+    bytes change.
     """
 
     param_attrs = ("kernel", "bias")
@@ -122,25 +124,33 @@ class TemporalConv(nc.Module):
         self._built_from = None  # bytes of the kernel the operator was built from
         self._operator = None
 
-    def __call__(self, x):
-        t = x.shape[1]
+    def operator(self, t):
+        """(shifts, operator) for t frames: the shift matrices and, for an
+        ndarray kernel, the cached dense operator; None for a lifted kernel,
+        which builds its operator per call."""
         if t != self._t:
             self._shifts = reflect_shifts(t, self.kernel_size)
             self._t, self._built_from = t, None
-        operator = None  # a lifted kernel builds its operator per call
-        if not isinstance(self.kernel, nc.Var):
-            if self.kernel.tobytes() != self._built_from:
-                self._operator = nc.shift_operator(self._shifts, self.kernel)
-                self._built_from = self.kernel.tobytes()
-            operator = self._operator
+        if isinstance(self.kernel, nc.Var):
+            return self._shifts, None
+        if self.kernel.tobytes() != self._built_from:
+            self._operator = nc.shift_operator(self._shifts, self.kernel)
+            self._built_from = self.kernel.tobytes()
+        return self._shifts, self._operator
+
+    def __call__(self, x):
+        shifts, operator = self.operator(x.shape[1])
         # mix along time on the time-major (B, M, T, C) layout
-        y = nc.temporal_conv(nc.transpose(x, (0, 2, 1, 3)), self._shifts,
+        y = nc.temporal_conv(nc.transpose(x, (0, 2, 1, 3)), shifts,
                              self.kernel, self.bias, operator)
         return nc.transpose(y, (0, 2, 1, 3))
 
 
 class GraphTemporalBlock(nc.Module):
-    """Spatial graph conv -> (optional) temporal conv -> residual -> relu."""
+    """Spatial graph conv -> (optional) temporal conv -> residual -> relu.
+
+    The block holds the parameters; `HistoryEncoder` runs it.
+    """
 
     param_attrs = ()
     child_attrs = ("sgcn", "tcn", "res")
@@ -150,19 +160,22 @@ class GraphTemporalBlock(nc.Module):
         self.tcn = TemporalConv(channels_out, channels_out, temporal_kernel, rng) if use_temporal else None
         self.res = Linear(channels_in, channels_out, rng) if channels_in != channels_out else None
 
-    def __call__(self, x):
-        h = nc.relu(self.sgcn(x))
+    def operands(self, t):
+        """The block as `nc.graph_temporal_encoder` takes it, for t frames."""
+        temporal = None
         if self.tcn is not None:
-            h = self.tcn(h)
-        shortcut = self.res(x) if self.res is not None else x
-        return nc.relu(h + shortcut)
+            shifts, operator = self.tcn.operator(t)
+            temporal = (shifts, self.tcn.kernel, self.tcn.bias, operator)
+        residual = None if self.res is None else (self.res.weight, self.res.bias)
+        return (self.sgcn.stacked, self.sgcn.weight, self.sgcn.bias), temporal, residual
 
 
 class HistoryEncoder(nc.Module):
     """Pools the pose history into a fixed-width conditioning vector p_t.
 
     Variants: "stmg" runs graph + temporal convolutions, "smg" graph only,
-    "mg" is a parameter-free flatten of the raw history.
+    "mg" is a parameter-free flatten of the raw history.  The graph
+    variants run all their blocks as one `nc.graph_temporal_encoder` node.
     """
 
     param_attrs = ()
@@ -194,10 +207,9 @@ class HistoryEncoder(nc.Module):
         if self.variant == "mg":
             b = history.shape[0]
             return nc.reshape(history, (b, self.width))
-        x = nc.transpose(history, (0, 3, 1, 2))  # (B, T, M, C)
-        for block in self.blocks:
-            x = block(x)
-        return nc.vmean(x, axis=(1, 2))  # (B, width)
+        t = history.shape[-1]
+        return nc.graph_temporal_encoder(
+            history, [block.operands(t) for block in self.blocks])  # (B, width)
 
 
 class LSTMLayer(nc.Module):

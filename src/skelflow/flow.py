@@ -84,6 +84,10 @@ class ModelConfig:
                 raise ValueError(f"kernel scales must be odd >= 3, got {d}")
         if self.temporal_kernel % 2 == 0 or self.temporal_kernel < 1:
             raise ValueError("temporal kernel must be odd")
+        if self.ablation == "stmg" and self.history < (self.temporal_kernel - 1) // 2:
+            raise ValueError(
+                f"history of {self.history} frames too short for temporal kernel "
+                f"{self.temporal_kernel}: stmg needs at least {(self.temporal_kernel - 1) // 2}")
         if self.ablation not in ABLATIONS:
             raise ValueError(f"ablation must be one of {ABLATIONS}")
         if self.lstm_hidden < 1 or self.lstm_layers < 1:

@@ -402,6 +402,17 @@ def shift_operator(shifts, kernel):
     return folded.reshape(t, t, c_in, c_out).transpose(0, 2, 1, 3).reshape(t * c_in, t * c_out)
 
 
+def _kernel_grad(shifts, rows, g2, c_in, c_out):
+    """The kernel gradient of a shift-matrix convolution of the
+    (rows, T*C_in) input `rows` with output gradient `g2`: the dense
+    operator's gradient rows.T @ g2, folded back to the (k, C_in, C_out)
+    kernel with one GEMM against shifts.reshape(k, T*T)."""
+    k, t = shifts.shape[0], shifts.shape[1]
+    # gD as (s, ci, t, co) -> rows (t, s), columns (ci, co)
+    g_dense = (rows.T @ g2).reshape(t, c_in, t, c_out).transpose(2, 0, 1, 3)
+    return (shifts.reshape(k, t * t) @ g_dense.reshape(t * t, c_in * c_out)).reshape(k, c_in, c_out)
+
+
 def temporal_conv(x, shifts, kernel, bias, operator=None):
     """y[..., t, :] = sum_k sum_s shifts[k, t, s] * x[..., s, :] @ kernel[k] + bias.
 
@@ -415,7 +426,7 @@ def temporal_conv(x, shifts, kernel, bias, operator=None):
     """
     xd, kd = _data(x), _data(kernel)
     shape = xd.shape
-    k, t = shifts.shape[0], shape[-2]
+    t = shape[-2]
     c_in, c_out = kd.shape[1], kd.shape[2]
     dense = shift_operator(shifts, kd) if operator is None else operator
     rows = xd.reshape(-1, t * c_in)
@@ -429,12 +440,145 @@ def temporal_conv(x, shifts, kernel, bias, operator=None):
         if isinstance(bias, Var):
             bias._accum(g2.reshape(-1, c_out).sum(axis=0))
         if isinstance(kernel, Var):
-            # gD as (s, ci, t, co) -> rows (t, s), columns (ci, co)
-            g_dense = (rows.T @ g2).reshape(t, c_in, t, c_out).transpose(2, 0, 1, 3)
-            kernel._accum((shifts.reshape(k, t * t) @ g_dense.reshape(t * t, c_in * c_out))
-                          .reshape(kd.shape))
+            kernel._accum(_kernel_grad(shifts, rows, g2, c_in, c_out))
         if isinstance(x, Var):
             x._accum((g2 @ dense.T).reshape(shape))
+
+    res._bw = bw
+    return res
+
+
+def _frame_channel_sum(g, t):
+    """Column sums of the (rows, C) gradient g, whose rows come in runs of
+    t frames: summed over the (rows / t, t*C) view first, whose long rows
+    reduce faster than C-wide ones, then over the t frames."""
+    c = g.shape[1]
+    return g.reshape(-1, t * c).sum(axis=0).reshape(t, c).sum(axis=0)
+
+
+def _affine(x, weight, bias):
+    """x @ weight + bias, with the bias added in place."""
+    out = x @ weight
+    out += bias
+    return out
+
+
+def graph_temporal_encoder(history, blocks):
+    """The mean over markers and frames of a stack of spatial-temporal
+    graph blocks, as one tape node.
+
+    history is (N, M, C, T).  Each block is a triple (graph, temporal,
+    residual): `graph` is `mix_project`'s (stacked, weight, bias);
+    `temporal` is None or `temporal_conv`'s (shifts, kernel, bias,
+    operator); `residual` is a linear layer's (weight, bias), or None for
+    the identity, which needs C_in == C_out.  A block maps x to
+
+        relu(temporal(relu(graph(x))) + residual(x))
+
+    and the result is the last block's output averaged over markers and
+    frames, (N, C_out).
+
+    Every block runs on the marker-major (N, M, T, C) layout.  The
+    temporal conv is then one GEMM of the contiguous (N*M, T*C) rows with
+    its dense operator, with no transpose.  The graph conv mixes each
+    sequence's (M, T*C_in) features with one GEMM against the stacked
+    partitions and projects the gathered (N*M*T, d*C_in) rows with one
+    (d*C_in, C_out) GEMM.  Both relus run in place.  Saved for the
+    backward, per block: the gathered rows, the inner relu's output and
+    the block's output (the next block's input), whose positive entries
+    are the relu masks; the backward masks its gradients in place.
+    """
+    hd = _data(history)
+    n, m, _, t = hd.shape
+    x = np.ascontiguousarray(hd.transpose(0, 1, 3, 2))
+    operands = [history]
+    for (_, weight, bias), temporal, residual in blocks:
+        operands += [weight, bias]
+        if temporal is not None:
+            operands += temporal[1:3]
+        if residual is not None:
+            operands += residual
+    recording = _any_var(*operands)
+    saved = []  # per block: its input, gathered rows, inner relu output, dense operator
+    for (stacked, weight, bias), temporal, residual in blocks:
+        wd = _data(weight)
+        d, c_in, c_out = wd.shape
+        # every sequence's (M, T*C_in) features mixed by the stacked
+        # partitions, gathered to (N*M*T, d*C_in) rows
+        rows = np.ascontiguousarray(
+            (stacked @ x.reshape(n, m, t * c_in)).reshape(n, m, d, t, c_in)
+            .transpose(0, 1, 3, 2, 4)).reshape(-1, d * c_in)
+        h = _affine(rows, wd.reshape(d * c_in, c_out), _data(bias))
+        np.maximum(h, 0.0, out=h)
+        dense = None
+        if temporal is None:
+            y = h.copy()
+        else:
+            shifts, kernel, t_bias, operator = temporal
+            dense = shift_operator(shifts, _data(kernel)) if operator is None else operator
+            y = (h.reshape(n * m, t * c_out) @ dense).reshape(-1, c_out)
+            y += _data(t_bias)
+        if residual is None:
+            y += x.reshape(-1, c_out)
+        else:
+            y += _affine(x.reshape(-1, c_in), _data(residual[0]), _data(residual[1]))
+        np.maximum(y, 0.0, out=y)
+        if recording:
+            saved.append((x, rows, h, dense))
+        # drop this block's arrays now, so the next block's can reuse the memory
+        del rows, h
+        x = y.reshape(n, m, t, c_out)
+    scale = 1.0 / (m * t)
+    out = x.sum(axis=(1, 2)) * scale
+    if not recording:
+        return out
+    res = Var(out, tuple(v for v in operands if isinstance(v, Var)))
+
+    def bw(g):
+        # the pooled mean's gradient, broadcast and masked by the last
+        # relu; x is the last block's output
+        gy = np.multiply(x > 0.0, (g * scale)[:, None, None, :])
+        for i in range(len(blocks) - 1, -1, -1):
+            (stacked, weight, bias), temporal, residual = blocks[i]
+            xi, rows, h, dense = saved[i]
+            wd = _data(weight)
+            d, c_in, c_out = wd.shape
+            g2 = gy.reshape(-1, c_out)
+            g_sum = _frame_channel_sum(g2, t)  # the temporal and residual biases'
+            need_gx = i > 0 or isinstance(history, Var)
+            if residual is not None:
+                r_weight, r_bias = residual
+                if isinstance(r_bias, Var):
+                    r_bias._accum(g_sum)
+                if isinstance(r_weight, Var):
+                    r_weight._accum(xi.reshape(-1, c_in).T @ g2)
+            if temporal is None:
+                gh = np.multiply(g2, h > 0.0)
+            else:
+                shifts, kernel, t_bias, _ = temporal
+                gt = gy.reshape(n * m, t * c_out)
+                if isinstance(t_bias, Var):
+                    t_bias._accum(g_sum)
+                if isinstance(kernel, Var):
+                    kernel._accum(_kernel_grad(shifts, h.reshape(n * m, t * c_out), gt,
+                                               c_out, c_out))
+                gh = (gt @ dense.T).reshape(-1, c_out)
+                np.multiply(gh, h > 0.0, out=gh)
+            if isinstance(bias, Var):
+                bias._accum(_frame_channel_sum(gh, t))
+            if isinstance(weight, Var):
+                weight._accum((rows.T @ gh).reshape(wd.shape))
+            if not need_gx:
+                break
+            g_rows = (gh @ wd.reshape(d * c_in, c_out).T).reshape(n, m, t, d, c_in)
+            gx = stacked.T @ g_rows.transpose(0, 1, 3, 2, 4).reshape(n, m * d, t * c_in)
+            gx = gx.reshape(-1, c_in)
+            gx += g2 if residual is None else g2 @ _data(residual[0]).T
+            if i > 0:
+                np.multiply(gx, xi.reshape(-1, c_in) > 0.0, out=gx)
+            gy = gx.reshape(n, m, t, c_in)
+        if isinstance(history, Var):
+            history._accum(np.ascontiguousarray(gy.transpose(0, 1, 3, 2)))
 
     res._bw = bw
     return res
@@ -735,16 +879,9 @@ class Module:
                 obj = getattr(obj, part)
         return obj, parts[-1]
 
-    def get_parameter(self, path):
-        obj, leaf = self._resolve(path)
-        return obj[int(leaf)] if isinstance(obj, (list, tuple)) else getattr(obj, leaf)
-
     def set_parameter(self, path, value):
         obj, leaf = self._resolve(path)
         setattr(obj, leaf, value)
-
-    def param_count(self):
-        return int(sum(_data(p).size for _, p in self.named_parameters()))
 
 
 def lift(module):

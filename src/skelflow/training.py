@@ -223,6 +223,9 @@ def train(model, train_windows, holdout_windows, config, on_eval=None):
         finally:
             nc.restore(model)
         loss_value = float(nc._data(loss))
+        # the loss holds the whole tape: release it before the eval and the
+        # next step's forward build theirs
+        del loss
         if not np.isfinite(loss_value):
             raise TrainingDivergedError(step)
         grads = dict(zip(lifted.keys(), grads_list))

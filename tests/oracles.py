@@ -120,6 +120,26 @@ def temporal_conv_chain(x, kernel, bias):
     return out + bias
 
 
+def graph_temporal_block_chain(block, x):
+    """A `conditioning.GraphTemporalBlock` on (B, T, M, C) features, op by
+    op: its graph conv, relu, temporal conv, residual add and relu."""
+    h = nc.relu(block.sgcn(x))
+    if block.tcn is not None:
+        h = block.tcn(h)
+    shortcut = block.res(x) if block.res is not None else x
+    return nc.relu(h + shortcut)
+
+
+def history_encoder_chain(encoder, history):
+    """An `stmg` or `smg` `conditioning.HistoryEncoder` on (B, M, C, T)
+    histories, block by block on the time-major (B, T, M, C) transpose,
+    then a mean over frames and markers."""
+    x = nc.transpose(history, (0, 3, 1, 2))
+    for block in encoder.blocks:
+        x = graph_temporal_block_chain(block, x)
+    return nc.vmean(x, axis=(1, 2))
+
+
 def lstm_cell_chain(x, h, c, w_ih, w_hh, bias):
     """One LSTM step as 17 elementary ops; returns (h', c')."""
     gates = nc.matmul(x, w_ih) + nc.matmul(h, w_hh) + bias

@@ -358,6 +358,16 @@ class TestJobConfig:
         assert model.temporal_kernel == 9
         assert model.lstm_hidden == 512 and model.lstm_layers == 2
 
+    def test_train_config_with_too_short_stmg_history_is_config_error(
+            self, tmp_path, capsys):
+        model = dataclasses.replace(flow.desk_config(), history=3).to_dict()
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({"model": model}))
+        assert run(["train", "--config", str(path), "--steps", "1",
+                    "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+        assert "too short for temporal kernel 9" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "model.ckpt").exists()
+
     def test_unknown_config_key_is_config_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"horizont": 5}))

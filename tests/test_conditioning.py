@@ -123,6 +123,10 @@ def test_block_smg_variant_has_no_temporal_conv(tiny_adj):
     assert not any("tcn" in n for n in names)
 
 
+def param_count(module):
+    return sum(p.size for _, p in module.named_parameters())
+
+
 def test_encoder_widths_and_shapes(tiny_skeleton, tiny_adj):
     rng = np.random.default_rng(7)
     hist = rng.normal(size=(2, 4, 2, 3))  # (B, M, C, T)
@@ -132,8 +136,8 @@ def test_encoder_widths_and_shapes(tiny_skeleton, tiny_adj):
     assert enc_full(hist).shape == (2, 5)
     assert enc_nt(hist).shape == (2, 5)
     assert enc_flat(hist).shape == (2, 4 * 2 * 3)
-    assert enc_flat.param_count() == 0
-    assert enc_full.param_count() > enc_nt.param_count()
+    assert param_count(enc_flat) == 0
+    assert param_count(enc_full) > param_count(enc_nt)
 
 
 def test_encoder_mg_flatten_order(tiny_adj):
@@ -247,7 +251,7 @@ def test_conditioner_gradcheck_lstm_weights(tiny_adj):
     ctrl = rng.normal(size=(2, 12))
 
     def loss_of(path):
-        base = c.get_parameter(path).copy()
+        base = dict(c.named_parameters())[path].copy()
 
         def fn(value):
             c.set_parameter(path, value)
@@ -260,5 +264,5 @@ def test_conditioner_gradcheck_lstm_weights(tiny_adj):
         return fn
 
     for path in ["lstm.layers.0.w_ih", "lstm.layers.1.w_hh", "out.weight", "sgcn.weight"]:
-        err = nc.grad_check(loss_of(path), c.get_parameter(path), step=1e-5)
+        err = nc.grad_check(loss_of(path), dict(c.named_parameters())[path], step=1e-5)
         assert err < 1e-4, (path, err)

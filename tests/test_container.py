@@ -53,6 +53,8 @@ CHECKPOINT_FAULTS = {
         raw, lambda h: h.update(config={"markers": h["config"]["markers"]})),
     "string_config_value": lambda raw: _with_header(
         raw, lambda h: h["config"].update(history=str(h["config"]["history"]))),
+    "stmg_history_shorter_than_temporal_padding": lambda raw: _with_header(
+        raw, lambda h: h["config"].update(temporal_kernel=9)),
     "bad_skeleton_text": lambda raw: _with_header(
         raw, lambda h: h.update(skeleton_text="markers two\n")),
     "numeric_skeleton_text": lambda raw: _with_header(

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -29,6 +30,16 @@ def test_config_validation():
     assert cfg.validate() is cfg
     assert cfg.c1 == 2 and cfg.c2 == 1
     assert len(flow.DEFAULT_SCHEDULE) == 16
+
+
+def test_config_rejects_stmg_history_shorter_than_temporal_padding():
+    # desk_config's temporal kernel 9 pads 4 frames on each side
+    with pytest.raises(ValueError, match="history of 3 frames too short"):
+        dataclasses.replace(flow.desk_config(), history=3).validate()
+    assert dataclasses.replace(flow.desk_config(), history=4).validate()
+    # smg and mg run no temporal conv, so any history of >= 1 frame works
+    for ablation in ("smg", "mg"):
+        assert dataclasses.replace(flow.desk_config(ablation=ablation), history=1).validate()
 
 
 def test_config_roundtrip_dict():
@@ -281,7 +292,7 @@ def test_init_actnorm_per_step_statistics(tiny_skeleton):
 def test_census_groups_sum_to_total(tiny_skeleton):
     model = make_model(tiny_skeleton, "stmg")
     c = model.census()
-    assert c["total"] == model.param_count()
+    assert c["total"] == sum(p.size for _, p in model.named_parameters())
     assert c["graph"] > 0 and c["lstm"] > 0 and c["projection"] > 0
     assert sum(v for k, v in c.items() if k != "total") == c["total"]
 

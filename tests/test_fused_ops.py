@@ -1,8 +1,11 @@
 """The fused numcore ops against the op-by-op chains they replaced, against
 finite differences, and by the size of the tape they build."""
 
+import collections
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skelflow import conditioning as cond
 from skelflow import flow
@@ -10,8 +13,8 @@ from skelflow import numcore as nc
 from skelflow import skeleton as sk
 from skelflow import training
 
-from oracles import (accum_zeros_then_add, graph_conv_chain, lstm_sequence_chain,
-                     temporal_conv_chain)
+from oracles import (accum_zeros_then_add, graph_conv_chain, history_encoder_chain,
+                     lstm_sequence_chain, temporal_conv_chain)
 
 TOL = 1e-10
 GRAD_TOL = 1e-6
@@ -221,6 +224,130 @@ def test_temporal_conv_layer_at_two_history_lengths():
     assert_close(layer(x), temporal_conv_chain(x, layer.kernel, layer.bias))
 
 
+# --- graph_temporal_encoder ------------------------------------------------------
+
+
+def random_encoder(variant, spec, channels, history, block_channels, kernel,
+                   scale, seed):
+    """A history encoder with every parameter, biases included, drawn at
+    random, so the relus cut on both sides."""
+    rng = np.random.default_rng(seed)
+    encoder = cond.HistoryEncoder(variant, sk.partition(spec, scale),
+                                  spec.marker_count, channels, history,
+                                  block_channels, kernel, rng)
+    for path, value in list(encoder.named_parameters()):
+        encoder.set_parameter(path, rng.normal(0.0, 0.5, size=value.shape))
+    return encoder
+
+
+def check_encoder_against_chain(encoder, history):
+    """Values on ndarrays, then values and the gradients of every parameter
+    and of the history on Vars."""
+    assert_close(encoder(history), history_encoder_chain(encoder, history))
+    weights = np.random.default_rng(0).normal(
+        size=(history.shape[0], encoder.width))
+    grads = []
+    for fn in (encoder, lambda h: history_encoder_chain(encoder, h)):
+        lifted = nc.lift(encoder)
+        try:
+            leaves = list(lifted.values()) + [nc.Var(history.copy())]
+            out = fn(leaves[-1])
+            loss = weighted_tanh_sum([out], [weights])
+            grads.append((nc._data(out), nc.grad(loss, leaves)))
+        finally:
+            nc.restore(encoder)
+    (got, got_grads), (want, want_grads) = grads
+    assert_close(got, want)
+    assert len(got_grads) == len(want_grads) == len(lifted) + 1
+    for g, w in zip(got_grads, want_grads):
+        assert_close(g, w)
+
+
+# (skeleton, channels, history, block channels, temporal kernel); the tiny
+# blocks cover both the linear (2 -> 4) and the identity (4 -> 4) residual
+ENCODER_CASES = {
+    "tiny": ("tiny", 2, 3, (4, 4), 3),
+    "default": ("default", 3, 10, (12, 24), 9),
+}
+
+
+def encoder_case(name, variant, tiny_skeleton, seed=0):
+    skel, channels, history, blocks, kernel = ENCODER_CASES[name]
+    spec = tiny_skeleton if skel == "tiny" else sk.default_skeleton()
+    return random_encoder(variant, spec, channels, history, blocks, kernel, 3, seed)
+
+
+@pytest.mark.parametrize("windows", [1, 64])
+@pytest.mark.parametrize("variant", ["stmg", "smg"])
+@pytest.mark.parametrize("case", sorted(ENCODER_CASES))
+def test_encoder_matches_chain(tiny_skeleton, case, variant, windows):
+    encoder = encoder_case(case, variant, tiny_skeleton)
+    history = np.random.default_rng(windows).normal(
+        size=(windows, encoder.markers, encoder.channels, encoder.history_len))
+    check_encoder_against_chain(encoder, history)
+
+
+@pytest.mark.parametrize("variant", ["stmg", "smg"])
+def test_encoder_grad_check(tiny_skeleton, variant):
+    encoder = encoder_case("tiny", variant, tiny_skeleton, seed=1)
+    history = np.random.default_rng(2).normal(size=(2, 4, 2, 3))
+    weights = np.random.default_rng(3).normal(size=(2, encoder.width))
+    for path, base in list(encoder.named_parameters()):
+        def loss(value, path=path, base=base):
+            encoder.set_parameter(path, value)
+            try:
+                return weighted_tanh_sum([encoder(history)], [weights])
+            finally:
+                encoder.set_parameter(path, base)
+
+        err = nc.grad_check(loss, base, step=1e-5)
+        assert err <= GRAD_TOL, (path, err)
+
+
+def test_encoder_is_one_tape_node(tiny_skeleton):
+    encoder = encoder_case("tiny", "stmg", tiny_skeleton)
+    lifted = nc.lift(encoder)
+    try:
+        out = encoder(np.ones((2, 4, 2, 3)))
+    finally:
+        nc.restore(encoder)
+    assert out._parents == tuple(lifted.values())
+
+
+@st.composite
+def encoder_configs(draw):
+    """Random trees of 2-8 markers, 2-4 channels, 1-3 blocks, odd temporal
+    kernels and histories that `ModelConfig.validate` accepts for stmg."""
+    markers = draw(st.integers(2, 8))
+    parents = [draw(st.integers(0, v - 1)) for v in range(1, markers)]
+    lines = [f"markers {markers}", "center 0", "heels 0 1"]
+    lines += [f"edge {u} {v}" for v, u in enumerate(parents, start=1)]
+    kernel = draw(st.sampled_from([1, 3, 5, 7, 9]))
+    pad = (kernel - 1) // 2
+    return dict(
+        spec=sk.build_skeleton("\n".join(lines)),
+        variant=draw(st.sampled_from(["stmg", "smg"])),
+        channels=draw(st.integers(2, 4)),
+        history=draw(st.integers(max(1, pad), pad + 3)),
+        block_channels=tuple(draw(st.lists(st.integers(2, 5), min_size=1, max_size=3))),
+        kernel=kernel,
+        scale=draw(st.sampled_from([3, 5])),
+        windows=draw(st.integers(1, 4)),
+        seed=draw(st.integers(0, 2 ** 16)),
+    )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(encoder_configs())
+def test_encoder_matches_chain_on_random_configs(cfg):
+    encoder = random_encoder(cfg["variant"], cfg["spec"], cfg["channels"],
+                             cfg["history"], cfg["block_channels"], cfg["kernel"],
+                             cfg["scale"], cfg["seed"])
+    history = np.random.default_rng(cfg["seed"]).normal(
+        size=(cfg["windows"], encoder.markers, cfg["channels"], cfg["history"]))
+    check_encoder_against_chain(encoder, history)
+
+
 # --- lstm_sequence ----------------------------------------------------------------
 
 
@@ -272,16 +399,19 @@ def test_lstm_sequence_rejects_partial_frames():
 # --- tape size ------------------------------------------------------------------
 
 
-def tape_nodes(loss):
-    """Number of Vars reachable from `loss`, leaves included."""
+def tape_ops(loss):
+    """Vars reachable from `loss` by the op that made them ("leaf" for
+    parameters and other leaves), read from each backward's name."""
+    ops = collections.Counter()
     seen = set()
     stack = [loss]
     while stack:
         node = stack.pop()
         if id(node) not in seen:
             seen.add(id(node))
+            ops[node._bw.__qualname__.split(".")[0] if node._bw else "leaf"] += 1
             stack.extend(node._parents)
-    return len(seen)
+    return ops
 
 
 @pytest.fixture(scope="module")
@@ -316,7 +446,10 @@ def test_desk_training_step_tape_census(desk_segment):
         loss = training.segment_nll(model, pos, ctl, 8)
     finally:
         nc.restore(model)
-    assert tape_nodes(loss) <= 330
+    ops = tape_ops(loss)
+    assert sum(ops.values()) <= 306
+    assert ops["graph_temporal_encoder"] == 1
+    assert ops["temporal_conv"] == 0 and ops["transpose"] == 0
 
 
 def test_first_accumulation_copy_is_bit_identical(desk_segment, monkeypatch):

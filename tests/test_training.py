@@ -1,6 +1,7 @@
 """Tests for corpus assembly and the seeded training loop."""
 
 import hashlib
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -318,6 +319,44 @@ class TestTrainLoop:
         training.train(model, train_w, hold_w, cfg)
         assert calls == {"lift": 4, "grad": 4, "clip_grad_norm": 4,
                          "adam_step": 4, "evaluate_nll": 2}
+
+    def test_train_releases_each_tape_before_the_next_forward_and_eval(
+            self, corpus, monkeypatch):
+        # a step's loss holds its whole tape; a weak reference to the loss
+        # value (Var has __slots__, so not to the Var) dies with the tape
+        train_w, hold_w = training.split_corpus(corpus, holdout_every=4)
+        model = small_model()
+        cfg = training.TrainConfig(steps=4, batch_size=2, nll_frames=2,
+                                   eval_every=2, init_batch=16)
+        training.initialize_from_corpus(model, train_w, cfg)
+        losses, checked = [], []
+        real_segment_nll, real_evaluate_nll = (training.segment_nll,
+                                               training.evaluate_nll)
+
+        def assert_tapes_released(name):
+            checked.append((name, len(losses)))
+            assert all(ref() is None for ref in losses), name
+
+        def segment_nll(*args, **kwargs):
+            assert_tapes_released("segment_nll")
+            loss = real_segment_nll(*args, **kwargs)
+            if isinstance(loss, nc.Var):
+                losses.append(weakref.ref(loss.data))
+            return loss
+
+        def evaluate_nll(*args, **kwargs):
+            assert_tapes_released("evaluate_nll")
+            return real_evaluate_nll(*args, **kwargs)
+
+        monkeypatch.setattr(training, "segment_nll", segment_nll)
+        monkeypatch.setattr(training, "evaluate_nll", evaluate_nll)
+        training.train(model, train_w, hold_w, cfg)
+        # (call, tapes built before it): each eval runs one tape-free segment
+        assert checked == [
+            ("segment_nll", 0), ("segment_nll", 1),
+            ("evaluate_nll", 2), ("segment_nll", 2),
+            ("segment_nll", 2), ("segment_nll", 3),
+            ("evaluate_nll", 4), ("segment_nll", 4)]
 
     def test_evaluate_nll_is_deterministic(self, corpus):
         model = small_model()
