@@ -607,6 +607,9 @@ def main(argv=None):
             json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as err:
+        print(f"error: out of memory: {err}", file=sys.stderr)
+        return EXIT_IO
     except ArithmeticError as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC

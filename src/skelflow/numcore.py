@@ -463,6 +463,100 @@ def _affine(x, weight, bias):
     return out
 
 
+# Windows per chunk of `graph_temporal_encoder`.  At desk scale (21 markers,
+# 10 frames, 12 and 24 channels) a chunk's largest array, the second
+# block's gathered rows, is 0.5 MB, so a block's working set stays in cache
+# and its arrays stay below glibc's trim threshold.  Measured on the
+# forward and backward of 64 desk windows (2 cores, one OpenBLAS thread),
+# median ms at 2, 4, 8, 16, 32 and 64 windows per chunk: 51, 45, 43, 45,
+# 52 and 71.  A rollout's 1 or 8 windows are one chunk.
+ENCODER_CHUNK_WINDOWS = 8
+
+
+def _encoder_chunk(x, blocks, operators, saved=None):
+    """The blocks of `graph_temporal_encoder` on one chunk of windows:
+    x is marker-major (n, M, T, C_in) and `operators` holds each block's
+    dense temporal operator (None without one).  Returns the last block's
+    output.  A list `saved` gets, per block, its input, gathered rows and
+    inner relu output, as `_encoder_chunk_backward` takes them."""
+    n, m, t, _ = x.shape
+    for ((stacked, weight, bias), temporal, residual), dense in zip(blocks, operators):
+        wd = _data(weight)
+        d, c_in, c_out = wd.shape
+        # every window's (M, T*C_in) features mixed by the stacked
+        # partitions, gathered to (n*M*T, d*C_in) rows
+        rows = np.ascontiguousarray(
+            (stacked @ x.reshape(n, m, t * c_in)).reshape(n, m, d, t, c_in)
+            .transpose(0, 1, 3, 2, 4)).reshape(-1, d * c_in)
+        h = _affine(rows, wd.reshape(d * c_in, c_out), _data(bias))
+        np.maximum(h, 0.0, out=h)
+        if temporal is None:
+            y = h.copy()
+        else:
+            y = (h.reshape(n * m, t * c_out) @ dense).reshape(-1, c_out)
+            y += _data(temporal[2])
+        if residual is None:
+            y += x.reshape(-1, c_out)
+        else:
+            y += _affine(x.reshape(-1, c_in), _data(residual[0]), _data(residual[1]))
+        np.maximum(y, 0.0, out=y)
+        if saved is not None:
+            saved.append((x, rows, h))
+        # drop this block's arrays now, so the next block's can reuse the memory
+        del rows, h
+        x = y.reshape(n, m, t, c_out)
+    return x
+
+
+def _encoder_chunk_backward(gy, blocks, operators, saved, need_input_grad):
+    """Backward through the blocks of one chunk from gy, the gradient on
+    the last block's output already masked by its relu.  Accumulates every
+    parameter gradient and returns the gradient on the chunk's
+    marker-major input, or None when `need_input_grad` is false.  Each
+    relu mask is read from the saved positive entries of its output; the
+    gradients are masked in place."""
+    n, m, t, _ = gy.shape
+    for i in range(len(blocks) - 1, -1, -1):
+        (stacked, weight, bias), temporal, residual = blocks[i]
+        xi, rows, h = saved[i]
+        wd = _data(weight)
+        d, c_in, c_out = wd.shape
+        g2 = gy.reshape(-1, c_out)
+        g_sum = _frame_channel_sum(g2, t)  # the temporal and residual biases'
+        if residual is not None:
+            r_weight, r_bias = residual
+            if isinstance(r_bias, Var):
+                r_bias._accum(g_sum)
+            if isinstance(r_weight, Var):
+                r_weight._accum(xi.reshape(-1, c_in).T @ g2)
+        if temporal is None:
+            gh = np.multiply(g2, h > 0.0)
+        else:
+            shifts, kernel, t_bias, _ = temporal
+            gt = gy.reshape(n * m, t * c_out)
+            if isinstance(t_bias, Var):
+                t_bias._accum(g_sum)
+            if isinstance(kernel, Var):
+                kernel._accum(_kernel_grad(shifts, h.reshape(n * m, t * c_out), gt,
+                                           c_out, c_out))
+            gh = (gt @ operators[i].T).reshape(-1, c_out)
+            np.multiply(gh, h > 0.0, out=gh)
+        if isinstance(bias, Var):
+            bias._accum(_frame_channel_sum(gh, t))
+        if isinstance(weight, Var):
+            weight._accum((rows.T @ gh).reshape(wd.shape))
+        if i == 0 and not need_input_grad:
+            return None
+        g_rows = (gh @ wd.reshape(d * c_in, c_out).T).reshape(n, m, t, d, c_in)
+        gx = stacked.T @ g_rows.transpose(0, 1, 3, 2, 4).reshape(n, m * d, t * c_in)
+        gx = gx.reshape(-1, c_in)
+        gx += g2 if residual is None else g2 @ _data(residual[0]).T
+        if i > 0:
+            np.multiply(gx, xi.reshape(-1, c_in) > 0.0, out=gx)
+        gy = gx.reshape(n, m, t, c_in)
+    return gy
+
+
 def graph_temporal_encoder(history, blocks):
     """The mean over markers and frames of a stack of spatial-temporal
     graph blocks, as one tape node.
@@ -478,107 +572,63 @@ def graph_temporal_encoder(history, blocks):
     and the result is the last block's output averaged over markers and
     frames, (N, C_out).
 
-    Every block runs on the marker-major (N, M, T, C) layout.  The
-    temporal conv is then one GEMM of the contiguous (N*M, T*C) rows with
+    Every block runs on the marker-major (n, M, T, C) layout.  The
+    temporal conv is then one GEMM of the contiguous (n*M, T*C) rows with
     its dense operator, with no transpose.  The graph conv mixes each
-    sequence's (M, T*C_in) features with one GEMM against the stacked
-    partitions and projects the gathered (N*M*T, d*C_in) rows with one
-    (d*C_in, C_out) GEMM.  Both relus run in place.  Saved for the
-    backward, per block: the gathered rows, the inner relu's output and
-    the block's output (the next block's input), whose positive entries
-    are the relu masks; the backward masks its gradients in place.
+    window's (M, T*C_in) features with one GEMM against the stacked
+    partitions and projects the gathered (n*M*T, d*C_in) rows with one
+    (d*C_in, C_out) GEMM.  Both relus run in place.
+
+    The windows run in consecutive chunks of `ENCODER_CHUNK_WINDOWS`, and
+    only the pooled output is kept.  Every window's arithmetic is the same
+    in any chunk, so the output does not depend on the chunking.  The node
+    keeps the history and its operands, not the activations: the backward
+    recomputes each chunk's forward, saving its activations, runs that
+    chunk's backward and accumulates the parameter gradients chunk by
+    chunk.  A temporal operator missing from the operands (a lifted
+    kernel) is built once per call and shared by all chunks.
     """
     hd = _data(history)
     n, m, _, t = hd.shape
-    x = np.ascontiguousarray(hd.transpose(0, 1, 3, 2))
     operands = [history]
+    operators = []
     for (_, weight, bias), temporal, residual in blocks:
         operands += [weight, bias]
+        dense = None
         if temporal is not None:
-            operands += temporal[1:3]
+            shifts, kernel, t_bias, dense = temporal
+            operands += [kernel, t_bias]
+            if dense is None:
+                dense = shift_operator(shifts, _data(kernel))
         if residual is not None:
             operands += residual
-    recording = _any_var(*operands)
-    saved = []  # per block: its input, gathered rows, inner relu output, dense operator
-    for (stacked, weight, bias), temporal, residual in blocks:
-        wd = _data(weight)
-        d, c_in, c_out = wd.shape
-        # every sequence's (M, T*C_in) features mixed by the stacked
-        # partitions, gathered to (N*M*T, d*C_in) rows
-        rows = np.ascontiguousarray(
-            (stacked @ x.reshape(n, m, t * c_in)).reshape(n, m, d, t, c_in)
-            .transpose(0, 1, 3, 2, 4)).reshape(-1, d * c_in)
-        h = _affine(rows, wd.reshape(d * c_in, c_out), _data(bias))
-        np.maximum(h, 0.0, out=h)
-        dense = None
-        if temporal is None:
-            y = h.copy()
-        else:
-            shifts, kernel, t_bias, operator = temporal
-            dense = shift_operator(shifts, _data(kernel)) if operator is None else operator
-            y = (h.reshape(n * m, t * c_out) @ dense).reshape(-1, c_out)
-            y += _data(t_bias)
-        if residual is None:
-            y += x.reshape(-1, c_out)
-        else:
-            y += _affine(x.reshape(-1, c_in), _data(residual[0]), _data(residual[1]))
-        np.maximum(y, 0.0, out=y)
-        if recording:
-            saved.append((x, rows, h, dense))
-        # drop this block's arrays now, so the next block's can reuse the memory
-        del rows, h
-        x = y.reshape(n, m, t, c_out)
+        operators.append(dense)
     scale = 1.0 / (m * t)
-    out = x.sum(axis=(1, 2)) * scale
-    if not recording:
+    chunks = [slice(start, start + ENCODER_CHUNK_WINDOWS)
+              for start in range(0, n, ENCODER_CHUNK_WINDOWS)]
+
+    def chunk_output(chunk, saved=None):
+        x = np.ascontiguousarray(hd[chunk].transpose(0, 1, 3, 2))
+        return _encoder_chunk(x, blocks, operators, saved)
+
+    width = _data(blocks[-1][0][1]).shape[2]  # the last graph weight's C_out
+    out = np.empty((n, width))
+    for chunk in chunks:
+        out[chunk] = chunk_output(chunk).sum(axis=(1, 2)) * scale
+    if not _any_var(*operands):
         return out
     res = Var(out, tuple(v for v in operands if isinstance(v, Var)))
 
     def bw(g):
-        # the pooled mean's gradient, broadcast and masked by the last
-        # relu; x is the last block's output
-        gy = np.multiply(x > 0.0, (g * scale)[:, None, None, :])
-        for i in range(len(blocks) - 1, -1, -1):
-            (stacked, weight, bias), temporal, residual = blocks[i]
-            xi, rows, h, dense = saved[i]
-            wd = _data(weight)
-            d, c_in, c_out = wd.shape
-            g2 = gy.reshape(-1, c_out)
-            g_sum = _frame_channel_sum(g2, t)  # the temporal and residual biases'
-            need_gx = i > 0 or isinstance(history, Var)
-            if residual is not None:
-                r_weight, r_bias = residual
-                if isinstance(r_bias, Var):
-                    r_bias._accum(g_sum)
-                if isinstance(r_weight, Var):
-                    r_weight._accum(xi.reshape(-1, c_in).T @ g2)
-            if temporal is None:
-                gh = np.multiply(g2, h > 0.0)
-            else:
-                shifts, kernel, t_bias, _ = temporal
-                gt = gy.reshape(n * m, t * c_out)
-                if isinstance(t_bias, Var):
-                    t_bias._accum(g_sum)
-                if isinstance(kernel, Var):
-                    kernel._accum(_kernel_grad(shifts, h.reshape(n * m, t * c_out), gt,
-                                               c_out, c_out))
-                gh = (gt @ dense.T).reshape(-1, c_out)
-                np.multiply(gh, h > 0.0, out=gh)
-            if isinstance(bias, Var):
-                bias._accum(_frame_channel_sum(gh, t))
-            if isinstance(weight, Var):
-                weight._accum((rows.T @ gh).reshape(wd.shape))
-            if not need_gx:
-                break
-            g_rows = (gh @ wd.reshape(d * c_in, c_out).T).reshape(n, m, t, d, c_in)
-            gx = stacked.T @ g_rows.transpose(0, 1, 3, 2, 4).reshape(n, m * d, t * c_in)
-            gx = gx.reshape(-1, c_in)
-            gx += g2 if residual is None else g2 @ _data(residual[0]).T
-            if i > 0:
-                np.multiply(gx, xi.reshape(-1, c_in) > 0.0, out=gx)
-            gy = gx.reshape(n, m, t, c_in)
-        if isinstance(history, Var):
-            history._accum(np.ascontiguousarray(gy.transpose(0, 1, 3, 2)))
+        for chunk in chunks:
+            saved = []
+            x = chunk_output(chunk, saved)
+            # the pooled mean's gradient, broadcast and masked by the last relu
+            gy = np.multiply(x > 0.0, (g[chunk] * scale)[:, None, None, :])
+            gx = _encoder_chunk_backward(gy, blocks, operators, saved,
+                                         isinstance(history, Var))
+            if gx is not None:
+                history._accum_at(chunk, gx.transpose(0, 1, 3, 2))
 
     res._bw = bw
     return res

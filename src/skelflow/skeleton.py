@@ -160,8 +160,8 @@ def build_skeleton(config_text):
     norm_edges.sort()
 
     # connectivity: every marker is reachable from marker 0
-    missing = np.flatnonzero(hop_distances(
-        SkeletonSpec(markers, tuple(norm_edges), center, heels))[0] < 0).tolist()
+    hops = _hops_from(_adjacency_lists(markers, norm_edges), 0)
+    missing = [i for i, d in enumerate(hops) if d < 0]
     if missing:
         more = f" and {len(missing) - 3} more" if len(missing) > 3 else ""
         raise DisconnectedGraphError(
@@ -237,29 +237,40 @@ def default_skeleton():
     return build_skeleton(text)
 
 
+def _adjacency_lists(m, edges):
+    """Adjacency lists of m markers joined by `edges`."""
+    adj = [[] for _ in range(m)]
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    return adj
+
+
+def _hops_from(adj, src):
+    """Hop counts from marker src by one BFS over adjacency lists `adj`;
+    -1 where a marker is unreachable."""
+    row = [-1] * len(adj)
+    row[src] = 0
+    frontier = [src]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if row[v] < 0:
+                    row[v] = d
+                    nxt.append(v)
+        frontier = nxt
+    return row
+
+
 def hop_distances(spec):
     """All-pairs shortest hop counts, (M, M) int array, BFS per source;
     -1 where a marker is unreachable."""
-    m = spec.marker_count
-    adj = [[] for _ in range(m)]
-    for i, j in spec.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    dist = [[-1] * m for _ in range(m)]
-    for src, row in enumerate(dist):
-        row[src] = 0
-        frontier = [src]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for v in adj[u]:
-                    if row[v] < 0:
-                        row[v] = d
-                        nxt.append(v)
-            frontier = nxt
-    return np.array(dist, dtype=np.int64)
+    adj = _adjacency_lists(spec.marker_count, spec.edges)
+    return np.array([_hops_from(adj, src) for src in range(spec.marker_count)],
+                    dtype=np.int64)
 
 
 @dataclass(frozen=True)

@@ -558,3 +558,16 @@ class TestResolveConfig:
             assert run(["evaluate", "--clips", str(empty),
                         "--out", str(tmp_path / "o")]) == cli.EXIT_IO
         assert built.count("skelflow") <= 1
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize("command, name", [("train", "cmd_train"),
+                                               ("generate", "cmd_generate")])
+    def test_memory_error_is_io_error(self, tmp_path, capsys, monkeypatch,
+                                      command, name):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 840. MiB")
+        monkeypatch.setattr(cli, name, exhausted)
+        assert run([command, "--out", str(tmp_path / "o")]) == cli.EXIT_IO
+        assert capsys.readouterr().err == \
+            "error: out of memory: Unable to allocate 840. MiB\n"

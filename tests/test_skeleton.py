@@ -109,14 +109,35 @@ def test_disconnected_error_lists_a_few_markers():
 
 
 def test_too_few_edge_lines_rejected_before_graph_search(monkeypatch):
-    def no_search(spec):
+    def no_search(*args):
         raise AssertionError("graph searched")
     monkeypatch.setattr(sk, "hop_distances", no_search)
+    monkeypatch.setattr(sk, "_hops_from", no_search)
     with pytest.raises(sk.SkeletonConfigError,
                        match=r"^3000 markers need at least 2999 edge lines, got 0$"):
         sk.build_skeleton("markers 3000\ncenter 0\nheels 0 1\n")
     with pytest.raises(sk.SkeletonConfigError, match="need at least 3 edge lines"):
         sk.build_skeleton("markers 4\ncenter 0\nheels 0 1\nedge 0 1\nedge 2 3")
+
+
+def test_long_chain_connectivity_is_one_search(monkeypatch):
+    """Connectivity is one BFS from marker 0, not the all-pairs table."""
+    def no_table(spec):
+        raise AssertionError("all-pairs hop table built")
+    searches = []
+    hops_from = sk._hops_from
+
+    def counted(adj, src):
+        searches.append(src)
+        return hops_from(adj, src)
+
+    monkeypatch.setattr(sk, "hop_distances", no_table)
+    monkeypatch.setattr(sk, "_hops_from", counted)
+    m = 2000
+    spec = sk.build_skeleton(f"markers {m}\ncenter 0\nheels 0 1\n"
+                             + "".join(f"edge {i} {i + 1}\n" for i in range(m - 1)))
+    assert spec.marker_count == m and len(spec.edges) == m - 1
+    assert searches == [0]
 
 
 @pytest.mark.parametrize("text", [5, ["markers 2"], None, b"markers 2\n"])
