@@ -175,14 +175,16 @@ def _load_skeleton(config):
 
 
 def _load_model(config):
-    model, meta = _flow.load_checkpoint(config.checkpoint)
+    """The checkpoint's model, and the job config with that model's config
+    in place of the default one, so the manifest records what ran."""
+    model, _ = _flow.load_checkpoint(config.checkpoint)
     if config.skeleton_path:
         spec = _skeleton.load_skeleton(config.skeleton_path)
         if _skeleton.to_config_text(spec) != _skeleton.to_config_text(model.skeleton):
             raise ValueError(
                 "checkpoint skeleton does not match --skeleton "
                 f"({model.skeleton.marker_count} vs {spec.marker_count} markers)")
-    return model, meta
+    return model, replace(config, model=model.config)
 
 
 def _metric_grid(config):
@@ -304,7 +306,7 @@ def _seed_material(config, model, frames_needed):
 
 def cmd_generate(config, with_report=False):
     out = _ensure_out(config)
-    model, _ = _load_model(config)
+    model, config = _load_model(config)
     t_h = model.config.history
     history, controls = _seed_material(config, model,
                                        t_h + config.horizon)
@@ -357,7 +359,7 @@ def _reconstruction_input(config, model, clip_path):
 
 def cmd_reconstruct(config, clip_path=""):
     out = _ensure_out(config)
-    model, _ = _load_model(config)
+    model, config = _load_model(config)
     t_h = model.config.history
     horizon = max(config.horizon, t_h)
     history, controls = _reconstruction_input(config, model, clip_path)

@@ -54,10 +54,11 @@ class Linear(nc.Module):
 
 
 class SpatialGraphConv(nc.Module):
-    """y_i = sum_k A_k[i] x W_k + bias, with A_k the partition matrices.
+    """y_i = relu(sum_k A_k[i] x W_k + bias), with A_k the partition
+    matrices: the graph conv and its relu, as every caller uses them.
 
     The adjacency is frozen, so its row-interleaved (M*d, M) stack, the
-    form `nc.mix_project` takes, is built once here.
+    form `nc.graph_conv_relu` takes, is built once here.
     """
 
     param_attrs = ("weight", "bias")
@@ -72,7 +73,7 @@ class SpatialGraphConv(nc.Module):
 
     def __call__(self, x):
         # x: (..., M, in_channels)
-        return nc.mix_project(x, self.stacked, self.weight, self.bias)
+        return nc.graph_conv_relu(x, self.stacked, self.weight, self.bias)
 
 
 def reflect_shifts(t, kernel_size):
@@ -97,14 +98,13 @@ def reflect_shifts(t, kernel_size):
 
 
 class TemporalConv(nc.Module):
-    """1-d convolution along the time axis of (B, T, M, C) features.
+    """The parameters of a 1-d convolution along the time axis.
 
     Symmetric (edge-reflecting) padding keeps the output length equal to the
     input length.  Requires T >= (kernel - 1) // 2.  The padding and taps
     are one fixed stack of shift matrices per history length (see
-    `reflect_shifts`), folded into the kernel as one dense operator.  The
-    history encoder takes them from `operator` for `nc.graph_temporal_encoder`;
-    called on its own, the layer applies them with `nc.temporal_conv`.
+    `reflect_shifts`), folded into the kernel as one dense operator, which
+    `nc.graph_temporal_encoder` applies to the (rows, T*C_in) features.
     While the kernel is a plain ndarray (rollout, evaluation) the layer
     keeps the operator it built, and rebuilds it when T or the kernel's
     bytes change.
@@ -137,13 +137,6 @@ class TemporalConv(nc.Module):
             self._operator = nc.shift_operator(self._shifts, self.kernel)
             self._built_from = self.kernel.tobytes()
         return self._shifts, self._operator
-
-    def __call__(self, x):
-        shifts, operator = self.operator(x.shape[1])
-        # mix along time on the time-major (B, M, T, C) layout
-        y = nc.temporal_conv(nc.transpose(x, (0, 2, 1, 3)), shifts,
-                             self.kernel, self.bias, operator)
-        return nc.transpose(y, (0, 2, 1, 3))
 
 
 class GraphTemporalBlock(nc.Module):
@@ -296,7 +289,7 @@ class CouplingConditioner(nc.Module):
         if self.sgcn is None:
             g = nc.reshape(pose_half, (b, -1))
         else:
-            g = nc.reshape(nc.relu(self.sgcn(pose_half)), (b, -1))
+            g = nc.reshape(self.sgcn(pose_half), (b, -1))
         u = nc.concat([g, pooled, controls_flat], axis=1)
         h, new_state = self.lstm(u, state)
         raw = nc.reshape(self.out(h), (b, 2, self.markers, self.out_channels))

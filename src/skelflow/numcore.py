@@ -7,6 +7,10 @@ code runs with or without gradient recording: pass ndarrays for a plain
 evaluation, or wrap the leaves in :class:`Var` to record a tape and call
 :func:`grad`.
 
+Three fused ops, each one tape node with a hand-written backward, carry
+the conditioning networks: :func:`graph_conv_relu` (a graph conv includes
+its relu), :func:`lstm_sequence` and :func:`graph_temporal_encoder`.
+
 No global state.  A tape is just the implicit DAG hanging off the output
 Var; replaying it (calling :func:`grad` twice on the same output) gives
 bit-identical gradients.
@@ -348,44 +352,9 @@ def logabsdet(a):
 
 def interleave_mixes(mats):
     """Stack a (d, M, M) set of mixing matrices row-interleaved as the
-    (M*d, M) matrix `mix_project` takes: row i*d + k is mats[k, i]."""
+    (M*d, M) matrix a graph conv takes: row i*d + k is mats[k, i]."""
     d, m = mats.shape[0], mats.shape[1]
     return mats.transpose(1, 0, 2).reshape(m * d, m)
-
-
-def mix_project(x, stacked, weight, bias):
-    """y = sum_k mats[k] @ x @ weight[k] + bias, mixing x along axis -2.
-
-    x is (..., M, C_in); `stacked` is `interleave_mixes(mats)` of a fixed
-    (d, M, M) ndarray, `weight` (d, C_in, C_out) and `bias` (C_out,).  The
-    forward is two GEMMs: the row-interleaved mixes times x, which is
-    already laid out as (rows, d*C_in), then one 2-d
-    (rows, d*C_in) @ (d*C_in, C_out) projection.  The backward mirrors
-    them, so the weight gradient is a single 2-d GEMM.
-    """
-    xd, wd = _data(x), _data(weight)
-    shape = xd.shape
-    d, c_in, c_out = wd.shape
-    m = shape[-2]
-    flat_w = wd.reshape(d * c_in, c_out)
-    rows = (stacked @ xd.reshape(-1, m, c_in)).reshape(-1, d * c_in)
-    out = (rows @ flat_w).reshape(shape[:-1] + (c_out,)) + _data(bias)
-    if not _any_var(x, weight, bias):
-        return out
-    res = Var(out, tuple(v for v in (x, weight, bias) if isinstance(v, Var)))
-
-    def bw(g):
-        g2 = g.reshape(-1, c_out)
-        if isinstance(bias, Var):
-            bias._accum(g2.sum(axis=0))
-        if isinstance(weight, Var):
-            weight._accum((rows.T @ g2).reshape(wd.shape))
-        if isinstance(x, Var):
-            g_rows = (g2 @ flat_w.T).reshape(-1, m * d, c_in)
-            x._accum((stacked.T @ g_rows).reshape(shape))
-
-    res._bw = bw
-    return res
 
 
 def shift_operator(shifts, kernel):
@@ -413,41 +382,6 @@ def _kernel_grad(shifts, rows, g2, c_in, c_out):
     return (shifts.reshape(k, t * t) @ g_dense.reshape(t * t, c_in * c_out)).reshape(k, c_in, c_out)
 
 
-def temporal_conv(x, shifts, kernel, bias, operator=None):
-    """y[..., t, :] = sum_k sum_s shifts[k, t, s] * x[..., s, :] @ kernel[k] + bias.
-
-    x is (..., T, C_in), mixed along axis -2; `shifts` is a fixed
-    (k, T, T) ndarray, `kernel` (k, C_in, C_out) and `bias` (C_out,).
-    The shifts are folded into the kernel as one dense `shift_operator`
-    D, and the forward is one GEMM of the (rows, T*C_in) input with it;
-    `operator` passes a D already built from the kernel's current value.
-    The backward is gx = g @ D.T and gD = x.T @ g, folded back to the
-    kernel with one GEMM against shifts.reshape(k, T*T).
-    """
-    xd, kd = _data(x), _data(kernel)
-    shape = xd.shape
-    t = shape[-2]
-    c_in, c_out = kd.shape[1], kd.shape[2]
-    dense = shift_operator(shifts, kd) if operator is None else operator
-    rows = xd.reshape(-1, t * c_in)
-    out = (rows @ dense).reshape(shape[:-1] + (c_out,)) + _data(bias)
-    if not _any_var(x, kernel, bias):
-        return out
-    res = Var(out, tuple(v for v in (x, kernel, bias) if isinstance(v, Var)))
-
-    def bw(g):
-        g2 = g.reshape(-1, t * c_out)
-        if isinstance(bias, Var):
-            bias._accum(g2.reshape(-1, c_out).sum(axis=0))
-        if isinstance(kernel, Var):
-            kernel._accum(_kernel_grad(shifts, rows, g2, c_in, c_out))
-        if isinstance(x, Var):
-            x._accum((g2 @ dense.T).reshape(shape))
-
-    res._bw = bw
-    return res
-
-
 def _frame_channel_sum(g, t):
     """Column sums of the (rows, C) gradient g, whose rows come in runs of
     t frames: summed over the (rows / t, t*C) view first, whose long rows
@@ -461,6 +395,76 @@ def _affine(x, weight, bias):
     out = x @ weight
     out += bias
     return out
+
+
+def _graph_conv(x, stacked, weight, bias):
+    """relu(sum_k mats[k] @ x @ weight[k] + bias) on marker-major
+    (n, M, T, C_in) features x, with `stacked` = `interleave_mixes(mats)`.
+
+    Every window's (M, T*C_in) features are mixed by the stacked
+    partitions with one GEMM and gathered to (n*M*T, d*C_in) rows, which
+    one (d*C_in, C_out) GEMM projects; the bias and the relu run in place.
+    Returns the gathered rows (the weight gradient's input) and the
+    (n*M*T, C_out) output.
+    """
+    n, m, t, _ = x.shape
+    wd = _data(weight)
+    d, c_in, c_out = wd.shape
+    rows = np.ascontiguousarray(
+        (stacked @ x.reshape(n, m, t * c_in)).reshape(n, m, d, t, c_in)
+        .transpose(0, 1, 3, 2, 4)).reshape(-1, d * c_in)
+    h = _affine(rows, wd.reshape(d * c_in, c_out), _data(bias))
+    np.maximum(h, 0.0, out=h)
+    return rows, h
+
+
+def _graph_conv_backward(gh, rows, stacked, weight, bias, t, need_input_grad):
+    """Backward of `_graph_conv` on windows of t frames from gh, the
+    gradient on its output already masked by the relu.  Accumulates the
+    weight and bias gradients and returns the (n*M*T, C_in) gradient on
+    the input, or None when `need_input_grad` is false."""
+    wd = _data(weight)
+    d, c_in, c_out = wd.shape
+    m = stacked.shape[1]
+    n = rows.shape[0] // (m * t)
+    if isinstance(bias, Var):
+        bias._accum(_frame_channel_sum(gh, t))
+    if isinstance(weight, Var):
+        weight._accum((rows.T @ gh).reshape(wd.shape))
+    if not need_input_grad:
+        return None
+    g_rows = (gh @ wd.reshape(d * c_in, c_out).T).reshape(n, m, t, d, c_in)
+    gx = stacked.T @ g_rows.transpose(0, 1, 3, 2, 4).reshape(n, m * d, t * c_in)
+    return gx.reshape(-1, c_in)
+
+
+def graph_conv_relu(x, stacked, weight, bias):
+    """relu(sum_k mats[k] @ x @ weight[k] + bias), mixing x along axis -2:
+    a spatial graph conv and its relu as one tape node.
+
+    x is (..., M, C_in); `stacked` is `interleave_mixes(mats)` of a fixed
+    (d, M, M) ndarray, `weight` (d, C_in, C_out) and `bias` (C_out,).  It
+    is the history encoder's graph conv with one frame per window, and
+    its backward reads the relu mask from the saved output.
+    """
+    xd = _data(x)
+    shape = xd.shape
+    m, c_in = shape[-2], shape[-1]
+    rows, h = _graph_conv(xd.reshape(-1, m, 1, c_in), stacked, weight, bias)
+    c_out = h.shape[1]
+    out = h.reshape(shape[:-1] + (c_out,))
+    if not _any_var(x, weight, bias):
+        return out
+    res = Var(out, tuple(v for v in (x, weight, bias) if isinstance(v, Var)))
+
+    def bw(g):
+        gh = np.multiply(g.reshape(-1, c_out), h > 0.0)
+        gx = _graph_conv_backward(gh, rows, stacked, weight, bias, 1, isinstance(x, Var))
+        if gx is not None:
+            x._accum(gx.reshape(shape))
+
+    res._bw = bw
+    return res
 
 
 # Windows per chunk of `graph_temporal_encoder`.  At desk scale (21 markers,
@@ -481,15 +485,8 @@ def _encoder_chunk(x, blocks, operators, saved=None):
     inner relu output, as `_encoder_chunk_backward` takes them."""
     n, m, t, _ = x.shape
     for ((stacked, weight, bias), temporal, residual), dense in zip(blocks, operators):
-        wd = _data(weight)
-        d, c_in, c_out = wd.shape
-        # every window's (M, T*C_in) features mixed by the stacked
-        # partitions, gathered to (n*M*T, d*C_in) rows
-        rows = np.ascontiguousarray(
-            (stacked @ x.reshape(n, m, t * c_in)).reshape(n, m, d, t, c_in)
-            .transpose(0, 1, 3, 2, 4)).reshape(-1, d * c_in)
-        h = _affine(rows, wd.reshape(d * c_in, c_out), _data(bias))
-        np.maximum(h, 0.0, out=h)
+        rows, h = _graph_conv(x, stacked, weight, bias)
+        c_out = h.shape[1]
         if temporal is None:
             y = h.copy()
         else:
@@ -498,7 +495,7 @@ def _encoder_chunk(x, blocks, operators, saved=None):
         if residual is None:
             y += x.reshape(-1, c_out)
         else:
-            y += _affine(x.reshape(-1, c_in), _data(residual[0]), _data(residual[1]))
+            y += _affine(x.reshape(-1, x.shape[3]), _data(residual[0]), _data(residual[1]))
         np.maximum(y, 0.0, out=y)
         if saved is not None:
             saved.append((x, rows, h))
@@ -517,10 +514,9 @@ def _encoder_chunk_backward(gy, blocks, operators, saved, need_input_grad):
     gradients are masked in place."""
     n, m, t, _ = gy.shape
     for i in range(len(blocks) - 1, -1, -1):
-        (stacked, weight, bias), temporal, residual = blocks[i]
+        graph, temporal, residual = blocks[i]
         xi, rows, h = saved[i]
-        wd = _data(weight)
-        d, c_in, c_out = wd.shape
+        c_in, c_out = xi.shape[3], h.shape[1]
         g2 = gy.reshape(-1, c_out)
         g_sum = _frame_channel_sum(g2, t)  # the temporal and residual biases'
         if residual is not None:
@@ -541,15 +537,9 @@ def _encoder_chunk_backward(gy, blocks, operators, saved, need_input_grad):
                                            c_out, c_out))
             gh = (gt @ operators[i].T).reshape(-1, c_out)
             np.multiply(gh, h > 0.0, out=gh)
-        if isinstance(bias, Var):
-            bias._accum(_frame_channel_sum(gh, t))
-        if isinstance(weight, Var):
-            weight._accum((rows.T @ gh).reshape(wd.shape))
-        if i == 0 and not need_input_grad:
+        gx = _graph_conv_backward(gh, rows, *graph, t, i > 0 or need_input_grad)
+        if gx is None:
             return None
-        g_rows = (gh @ wd.reshape(d * c_in, c_out).T).reshape(n, m, t, d, c_in)
-        gx = stacked.T @ g_rows.transpose(0, 1, 3, 2, 4).reshape(n, m * d, t * c_in)
-        gx = gx.reshape(-1, c_in)
         gx += g2 if residual is None else g2 @ _data(residual[0]).T
         if i > 0:
             np.multiply(gx, xi.reshape(-1, c_in) > 0.0, out=gx)
@@ -562,22 +552,22 @@ def graph_temporal_encoder(history, blocks):
     graph blocks, as one tape node.
 
     history is (N, M, C, T).  Each block is a triple (graph, temporal,
-    residual): `graph` is `mix_project`'s (stacked, weight, bias);
-    `temporal` is None or `temporal_conv`'s (shifts, kernel, bias,
-    operator); `residual` is a linear layer's (weight, bias), or None for
+    residual): `graph` is `graph_conv_relu`'s (stacked, weight, bias);
+    `temporal` is None or a reflect-shift convolution's (shifts, kernel,
+    bias, operator), whose dense `shift_operator` may be passed in or
+    left None; `residual` is a linear layer's (weight, bias), or None for
     the identity, which needs C_in == C_out.  A block maps x to
 
-        relu(temporal(relu(graph(x))) + residual(x))
+        relu(temporal(graph(x)) + residual(x))
 
-    and the result is the last block's output averaged over markers and
-    frames, (N, C_out).
+    where a graph conv includes its relu, and the result is the last
+    block's output averaged over markers and frames, (N, C_out).
 
     Every block runs on the marker-major (n, M, T, C) layout.  The
     temporal conv is then one GEMM of the contiguous (n*M, T*C) rows with
-    its dense operator, with no transpose.  The graph conv mixes each
-    window's (M, T*C_in) features with one GEMM against the stacked
-    partitions and projects the gathered (n*M*T, d*C_in) rows with one
-    (d*C_in, C_out) GEMM.  Both relus run in place.
+    its dense operator, with no transpose.  The graph conv is the one
+    `graph_conv_relu` runs (`_graph_conv`, and `_graph_conv_backward` in
+    the backward), with T frames per window.  Both relus run in place.
 
     The windows run in consecutive chunks of `ENCODER_CHUNK_WINDOWS`, and
     only the pooled output is kept.  Every window's arithmetic is the same

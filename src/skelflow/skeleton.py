@@ -1,5 +1,5 @@
-"""Skeleton graphs: marker topology, hop distances and the distance
-partitioning used by the spatial graph convolutions.
+"""Skeleton graphs: marker topology and the hop-distance partitioning
+used by the spatial graph convolutions.
 
 A skeleton is an undirected connected tree/graph over M markers.  Config is
 plain text, one directive per line:
@@ -55,13 +55,6 @@ class SkeletonSpec:
     def __post_init__(self):
         # read-only, so a spec can be shared (see `default_skeleton`)
         object.__setattr__(self, "groups", MappingProxyType(dict(self.groups)))
-
-    def adjacency(self):
-        a = np.zeros((self.marker_count, self.marker_count), dtype=np.float64)
-        for i, j in self.edges:
-            a[i, j] = 1.0
-            a[j, i] = 1.0
-        return a
 
     def mirror_permutation(self):
         """Index permutation swapping each mirror pair, identity elsewhere."""
@@ -265,12 +258,21 @@ def _hops_from(adj, src):
     return row
 
 
-def hop_distances(spec):
-    """All-pairs shortest hop counts, (M, M) int array, BFS per source;
-    -1 where a marker is unreachable."""
-    adj = _adjacency_lists(spec.marker_count, spec.edges)
-    return np.array([_hops_from(adj, src) for src in range(spec.marker_count)],
-                    dtype=np.int64)
+def _rings(adj, src, radius):
+    """The markers 1, 2, ..., `radius` hops from marker src, one list per
+    hop count, by a BFS over adjacency lists `adj` that expands no marker
+    at the last hop count."""
+    seen = {src}
+    rings = [[src]]
+    for _ in range(radius):
+        ring = []
+        for u in rings[-1]:
+            for v in adj[u]:
+                if v not in seen:
+                    seen.add(v)
+                    ring.append(v)
+        rings.append(ring)
+    return rings[1:]
 
 
 @dataclass(frozen=True)
@@ -299,15 +301,16 @@ def partition(spec, kernel_scale):
         raise ValueError(f"kernel scale must be odd and >= 3, got {kernel_scale}")
     radius = (d - 1) // 2
     m = spec.marker_count
-    hop = hop_distances(spec)
-    to_center = hop[:, spec.center_marker]
+    # one search from the center, and one out to the radius per marker
+    adj = _adjacency_lists(m, spec.edges)
+    to_center = np.array(_hops_from(adj, spec.center_marker))
     mats = np.zeros((d, m, m), dtype=np.float64)
     for i in range(m):
         mats[0, i, i] = 1.0
-        for r in range(1, radius + 1):
-            ring = np.where(hop[i] == r)[0]
-            if ring.size == 0:
-                continue
+        for r, ring in enumerate(_rings(adj, i, radius), start=1):
+            if not ring:
+                break
+            ring = np.array(ring)
             closer = ring[to_center[ring] < to_center[i]]
             farther = ring[to_center[ring] >= to_center[i]]
             if closer.size:

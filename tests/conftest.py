@@ -50,3 +50,13 @@ def random_frame_inputs(config, rng, batch=1):
     history = rng.normal(size=(batch, m, c, t))
     controls = rng.normal(size=(batch, 3, t + 1))
     return frame, history, controls
+
+
+def apply_temporal_operator(x, operator, bias):
+    """A reflect-shift temporal conv on ndarray (B, T, M, C_in) features,
+    applied through its dense (T*C_in, T*C_out) operator the way the
+    history encoder applies it: to each marker's (T*C_in) row."""
+    b, t, m, c_in = x.shape
+    rows = x.transpose(0, 2, 1, 3).reshape(b * m, t * c_in)
+    y = (rows @ operator).reshape(b, m, t, -1) + bias
+    return y.transpose(0, 2, 1, 3)

@@ -77,6 +77,53 @@ def footstep_sweep_reference(clip, skeleton_spec, grid, d):
     )
 
 
+# --- skeleton graphs ---------------------------------------------------------
+
+
+def hop_distances(spec):
+    """All-pairs shortest hop counts of a skeleton, (M, M) int array, by one
+    BFS per source over its edges; -1 where a marker is unreachable."""
+    m = spec.marker_count
+    adj = [[] for _ in range(m)]
+    for i, j in spec.edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    table = np.full((m, m), -1, dtype=np.int64)
+    for src in range(m):
+        table[src, src] = 0
+        frontier = [src]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in adj[u]:
+                    if table[src, v] < 0:
+                        table[src, v] = table[src, u] + 1
+                        nxt.append(v)
+            frontier = nxt
+    return table
+
+
+def partition_from_hop_table(spec, kernel_scale):
+    """The (D, M, M) matrices of `skeleton.partition`, every ring read off
+    the all-pairs `hop_distances` table."""
+    d = kernel_scale
+    m = spec.marker_count
+    hop = hop_distances(spec)
+    to_center = hop[:, spec.center_marker]
+    mats = np.zeros((d, m, m), dtype=np.float64)
+    for i in range(m):
+        mats[0, i, i] = 1.0
+        for r in range(1, (d - 1) // 2 + 1):
+            ring = np.where(hop[i] == r)[0]
+            closer = ring[to_center[ring] < to_center[i]]
+            farther = ring[to_center[ring] >= to_center[i]]
+            if closer.size:
+                mats[2 * r - 1, i, closer] = 1.0 / closer.size
+            if farther.size:
+                mats[2 * r, i, farther] = 1.0 / farther.size
+    return mats
+
+
 # --- op-by-op layer compositions ------------------------------------------
 # Chains of elementary numcore ops computing what the fused conditioner ops
 # compute; the references for their values and gradients.  Each runs on
@@ -122,11 +169,16 @@ def temporal_conv_chain(x, kernel, bias):
 
 def graph_temporal_block_chain(block, x):
     """A `conditioning.GraphTemporalBlock` on (B, T, M, C) features, op by
-    op: its graph conv, relu, temporal conv, residual add and relu."""
-    h = nc.relu(block.sgcn(x))
+    op from its parameters: the graph conv chain, relu, temporal conv
+    chain, residual add and relu."""
+    sgcn = block.sgcn
+    h = nc.relu(graph_conv_chain(sgcn.adjacency.matrices, x, sgcn.weight, sgcn.bias))
     if block.tcn is not None:
-        h = block.tcn(h)
-    shortcut = block.res(x) if block.res is not None else x
+        h = temporal_conv_chain(h, block.tcn.kernel, block.tcn.bias)
+    if block.res is None:
+        shortcut = x
+    else:
+        shortcut = nc.matmul(x, block.res.weight) + block.res.bias
     return nc.relu(h + shortcut)
 
 
@@ -237,9 +289,9 @@ def inverse_transform_frame_reference(model, z, history, controls, states=None,
             g = nc.reshape(hb1, (rows, -1))
         else:
             sgcn = cond.sgcn
-            mixed = nc.mix_project(hb1, nc.interleave_mixes(sgcn.adjacency.matrices),
-                                   sgcn.weight, sgcn.bias)
-            g = nc.reshape(nc.relu(mixed), (rows, -1))
+            mixed = nc.graph_conv_relu(hb1, nc.interleave_mixes(sgcn.adjacency.matrices),
+                                       sgcn.weight, sgcn.bias)
+            g = nc.reshape(mixed, (rows, -1))
         u = nc.concat([g, pooled, ctrl_flat], axis=1)
         layer_states = []
         for layer, (h_prev, c_prev) in zip(cond.lstm.layers, states[k]):

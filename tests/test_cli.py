@@ -254,6 +254,24 @@ class TestReconstruct:
                     str(tmp_path / "o")]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("generate", ["--num", "1", "--horizon", "4"]),
+    ("reconstruct", ["--num", "1", "--horizon", "10", "--mask", "right_arm"]),
+])
+def test_manifest_records_the_checkpoint_model(workspace, tmp_path, command, flags):
+    """A desk checkpoint's manifest names the desk model it ran, not the
+    job's default `full` model."""
+    out = str(tmp_path / command)
+    assert run([command, "--checkpoint", workspace["checkpoint"], *flags,
+                "--out", out]) == 0
+    manifest = json.load(open(os.path.join(out, f"manifest_{command}.json")))
+    model, _ = flow.load_checkpoint(workspace["checkpoint"])
+    assert model.config == flow.desk_config()
+    assert manifest["config"]["model"] == json.loads(json.dumps(model.config.to_dict()))
+    assert manifest["config_sha256"] == hashlib.sha256(
+        cli._canonical_json(manifest["config"]).encode()).hexdigest()
+
+
 class TestEvaluate:
     def test_reports_recover_generator_step_count(self, workspace, tmp_path):
         out = str(tmp_path / "ev")

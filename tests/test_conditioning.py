@@ -5,7 +5,7 @@ from skelflow import conditioning as cond
 from skelflow import numcore as nc
 from skelflow import skeleton as sk
 
-from conftest import make_tiny_config
+from conftest import apply_temporal_operator, make_tiny_config
 
 
 @pytest.fixture
@@ -40,7 +40,9 @@ def test_sgcn_matches_einsum_oracle(tiny_adj):
     layer = cond.SpatialGraphConv(tiny_adj, 2, 5, rng)
     x = rng.normal(size=(3, 4, 2))  # (B, M, C)
     got = layer(x)
-    want = np.einsum("kmn,bnc,kcd->bmd", tiny_adj.matrices, x, layer.weight) + layer.bias
+    conv = np.einsum("kmn,bnc,kcd->bmd", tiny_adj.matrices, x, layer.weight) + layer.bias
+    want = np.maximum(conv, 0.0)
+    assert np.any(want == 0.0) and np.any(want > 0.0)
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -77,7 +79,8 @@ def test_temporal_conv_matches_numpy_pad_oracle():
     rng = np.random.default_rng(2)
     layer = cond.TemporalConv(3, 4, 5, rng)
     x = rng.normal(size=(2, 7, 4, 3))
-    got = layer(x)
+    _, operator = layer.operator(7)
+    got = apply_temporal_operator(x, operator, layer.bias)
     want = np_symmetric_conv(x, layer.kernel, layer.bias)
     assert np.max(np.abs(got - want)) < 1e-12
 
@@ -89,15 +92,16 @@ def test_temporal_conv_center_tap_identity():
     layer.kernel[2] = np.eye(3)
     layer.bias = np.zeros_like(layer.bias)
     x = rng.normal(size=(1, 6, 2, 3))
-    assert np.array_equal(layer(x), x)
+    _, operator = layer.operator(6)
+    assert np.array_equal(operator, np.eye(6 * 3))
+    assert np.array_equal(apply_temporal_operator(x, operator, layer.bias), x)
 
 
 def test_temporal_conv_too_short_history_raises():
     rng = np.random.default_rng(4)
     layer = cond.TemporalConv(2, 2, 9, rng)
-    x = rng.normal(size=(1, 3, 2, 2))  # pad 4 > T 3
-    with pytest.raises(ValueError):
-        layer(x)
+    with pytest.raises(ValueError, match="too short"):
+        layer.operator(3)  # pad 4 > T 3
 
 
 def test_temporal_conv_rejects_even_kernel():

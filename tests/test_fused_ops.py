@@ -14,6 +14,7 @@ from skelflow import numcore as nc
 from skelflow import skeleton as sk
 from skelflow import training
 
+from conftest import apply_temporal_operator
 from oracles import (accum_zeros_then_add, graph_conv_chain, history_encoder_chain,
                      lstm_sequence_chain, temporal_conv_chain)
 
@@ -66,7 +67,7 @@ def grad_check_each(fn, inputs):
         assert err <= GRAD_TOL, (k, err)
 
 
-# --- mix_project as the spatial graph conv -------------------------------------
+# --- graph_conv_relu as the spatial graph conv ----------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -87,11 +88,11 @@ mirror 0 4
 
 def spatial_fused(matrices):
     stacked = nc.interleave_mixes(matrices)
-    return lambda x, w, b: (nc.mix_project(x, stacked, w, b),)
+    return lambda x, w, b: (nc.graph_conv_relu(x, stacked, w, b),)
 
 
 def spatial_chain(matrices):
-    return lambda x, w, b: (graph_conv_chain(matrices, x, w, b),)
+    return lambda x, w, b: (nc.relu(graph_conv_chain(matrices, x, w, b)),)
 
 
 @pytest.mark.parametrize("d", [3, 5])
@@ -101,6 +102,8 @@ def test_graph_conv_matches_chain(partitions, d, lead):
     mats = partitions[d]
     inputs = [rng.normal(size=lead + (5, 3)), rng.normal(size=(d, 3, 4)),
               rng.normal(size=4)]
+    out = spatial_fused(mats)(*inputs)[0]
+    assert np.any(out == 0.0) and np.any(out > 0.0)  # the relu cuts
     check_against_chain(spatial_fused(mats), spatial_chain(mats), inputs)
 
 
@@ -112,28 +115,49 @@ def test_graph_conv_grad_check(partitions, d):
     grad_check_each(spatial_fused(partitions[d]), inputs)
 
 
-# --- temporal_conv ------------------------------------------------------------------
+def test_graph_conv_without_input_grad(partitions):
+    """On an ndarray input the node's parents are the weight and the bias,
+    and their gradients match the chain's."""
+    rng = np.random.default_rng(12)
+    mats = partitions[3]
+    x, weight, bias = (rng.normal(size=(4, 5, 3)), rng.normal(size=(3, 3, 4)),
+                       rng.normal(size=4))
+    g = rng.normal(size=(4, 5, 4))
+    grads = []
+    for fused, fn in ((True, spatial_fused(mats)), (False, spatial_chain(mats))):
+        leaves = [nc.Var(weight.copy()), nc.Var(bias.copy())]
+        out = fn(x, *leaves)[0]
+        if fused:
+            assert out._parents == tuple(leaves)
+        grads.append(nc.grad(nc.vsum(nc.mul(out, g)), leaves))
+    for got, want in zip(*grads):
+        assert_close(got, want)
+
+
+# --- the temporal conv's dense operator ----------------------------------------------
 
 # (kernel, frames): kernels 1, 5 and 9, and frames equal to the padding
 TEMPORAL_CASES = [(1, 4), (5, 6), (9, 10), (5, 2), (9, 4)]
 
 
-def temporal_layer(x, kernel, bias):
-    layer = cond.TemporalConv(1, 1, nc._data(kernel).shape[0],
-                              np.random.default_rng(0))
-    layer.kernel, layer.bias = kernel, bias
-    return (layer(x),)
+def operator_parts(x, kernel):
+    """The reflect shifts for x's frames, the dense operator of `kernel`
+    and x as the (B*M, T*C_in) rows the operator multiplies."""
+    b, t, m, c_in = x.shape
+    shifts = cond.reflect_shifts(t, kernel.shape[0])
+    rows = x.transpose(0, 2, 1, 3).reshape(b * m, t * c_in)
+    return shifts, nc.shift_operator(shifts, kernel), rows
 
 
-def temporal_op(x, kernel, bias):
-    """nc.temporal_conv called directly on the time-major transpose."""
-    shifts = cond.reflect_shifts(nc._data(x).shape[1], nc._data(kernel).shape[0])
-    y = nc.temporal_conv(nc.transpose(x, (0, 2, 1, 3)), shifts, kernel, bias)
-    return (nc.transpose(y, (0, 2, 1, 3)),)
-
-
-def temporal_chain(x, kernel, bias):
-    return (temporal_conv_chain(x, kernel, bias),)
+def operator_grads(x, kernel, g):
+    """The input and kernel gradients of the operator conv of x under
+    output gradient g, both (B, T, M, C): g @ D.T and `nc._kernel_grad`."""
+    b, t, m, c_in = x.shape
+    c_out = kernel.shape[2]
+    shifts, dense, rows = operator_parts(x, kernel)
+    g2 = g.transpose(0, 2, 1, 3).reshape(b * m, t * c_out)
+    gx = (g2 @ dense.T).reshape(b, m, t, c_in).transpose(0, 2, 1, 3)
+    return gx, nc._kernel_grad(shifts, rows, g2, c_in, c_out)
 
 
 def temporal_inputs(k, t):
@@ -144,20 +168,59 @@ def temporal_inputs(k, t):
 
 @pytest.mark.parametrize("k, t", TEMPORAL_CASES)
 def test_temporal_conv_matches_chain(k, t):
-    check_against_chain(temporal_layer, temporal_chain, temporal_inputs(k, t))
+    """The layer's operator, applied as the encoder applies it."""
+    x, kernel, bias = temporal_inputs(k, t)
+    layer = cond.TemporalConv(2, 3, k, np.random.default_rng(0))
+    layer.kernel = kernel
+    _, operator = layer.operator(t)
+    assert_close(apply_temporal_operator(x, operator, bias),
+                 temporal_conv_chain(x, kernel, bias))
 
 
 @pytest.mark.parametrize("k, t", TEMPORAL_CASES)
 def test_temporal_conv_op_matches_chain(k, t):
-    check_against_chain(temporal_op, temporal_chain, temporal_inputs(k, t))
+    """The operator's backward, g @ D.T for the input and the kernel fold,
+    against the chain's gradients."""
+    x, kernel, bias = temporal_inputs(k, t)
+    g = np.random.default_rng(k + t).normal(size=x.shape[:3] + (3,))
+    leaves = [nc.Var(x.copy()), nc.Var(kernel.copy())]
+    loss = nc.vsum(nc.mul(temporal_conv_chain(*leaves, bias), g))
+    want_x, want_kernel = nc.grad(loss, leaves)
+    got_x, got_kernel = operator_grads(x, kernel, g)
+    assert_close(got_x, want_x)
+    assert_close(got_kernel, want_kernel)
 
 
 @pytest.mark.parametrize("k, t", TEMPORAL_CASES)
 def test_temporal_conv_grad_check(k, t):
+    """The operator's input and kernel gradients of a weighted tanh sum
+    against central differences."""
     rng = np.random.default_rng(k * 10 + t)
-    inputs = [rng.normal(size=(1, t, 2, 2)), rng.normal(size=(k, 2, 2)),
-              rng.normal(size=2)]
-    grad_check_each(temporal_layer, inputs)
+    x, kernel = rng.normal(size=(1, t, 2, 2)), rng.normal(size=(k, 2, 2))
+    bias = rng.normal(size=2)
+    weights = rng.normal(size=(1, t, 2, 2))
+
+    def conv(x, kernel):
+        _, dense, _ = operator_parts(x, kernel)
+        return apply_temporal_operator(x, dense, bias)
+
+    def loss(x, kernel):
+        return float(np.sum(np.tanh(conv(x, kernel)) * weights))
+
+    y = conv(x, kernel)
+    analytic = operator_grads(x, kernel, weights * (1.0 - np.tanh(y) ** 2))
+    step = 1e-5
+    for k_arg, base in enumerate((x, kernel)):
+        numeric = np.zeros_like(base)
+        for i in range(base.size):
+            args = [x, kernel]
+            for sign in (1.0, -1.0):
+                probe = base.copy()
+                probe.reshape(-1)[i] += sign * step
+                args[k_arg] = probe
+                numeric.reshape(-1)[i] += sign * loss(*args) / (2.0 * step)
+        err = np.abs(analytic[k_arg] - numeric) / (np.abs(numeric) + 1e-8)
+        assert float(err.max()) <= GRAD_TOL, (k_arg, float(err.max()))
 
 
 @pytest.mark.parametrize("k, t", TEMPORAL_CASES)
@@ -182,33 +245,39 @@ def test_reflect_shifts_pick_one_frame_per_tap(k, t):
     assert np.array_equal(shifts[(k - 1) // 2], np.eye(t))
 
 
+def layer_conv(layer, x):
+    """The layer's temporal conv of ndarray x through `operator`."""
+    _, operator = layer.operator(x.shape[1])
+    return apply_temporal_operator(x, operator, layer.bias)
+
+
 def test_temporal_conv_layer_caches_operator_by_value():
     rng = np.random.default_rng(5)
     layer = cond.TemporalConv(3, 4, 9, rng)
     x = rng.normal(size=(2, 6, 5, 3))
-    assert_close(layer(x), temporal_conv_chain(x, layer.kernel, layer.bias))
-    operator = layer._operator
-    layer(x)
-    assert layer._operator is operator
+    assert_close(layer_conv(layer, x), temporal_conv_chain(x, layer.kernel, layer.bias))
+    shifts, operator = layer.operator(6)
+    assert layer.operator(6)[1] is operator
     # a new array with the same values keeps the operator
     layer.kernel = layer.kernel.copy()
-    layer(x)
-    assert layer._operator is operator
-    # a lifted kernel builds its operator per call and leaves the cache alone
+    assert layer.operator(6)[1] is operator
+    # a lifted kernel gets no operator and leaves the cache alone
     kernel = layer.kernel
     layer.kernel = nc.Var(kernel)
-    assert_close(layer(x), temporal_conv_chain(x, kernel, layer.bias))
-    assert layer._operator is operator
+    lifted_shifts, lifted_operator = layer.operator(6)
+    assert lifted_shifts is shifts and lifted_operator is None
+    layer.kernel = kernel
+    assert layer.operator(6)[1] is operator
 
 
 def test_temporal_conv_layer_follows_in_place_kernel_edit():
     rng = np.random.default_rng(6)
     layer = cond.TemporalConv(3, 4, 5, rng)
     x = rng.normal(size=(2, 6, 5, 3))
-    before = layer(x)
+    before = layer_conv(layer, x)
     layer.kernel[2, 1, 0] += 0.5
     layer.kernel *= 1.5
-    after = layer(x)
+    after = layer_conv(layer, x)
     assert not np.allclose(after, before)
     assert_close(after, temporal_conv_chain(x, layer.kernel, layer.bias))
 
@@ -218,11 +287,11 @@ def test_temporal_conv_layer_at_two_history_lengths():
     layer = cond.TemporalConv(3, 4, 5, rng)
     for t in (6, 4, 6):
         x = rng.normal(size=(2, t, 5, 3))
-        assert_close(layer(x), temporal_conv_chain(x, layer.kernel, layer.bias))
+        assert_close(layer_conv(layer, x), temporal_conv_chain(x, layer.kernel, layer.bias))
     with pytest.raises(ValueError, match="too short"):
-        layer(rng.normal(size=(2, 1, 5, 3)))
+        layer.operator(1)
     x = rng.normal(size=(2, 6, 5, 3))
-    assert_close(layer(x), temporal_conv_chain(x, layer.kernel, layer.bias))
+    assert_close(layer_conv(layer, x), temporal_conv_chain(x, layer.kernel, layer.bias))
 
 
 # --- graph_temporal_encoder ------------------------------------------------------
@@ -482,9 +551,10 @@ def test_desk_training_step_tape_census(desk_segment):
     finally:
         nc.restore(model)
     ops = tape_ops(loss)
-    assert sum(ops.values()) <= 306
+    assert sum(ops.values()) <= 300
     assert ops["graph_temporal_encoder"] == 1
-    assert ops["temporal_conv"] == 0 and ops["transpose"] == 0
+    assert ops["graph_conv_relu"] == 6  # one per coupling conditioner
+    assert ops["relu"] == 0 and ops["transpose"] == 0
 
 
 def test_desk_training_step_memory(desk_segment):

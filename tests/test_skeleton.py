@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from skelflow import skeleton as sk
 
+from oracles import hop_distances, partition_from_hop_table
+
 
 # --- oracles ---------------------------------------------------------------
 
@@ -111,8 +113,8 @@ def test_disconnected_error_lists_a_few_markers():
 def test_too_few_edge_lines_rejected_before_graph_search(monkeypatch):
     def no_search(*args):
         raise AssertionError("graph searched")
-    monkeypatch.setattr(sk, "hop_distances", no_search)
     monkeypatch.setattr(sk, "_hops_from", no_search)
+    monkeypatch.setattr(sk, "_rings", no_search)
     with pytest.raises(sk.SkeletonConfigError,
                        match=r"^3000 markers need at least 2999 edge lines, got 0$"):
         sk.build_skeleton("markers 3000\ncenter 0\nheels 0 1\n")
@@ -121,9 +123,9 @@ def test_too_few_edge_lines_rejected_before_graph_search(monkeypatch):
 
 
 def test_long_chain_connectivity_is_one_search(monkeypatch):
-    """Connectivity is one BFS from marker 0, not the all-pairs table."""
-    def no_table(spec):
-        raise AssertionError("all-pairs hop table built")
+    """Connectivity is one BFS from marker 0, not one per marker."""
+    def no_rings(*args):
+        raise AssertionError("per-marker search run")
     searches = []
     hops_from = sk._hops_from
 
@@ -131,7 +133,7 @@ def test_long_chain_connectivity_is_one_search(monkeypatch):
         searches.append(src)
         return hops_from(adj, src)
 
-    monkeypatch.setattr(sk, "hop_distances", no_table)
+    monkeypatch.setattr(sk, "_rings", no_rings)
     monkeypatch.setattr(sk, "_hops_from", counted)
     m = 2000
     spec = sk.build_skeleton(f"markers {m}\ncenter 0\nheels 0 1\n"
@@ -179,6 +181,8 @@ def test_bone_lengths_require_all_edges():
 # --- hop distances ----------------------------------------------------------
 
 def test_hop_distances_match_floyd_warshall_on_random_graphs():
+    """The reference table, the library's BFS rows and its radius-bounded
+    rings all agree with Floyd-Warshall."""
     rng = np.random.default_rng(42)
     for _ in range(10):
         m = int(rng.integers(2, 15))
@@ -190,13 +194,23 @@ def test_hop_distances_match_floyd_warshall_on_random_graphs():
             if i != j and e not in edges:
                 edges.append(e)
         spec = spec_from_edges(m, edges)
-        assert np.array_equal(sk.hop_distances(spec), floyd_warshall(m, edges))
+        want = floyd_warshall(m, edges)
+        assert np.array_equal(hop_distances(spec), want)
+        adj = sk._adjacency_lists(m, spec.edges)
+        for src in range(m):
+            assert sk._hops_from(adj, src) == want[src].tolist()
+            rings = sk._rings(adj, src, 3)
+            assert len(rings) == 3
+            for r, ring in enumerate(rings, start=1):
+                assert sorted(ring) == np.flatnonzero(want[src] == r).tolist()
 
 
 def test_hop_distances_path_graph():
     spec = spec_from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    d = sk.hop_distances(spec)
+    d = hop_distances(spec)
     assert d[0, 3] == 3 and d[1, 2] == 1 and d[2, 2] == 0
+    adj = sk._adjacency_lists(4, spec.edges)
+    assert sk._rings(adj, 1, 3) == [[0, 2], [3], []]
 
 
 # --- partitioning -----------------------------------------------------------
@@ -239,7 +253,7 @@ def test_partition_rows_normalized_by_cardinality():
 
 def test_partition_subsets_disjoint_and_cover_ball():
     spec = sk.default_skeleton()
-    hop = sk.hop_distances(spec)
+    hop = hop_distances(spec)
     pa = sk.partition(spec, 7)
     for i in range(21):
         seen = set()
@@ -276,9 +290,56 @@ def test_partition_union_property_random_trees(m, seed):
     edges = random_tree(rng, m)
     center = int(rng.integers(0, m))
     spec = spec_from_edges(m, edges, center=center)
-    hop = sk.hop_distances(spec)
+    hop = hop_distances(spec)
     pa = sk.partition(spec, 5)
     union = (pa.matrices > 0).any(axis=0)
     for i in range(m):
         ball = hop[i] <= pa.hop_radius
         assert np.array_equal(union[i], ball)
+
+
+def test_partition_bit_identical_to_hop_table(tiny_skeleton):
+    """The per-marker searches give the matrices the all-pairs table gives,
+    bit for bit, on the default, the tiny and random tree skeletons."""
+    rng = np.random.default_rng(7)
+    specs = [sk.default_skeleton(), tiny_skeleton]
+    for _ in range(6):
+        m = int(rng.integers(2, 30))
+        specs.append(spec_from_edges(m, random_tree(rng, m), center=int(rng.integers(0, m))))
+    for spec in specs:
+        for d in (3, 5, 7):
+            got = sk.partition(spec, d).matrices
+            assert np.array_equal(got, partition_from_hop_table(spec, d))
+
+
+class CountingLists(list):
+    """Adjacency lists that count the markers a search expands."""
+
+    visits = 0
+
+    def __getitem__(self, i):
+        self.visits += 1
+        return super().__getitem__(i)
+
+
+def test_long_chain_partition_bfs_visits(monkeypatch):
+    """Partitioning a 2,000-marker chain at scale 3 expands each marker
+    once in the center search and once in its own radius-1 search, not
+    every marker from every marker."""
+    m = 2000
+    spec = spec_from_edges(m, [(i, i + 1) for i in range(m - 1)], center=m // 2)
+    lists = []
+    adjacency_lists = sk._adjacency_lists
+
+    def counted(*args):
+        lists.append(CountingLists(adjacency_lists(*args)))
+        return lists[-1]
+
+    monkeypatch.setattr(sk, "_adjacency_lists", counted)
+    pa = sk.partition(spec, 3)
+    assert len(lists) == 1
+    assert lists[0].visits <= 2 * m
+    assert np.array_equal(pa.matrices[1, 0], np.eye(m)[1])  # marker 1 is closer
+    assert pa.matrices[2, 0].sum() == 0.0
+    assert pa.matrices[1, m // 2].sum() == 0.0
+    assert np.array_equal(pa.matrices[2, m // 2, m // 2 - 1:m // 2 + 2], [0.5, 0.0, 0.5])
