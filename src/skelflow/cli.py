@@ -235,9 +235,8 @@ def _ingest_directory(directory, fps, spec):
 
 
 def _training_windows(config, spec):
-    data_dir = config.data_dir or os.environ.get(DATA_DIR_ENV, "")
-    if data_dir:
-        return _ingest_directory(data_dir, config.fps, spec)
+    if config.data_dir:
+        return _ingest_directory(config.data_dir, config.fps, spec)
     return _training.synthetic_corpus(
         specs=config.paths, steps=config.walker_steps, fps=config.fps,
         seed=config.seed, noise_std=config.noise_std, skeleton_spec=spec)
@@ -252,6 +251,8 @@ def cmd_train(config, init_from=""):
         model, _ = _flow.load_checkpoint(init_from)
         if _skeleton.to_config_text(model.skeleton) != _skeleton.to_config_text(spec):
             raise ValueError("--init-from checkpoint skeleton does not match")
+        # the manifest and the checkpoint's meta record the model that runs
+        config = replace(config, model=model.config)
     else:
         model = _flow.FlowModel.create(config.model, spec, seed=config.seed)
         _training.initialize_from_corpus(model, train_w, config.train)
@@ -419,7 +420,7 @@ SUMMARY_HEADER = ("# clip max_f_est v_tol_95 step_mean_s step_std_s "
 def cmd_evaluate(config, clips_dir=""):
     out = _ensure_out(config)
     spec = _load_skeleton(config)
-    source = clips_dir or config.data_dir or os.environ.get(DATA_DIR_ENV, "")
+    source = clips_dir or config.data_dir
     if not source:
         raise ValueError("evaluate needs --clips (or data_dir/config)")
     grid = _metric_grid(config)
@@ -568,7 +569,10 @@ def resolve_config(args):
 
     `train` defaults to the desk model, and its training seed to the job
     seed unless the file's `train` object sets one; `--scale` swaps in a
-    preset that keeps the current model's markers and ablation."""
+    preset that keeps the current model's markers and ablation.  For the
+    commands that read clips from `data_dir` (train, evaluate), an empty
+    `data_dir` takes the value of $SKELFLOW_DATA_DIR, so the manifest
+    records the directory that was read."""
     config = JobConfig(model=_flow.desk_config() if args.command == "train"
                        else _flow.ModelConfig())
     file_train_seed = False
@@ -587,6 +591,8 @@ def resolve_config(args):
                             tuple(value) if isinstance(value, list) else value)
     if args.command == "train" and ("seed" in given or not file_train_seed):
         config = _set_field(config, "train.seed", config.seed)
+    if args.command in ("train", "evaluate") and not config.data_dir:
+        config = replace(config, data_dir=os.environ.get(DATA_DIR_ENV, ""))
     return config.validate()
 
 

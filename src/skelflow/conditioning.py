@@ -57,15 +57,14 @@ class SpatialGraphConv(nc.Module):
     """y_i = relu(sum_k A_k[i] x W_k + bias), with A_k the partition
     matrices: the graph conv and its relu, as every caller uses them.
 
-    The adjacency is frozen, so its row-interleaved (M*d, M) stack, the
-    form `nc.graph_conv_relu` takes, is built once here.
+    The conv mixes with the adjacency's own `stacked` array, which every
+    conv at that kernel scale shares.
     """
 
     param_attrs = ("weight", "bias")
 
     def __init__(self, adjacency, in_channels, out_channels, rng):
         self.adjacency = adjacency  # PartitionedAdjacency, frozen
-        self.stacked = nc.interleave_mixes(adjacency.matrices)
         d = adjacency.kernel_scale
         scale = 1.0 / np.sqrt(in_channels * d)
         self.weight = rng.normal(0.0, scale, size=(d, in_channels, out_channels))
@@ -73,7 +72,7 @@ class SpatialGraphConv(nc.Module):
 
     def __call__(self, x):
         # x: (..., M, in_channels)
-        return nc.graph_conv_relu(x, self.stacked, self.weight, self.bias)
+        return nc.graph_conv_relu(x, self.adjacency.stacked, self.weight, self.bias)
 
 
 def reflect_shifts(t, kernel_size):
@@ -105,9 +104,9 @@ class TemporalConv(nc.Module):
     are one fixed stack of shift matrices per history length (see
     `reflect_shifts`), folded into the kernel as one dense operator, which
     `nc.graph_temporal_encoder` applies to the (rows, T*C_in) features.
-    While the kernel is a plain ndarray (rollout, evaluation) the layer
-    keeps the operator it built, and rebuilds it when T or the kernel's
-    bytes change.
+    `operator` is the only builder of that operator.  While the kernel is
+    a plain ndarray (rollout, evaluation) the layer keeps the operator it
+    built, and rebuilds it when T or the kernel's bytes change.
     """
 
     param_attrs = ("kernel", "bias")
@@ -125,14 +124,15 @@ class TemporalConv(nc.Module):
         self._operator = None
 
     def operator(self, t):
-        """(shifts, operator) for t frames: the shift matrices and, for an
-        ndarray kernel, the cached dense operator; None for a lifted kernel,
-        which builds its operator per call."""
+        """(shifts, operator) for t frames: the shift matrices and the dense
+        operator, cached for an ndarray kernel.  A lifted kernel, whose
+        values change every training step, gets a freshly built operator
+        and leaves the cache alone."""
         if t != self._t:
             self._shifts = reflect_shifts(t, self.kernel_size)
             self._t, self._built_from = t, None
         if isinstance(self.kernel, nc.Var):
-            return self._shifts, None
+            return self._shifts, nc.shift_operator(self._shifts, self.kernel.data)
         if self.kernel.tobytes() != self._built_from:
             self._operator = nc.shift_operator(self._shifts, self.kernel)
             self._built_from = self.kernel.tobytes()
@@ -160,7 +160,8 @@ class GraphTemporalBlock(nc.Module):
             shifts, operator = self.tcn.operator(t)
             temporal = (shifts, self.tcn.kernel, self.tcn.bias, operator)
         residual = None if self.res is None else (self.res.weight, self.res.bias)
-        return (self.sgcn.stacked, self.sgcn.weight, self.sgcn.bias), temporal, residual
+        return ((self.sgcn.adjacency.stacked, self.sgcn.weight, self.sgcn.bias),
+                temporal, residual)
 
 
 class HistoryEncoder(nc.Module):

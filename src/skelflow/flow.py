@@ -254,7 +254,6 @@ class FlowModel(nc.Module):
         partitions = {}
         for d in set(config.kernel_schedule) | {config.encoder_kernel_scale}:
             partitions[d] = sk.partition(skeleton_spec, d)
-        self.partitions = partitions
         self.encoder = HistoryEncoder(
             config.ablation, partitions[config.encoder_kernel_scale],
             config.markers, config.channels, config.history,
@@ -508,16 +507,20 @@ def load_checkpoint(path):
     current = dict(model.named_parameters())
     current["buffers.data_mean"] = model.data_mean
     current["buffers.data_std"] = model.data_std
+    loaded = set()
     for (name, shape), arr in zip(entries, np.split(payload, np.cumsum(sizes)[:-1])):
         if name not in current:
             raise CheckpointFormatError(f"{path}: unknown parameter {name}")
+        if name in loaded:
+            raise CheckpointFormatError(f"{path}: parameter {name} listed twice")
+        loaded.add(name)
         if current[name].shape != shape:
             raise CheckpointFormatError(f"{path}: shape mismatch for {name}")
         if name.startswith("buffers."):
             setattr(model, name[len("buffers."):], arr.reshape(shape))
         else:
             model.set_parameter(name, arr.reshape(shape))
-    missing = set(current) - {name for name, _ in entries}
+    missing = set(current) - loaded
     if missing:
         raise CheckpointFormatError(f"{path}: missing parameters {sorted(missing)[:3]}")
     return model, meta

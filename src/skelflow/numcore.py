@@ -118,12 +118,6 @@ class Var:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
     def __neg__(self):
         return neg(self)
 
@@ -193,15 +187,6 @@ def mul(a, b):
                                   (b, lambda g: _unbroadcast(g * ad, bd.shape))))
 
 
-def div(a, b):
-    if not _any_var(a, b):
-        return _data(a) / _data(b)
-    ad, bd = _data(a), _data(b)
-    return _node("div", ad / bd, (
-        (a, lambda g: _unbroadcast(g / bd, ad.shape)),
-        (b, lambda g: _unbroadcast(-g * ad / (bd * bd), bd.shape))))
-
-
 def neg(a):
     if not isinstance(a, Var):
         return -_data(a)
@@ -261,14 +246,6 @@ def reshape(a, shape):
     return _node("reshape", data, ((a, lambda g: np.reshape(g, a.data.shape)),))
 
 
-def transpose(a, axes):
-    if not isinstance(a, Var):
-        return _data(a).transpose(axes)
-    inv = np.argsort(axes)
-    return _node("transpose", np.transpose(a.data, axes),
-                 ((a, lambda g: np.transpose(g, inv)),))
-
-
 def getitem(a, key):
     if not isinstance(a, Var):
         return _data(a)[key]
@@ -313,15 +290,6 @@ def sigmoid(a):
     return _node("sigmoid", sd, ((a, lambda g: g * sd * (1.0 - sd)),))
 
 
-def relu(a):
-    if not isinstance(a, Var):
-        ad = _data(a)
-        return np.maximum(ad, 0.0)
-    # np.maximum (not where) so non-finite inputs stay visible in the output
-    mask = a.data > 0.0
-    return _node("relu", np.maximum(a.data, 0.0), ((a, lambda g: g * mask),))
-
-
 def absolute(a):
     if not isinstance(a, Var):
         return np.abs(_data(a))
@@ -348,13 +316,6 @@ def logabsdet(a):
 
 
 # -- fused layer ops: one tape node each, with a hand-written backward --------
-
-
-def interleave_mixes(mats):
-    """Stack a (d, M, M) set of mixing matrices row-interleaved as the
-    (M*d, M) matrix a graph conv takes: row i*d + k is mats[k, i]."""
-    d, m = mats.shape[0], mats.shape[1]
-    return mats.transpose(1, 0, 2).reshape(m * d, m)
 
 
 def shift_operator(shifts, kernel):
@@ -399,7 +360,8 @@ def _affine(x, weight, bias):
 
 def _graph_conv(x, stacked, weight, bias):
     """relu(sum_k mats[k] @ x @ weight[k] + bias) on marker-major
-    (n, M, T, C_in) features x, with `stacked` = `interleave_mixes(mats)`.
+    (n, M, T, C_in) features x, with `stacked` the (M*d, M) row-interleaved
+    partition (row i*d + k is mats[k, i], see `skeleton.partition`).
 
     Every window's (M, T*C_in) features are mixed by the stacked
     partitions with one GEMM and gathered to (n*M*T, d*C_in) rows, which
@@ -442,8 +404,8 @@ def graph_conv_relu(x, stacked, weight, bias):
     """relu(sum_k mats[k] @ x @ weight[k] + bias), mixing x along axis -2:
     a spatial graph conv and its relu as one tape node.
 
-    x is (..., M, C_in); `stacked` is `interleave_mixes(mats)` of a fixed
-    (d, M, M) ndarray, `weight` (d, C_in, C_out) and `bias` (C_out,).  It
+    x is (..., M, C_in); `stacked` is a fixed partition's (M*d, M) ndarray
+    (see `_graph_conv`), `weight` (d, C_in, C_out) and `bias` (C_out,).  It
     is the history encoder's graph conv with one frame per window, and
     its backward reads the relu mask from the saved output.
     """
@@ -477,20 +439,19 @@ def graph_conv_relu(x, stacked, weight, bias):
 ENCODER_CHUNK_WINDOWS = 8
 
 
-def _encoder_chunk(x, blocks, operators, saved=None):
+def _encoder_chunk(x, blocks, saved=None):
     """The blocks of `graph_temporal_encoder` on one chunk of windows:
-    x is marker-major (n, M, T, C_in) and `operators` holds each block's
-    dense temporal operator (None without one).  Returns the last block's
-    output.  A list `saved` gets, per block, its input, gathered rows and
-    inner relu output, as `_encoder_chunk_backward` takes them."""
+    x is marker-major (n, M, T, C_in).  Returns the last block's output.
+    A list `saved` gets, per block, its input, gathered rows and inner
+    relu output, as `_encoder_chunk_backward` takes them."""
     n, m, t, _ = x.shape
-    for ((stacked, weight, bias), temporal, residual), dense in zip(blocks, operators):
+    for (stacked, weight, bias), temporal, residual in blocks:
         rows, h = _graph_conv(x, stacked, weight, bias)
         c_out = h.shape[1]
         if temporal is None:
             y = h.copy()
         else:
-            y = (h.reshape(n * m, t * c_out) @ dense).reshape(-1, c_out)
+            y = (h.reshape(n * m, t * c_out) @ temporal[3]).reshape(-1, c_out)
             y += _data(temporal[2])
         if residual is None:
             y += x.reshape(-1, c_out)
@@ -505,7 +466,7 @@ def _encoder_chunk(x, blocks, operators, saved=None):
     return x
 
 
-def _encoder_chunk_backward(gy, blocks, operators, saved, need_input_grad):
+def _encoder_chunk_backward(gy, blocks, saved, need_input_grad):
     """Backward through the blocks of one chunk from gy, the gradient on
     the last block's output already masked by its relu.  Accumulates every
     parameter gradient and returns the gradient on the chunk's
@@ -528,14 +489,14 @@ def _encoder_chunk_backward(gy, blocks, operators, saved, need_input_grad):
         if temporal is None:
             gh = np.multiply(g2, h > 0.0)
         else:
-            shifts, kernel, t_bias, _ = temporal
+            shifts, kernel, t_bias, dense = temporal
             gt = gy.reshape(n * m, t * c_out)
             if isinstance(t_bias, Var):
                 t_bias._accum(g_sum)
             if isinstance(kernel, Var):
                 kernel._accum(_kernel_grad(shifts, h.reshape(n * m, t * c_out), gt,
                                            c_out, c_out))
-            gh = (gt @ operators[i].T).reshape(-1, c_out)
+            gh = (gt @ dense.T).reshape(-1, c_out)
             np.multiply(gh, h > 0.0, out=gh)
         gx = _graph_conv_backward(gh, rows, *graph, t, i > 0 or need_input_grad)
         if gx is None:
@@ -554,9 +515,10 @@ def graph_temporal_encoder(history, blocks):
     history is (N, M, C, T).  Each block is a triple (graph, temporal,
     residual): `graph` is `graph_conv_relu`'s (stacked, weight, bias);
     `temporal` is None or a reflect-shift convolution's (shifts, kernel,
-    bias, operator), whose dense `shift_operator` may be passed in or
-    left None; `residual` is a linear layer's (weight, bias), or None for
-    the identity, which needs C_in == C_out.  A block maps x to
+    bias, operator), with `operator` the kernel's dense `shift_operator`
+    (see `conditioning.TemporalConv.operator`); `residual` is a linear
+    layer's (weight, bias), or None for the identity, which needs
+    C_in == C_out.  A block maps x to
 
         relu(temporal(graph(x)) + residual(x))
 
@@ -575,31 +537,25 @@ def graph_temporal_encoder(history, blocks):
     keeps the history and its operands, not the activations: the backward
     recomputes each chunk's forward, saving its activations, runs that
     chunk's backward and accumulates the parameter gradients chunk by
-    chunk.  A temporal operator missing from the operands (a lifted
-    kernel) is built once per call and shared by all chunks.
+    chunk.  Every chunk shares the operands' temporal operators.
     """
     hd = _data(history)
     n, m, _, t = hd.shape
     operands = [history]
-    operators = []
     for (_, weight, bias), temporal, residual in blocks:
         operands += [weight, bias]
-        dense = None
         if temporal is not None:
-            shifts, kernel, t_bias, dense = temporal
+            _, kernel, t_bias, _ = temporal
             operands += [kernel, t_bias]
-            if dense is None:
-                dense = shift_operator(shifts, _data(kernel))
         if residual is not None:
             operands += residual
-        operators.append(dense)
     scale = 1.0 / (m * t)
     chunks = [slice(start, start + ENCODER_CHUNK_WINDOWS)
               for start in range(0, n, ENCODER_CHUNK_WINDOWS)]
 
     def chunk_output(chunk, saved=None):
         x = np.ascontiguousarray(hd[chunk].transpose(0, 1, 3, 2))
-        return _encoder_chunk(x, blocks, operators, saved)
+        return _encoder_chunk(x, blocks, saved)
 
     width = _data(blocks[-1][0][1]).shape[2]  # the last graph weight's C_out
     out = np.empty((n, width))
@@ -615,8 +571,7 @@ def graph_temporal_encoder(history, blocks):
             x = chunk_output(chunk, saved)
             # the pooled mean's gradient, broadcast and masked by the last relu
             gy = np.multiply(x > 0.0, (g[chunk] * scale)[:, None, None, :])
-            gx = _encoder_chunk_backward(gy, blocks, operators, saved,
-                                         isinstance(history, Var))
+            gx = _encoder_chunk_backward(gy, blocks, saved, isinstance(history, Var))
             if gx is not None:
                 history._accum_at(chunk, gx.transpose(0, 1, 3, 2))
 

@@ -279,19 +279,30 @@ def _rings(adj, src, radius):
 class PartitionedAdjacency:
     """Per-subset averaging matrices for one kernel scale.
 
-    matrices[k][i, j] = 1/|S_k(i)| when marker j is in subset k of marker i,
+    Marker i's subset k averages over S_k(i): 1/|S_k(i)| at each member j,
     else zero.  Subset 0 is {i} itself; for each hop ring r = 1..R there is a
     closer-to-center subset (2r-1) and a farther subset (2r); ties on center
     distance go to the farther subset.
+
+    The partition is stored once, read-only and row-interleaved as the
+    (M*D, M) `stacked`, whose row i*D + k is subset k of marker i: the form
+    a graph conv mixes with, shared by every conv at this scale.
     """
 
     kernel_scale: int
     hop_radius: int
-    matrices: np.ndarray  # (D, M, M)
+    stacked: np.ndarray  # (M*D, M)
 
     @property
     def marker_count(self):
-        return self.matrices.shape[1]
+        return self.stacked.shape[1]
+
+    @property
+    def matrices(self):
+        """The (D, M, M) view of `stacked`: matrices[k][i] is subset k of
+        marker i."""
+        m = self.marker_count
+        return self.stacked.reshape(m, self.kernel_scale, m).transpose(1, 0, 2)
 
 
 def partition(spec, kernel_scale):
@@ -304,9 +315,9 @@ def partition(spec, kernel_scale):
     # one search from the center, and one out to the radius per marker
     adj = _adjacency_lists(m, spec.edges)
     to_center = np.array(_hops_from(adj, spec.center_marker))
-    mats = np.zeros((d, m, m), dtype=np.float64)
+    subsets = np.zeros((m, d, m), dtype=np.float64)  # [i, k]: subset k of marker i
     for i in range(m):
-        mats[0, i, i] = 1.0
+        subsets[i, 0, i] = 1.0
         for r, ring in enumerate(_rings(adj, i, radius), start=1):
             if not ring:
                 break
@@ -314,10 +325,12 @@ def partition(spec, kernel_scale):
             closer = ring[to_center[ring] < to_center[i]]
             farther = ring[to_center[ring] >= to_center[i]]
             if closer.size:
-                mats[2 * r - 1, i, closer] = 1.0 / closer.size
+                subsets[i, 2 * r - 1, closer] = 1.0 / closer.size
             if farther.size:
-                mats[2 * r, i, farther] = 1.0 / farther.size
-    return PartitionedAdjacency(kernel_scale=d, hop_radius=radius, matrices=mats)
+                subsets[i, 2 * r, farther] = 1.0 / farther.size
+    stacked = subsets.reshape(m * d, m)
+    stacked.flags.writeable = False
+    return PartitionedAdjacency(kernel_scale=d, hop_radius=radius, stacked=stacked)
 
 
 def partition_subsets(spec, kernel_scale):

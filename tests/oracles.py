@@ -124,8 +124,38 @@ def partition_from_hop_table(spec, kernel_scale):
     return mats
 
 
+# --- elementary taped ops that only the references use ---------------------
+# Each runs on ndarrays, or on Vars as one tape node named after the op.
+
+
+def div(a, b):
+    """a / b with broadcasting."""
+    if not nc._any_var(a, b):
+        return nc._data(a) / nc._data(b)
+    ad, bd = nc._data(a), nc._data(b)
+    return nc._node("div", ad / bd, (
+        (a, lambda g: nc._unbroadcast(g / bd, ad.shape)),
+        (b, lambda g: nc._unbroadcast(-g * ad / (bd * bd), bd.shape))))
+
+
+def transpose(a, axes):
+    if not isinstance(a, nc.Var):
+        return nc._data(a).transpose(axes)
+    inv = np.argsort(axes)
+    return nc._node("transpose", np.transpose(a.data, axes),
+                    ((a, lambda g: np.transpose(g, inv)),))
+
+
+def relu(a):
+    if not isinstance(a, nc.Var):
+        return np.maximum(nc._data(a), 0.0)
+    # np.maximum (not where) so non-finite inputs stay visible in the output
+    mask = a.data > 0.0
+    return nc._node("relu", np.maximum(a.data, 0.0), ((a, lambda g: g * mask),))
+
+
 # --- op-by-op layer compositions ------------------------------------------
-# Chains of elementary numcore ops computing what the fused conditioner ops
+# Chains of elementary ops computing what the fused conditioner ops
 # compute; the references for their values and gradients.  Each runs on
 # ndarrays or on Vars.
 
@@ -172,21 +202,21 @@ def graph_temporal_block_chain(block, x):
     op from its parameters: the graph conv chain, relu, temporal conv
     chain, residual add and relu."""
     sgcn = block.sgcn
-    h = nc.relu(graph_conv_chain(sgcn.adjacency.matrices, x, sgcn.weight, sgcn.bias))
+    h = relu(graph_conv_chain(sgcn.adjacency.matrices, x, sgcn.weight, sgcn.bias))
     if block.tcn is not None:
         h = temporal_conv_chain(h, block.tcn.kernel, block.tcn.bias)
     if block.res is None:
         shortcut = x
     else:
         shortcut = nc.matmul(x, block.res.weight) + block.res.bias
-    return nc.relu(h + shortcut)
+    return relu(h + shortcut)
 
 
 def history_encoder_chain(encoder, history):
     """An `stmg` or `smg` `conditioning.HistoryEncoder` on (B, M, C, T)
     histories, block by block on the time-major (B, T, M, C) transpose,
     then a mean over frames and markers."""
-    x = nc.transpose(history, (0, 3, 1, 2))
+    x = transpose(history, (0, 3, 1, 2))
     for block in encoder.blocks:
         x = graph_temporal_block_chain(block, x)
     return nc.vmean(x, axis=(1, 2))
@@ -230,7 +260,7 @@ def segment_nll_per_frame(model, positions, controls, n_frames):
                                             states=states)
         mean_lp = nc.vmean(logp)
         total = mean_lp if total is None else nc.add(total, mean_lp)
-    return nc.neg(nc.div(total, float(n_frames)))
+    return nc.neg(div(total, float(n_frames)))
 
 
 def adam_step_reference(params, grads, state, step_size, beta1=0.9,
@@ -270,8 +300,8 @@ def inverse_transform_frame_reference(model, z, history, controls, states=None,
     shape = nc._data(z).shape
     t, b = ((1, 1) + shape[:-2])[-2:]
     rows = t * b
-    hist_std = nc.div(nc.sub(history, model.data_mean[:, :, None]),
-                      model.data_std[:, :, None])
+    hist_std = div(nc.sub(history, model.data_mean[:, :, None]),
+                   model.data_std[:, :, None])
     if history_mask is not None:
         hist_std = nc.mul(hist_std, np.asarray(history_mask, dtype=np.float64)[..., None, :])
     pooled = model.encoder(nc.reshape(hist_std, (rows,) + nc._data(hist_std).shape[-3:]))
@@ -289,8 +319,7 @@ def inverse_transform_frame_reference(model, z, history, controls, states=None,
             g = nc.reshape(hb1, (rows, -1))
         else:
             sgcn = cond.sgcn
-            mixed = nc.graph_conv_relu(hb1, nc.interleave_mixes(sgcn.adjacency.matrices),
-                                       sgcn.weight, sgcn.bias)
+            mixed = nc.graph_conv_relu(hb1, sgcn.adjacency.stacked, sgcn.weight, sgcn.bias)
             g = nc.reshape(mixed, (rows, -1))
         u = nc.concat([g, pooled, ctrl_flat], axis=1)
         layer_states = []
@@ -301,14 +330,14 @@ def inverse_transform_frame_reference(model, z, history, controls, states=None,
         raw = nc.reshape(nc.add(nc.matmul(u, cond.out.weight), cond.out.bias),
                          (rows, 2, cond.markers, cond.out_channels))
         s = nc.add(nc.sigmoid(nc.add(raw[:, 0], 2.0)), 1e-3)
-        xb2 = nc.sub(nc.div(hb2, s), raw[:, 1])
+        xb2 = nc.sub(div(hb2, s), raw[:, 1])
         zz = nc.concat([hb1, xb2], axis=2)
         if nc.logabsdet(step.mix.weight) < np.log(1e-12):
             raise nc.SingularMatrixError("channel mix matrix is near singular")
         y = nc.matmul(zz, np.linalg.inv(step.mix.weight))
         if np.any(step.actnorm.scale == 0.0):
             raise ArithmeticError("actnorm scale has zero entries")
-        h = nc.sub(nc.div(y, step.actnorm.scale), step.actnorm.bias)
+        h = nc.sub(div(y, step.actnorm.scale), step.actnorm.bias)
     x = nc.add(nc.mul(h, model.data_std), model.data_mean)
     return nc.reshape(x, shape[:-2] + nc._data(x).shape[1:]), new_states
 

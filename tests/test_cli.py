@@ -25,6 +25,16 @@ def sha(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def read_text(path):
+    with open(path) as fh:
+        return fh.read()
+
+
 def run(args):
     return cli.main(args)
 
@@ -54,22 +64,19 @@ class TestSynth:
                          "manifest_synth.json"]
         clip = data.load_clip(os.path.join(workspace["synth"], "clip_000.txt"))
         assert clip.marker_count == 21
-        truth = json.load(open(os.path.join(workspace["synth"],
-                                            "clip_000.truth.json")))
+        truth = read_json(os.path.join(workspace["synth"], "clip_000.truth.json"))
         assert truth["step_count"] == 12
         assert truth["path_spec"] == "line:speed=70"
         assert len(truth["footstep_intervals"]) == 12
 
     def test_truth_keys_are_gait_truth_plus_job_keys(self, workspace):
-        truth = json.load(open(os.path.join(workspace["synth"],
-                                            "clip_001.truth.json")))
+        truth = read_json(os.path.join(workspace["synth"], "clip_001.truth.json"))
         assert set(truth) == {f.name for f in dataclasses.fields(data.GaitTruth)} | {
             "path_spec", "steps", "fps", "seed"}
         assert (truth["path_spec"], truth["seed"]) == ("circle:radius=250", 1003)
 
     def test_manifest_hashes_match_files(self, workspace):
-        manifest = json.load(open(os.path.join(workspace["synth"],
-                                               "manifest_synth.json")))
+        manifest = read_json(os.path.join(workspace["synth"], "manifest_synth.json"))
         assert manifest["command"] == "synth"
         assert manifest["seed"] == 3
         for name, digest in manifest["outputs"].items():
@@ -95,8 +102,7 @@ class TestTrain:
         assert meta["steps_done"] == 12
         assert meta["ablation"] == "stmg"
         assert model.config.flow_steps == 6  # desk preset
-        lines = open(os.path.join(workspace["run"],
-                                  "train_log.txt")).read().splitlines()
+        lines = read_text(os.path.join(workspace["run"], "train_log.txt")).splitlines()
         assert lines[0].startswith("post_init_holdout_nll ")
         assert sum(1 for l in lines if l.startswith("step ")) == 12
         post_init = float(lines[0].split()[1])
@@ -111,6 +117,22 @@ class TestTrain:
                     "--init-from", workspace["checkpoint"]]) == 0
         model, meta = flow.load_checkpoint(os.path.join(out, "model.ckpt"))
         assert meta["steps_done"] == 4
+
+    def test_init_from_records_the_loaded_model(self, tmp_path):
+        """Continuing an `mg` checkpoint under the job's default `stmg`
+        model: the manifest and the checkpoint's meta name the model that
+        was trained."""
+        args = ["--steps", "2", "--batch-size", "2", "--nll-frames", "2",
+                "--eval-every", "2", "--walker-steps", "12", "--path", "line:speed=70"]
+        first = str(tmp_path / "mg")
+        assert run(["train", "--out", first, "--ablation", "mg"] + args) == 0
+        out = str(tmp_path / "continued")
+        assert run(["train", "--out", out,
+                    "--init-from", os.path.join(first, "model.ckpt")] + args) == 0
+        model, meta = flow.load_checkpoint(os.path.join(out, "model.ckpt"))
+        manifest = read_json(os.path.join(out, "manifest_train.json"))
+        assert model.config.ablation == meta["ablation"] == "mg"
+        assert manifest["config"]["model"] == json.loads(json.dumps(model.config.to_dict()))
 
     def test_mg_ablation_has_no_graph_parameters(self, tmp_path):
         out = str(tmp_path / "mg")
@@ -134,6 +156,22 @@ class TestTrain:
                     "--steps", "2", "--batch-size", "2", "--nll-frames", "2",
                     "--eval-every", "2"]) == 0
         assert os.path.exists(os.path.join(out, "model.ckpt"))
+
+    def test_data_dir_from_environment_is_recorded(self, workspace, tmp_path,
+                                                  monkeypatch):
+        """$SKELFLOW_DATA_DIR trains like --data-dir, and the manifest
+        records the directory either way."""
+        args = ["--steps", "2", "--batch-size", "2", "--nll-frames", "2",
+                "--eval-every", "2"]
+        flag, env = str(tmp_path / "flag"), str(tmp_path / "env")
+        assert run(["train", "--out", flag, "--data-dir", workspace["synth"]] + args) == 0
+        monkeypatch.setenv(cli.DATA_DIR_ENV, workspace["synth"])
+        assert run(["train", "--out", env] + args) == 0
+        assert sha(os.path.join(env, "model.ckpt")) == sha(os.path.join(flag, "model.ckpt"))
+        configs = [read_json(os.path.join(out, "manifest_train.json"))["config"]
+                   for out in (flag, env)]
+        assert configs[1]["data_dir"] == workspace["synth"]
+        assert {**configs[1], "out": flag} == configs[0]
 
     def test_divergence_saves_last_good_parameters(self, tmp_path,
                                                    monkeypatch):
@@ -223,12 +261,11 @@ class TestReconstruct:
                     "--mask", "right_arm", "--num", "2", "--horizon", "12",
                     "--seed", "9", "--out", out]) == 0
         for i in range(2):
-            side = json.load(open(os.path.join(
-                out, f"recon_{i:03d}.provenance.json")))
+            side = read_json(os.path.join(
+                out, f"recon_{i:03d}.provenance.json"))
             assert side["masked_markers"] == [18, 19, 20]
             assert side["preset"] == "right_arm"
-        summary = open(os.path.join(out,
-                                    "reconstruct_summary.txt")).read()
+        summary = read_text(os.path.join(out, "reconstruct_summary.txt"))
         assert summary.splitlines()[0] == \
             "# clip preset masked_markers bl_rmse_cm"
         assert "18,19,20" in summary
@@ -264,7 +301,7 @@ def test_manifest_records_the_checkpoint_model(workspace, tmp_path, command, fla
     out = str(tmp_path / command)
     assert run([command, "--checkpoint", workspace["checkpoint"], *flags,
                 "--out", out]) == 0
-    manifest = json.load(open(os.path.join(out, f"manifest_{command}.json")))
+    manifest = read_json(os.path.join(out, f"manifest_{command}.json"))
     model, _ = flow.load_checkpoint(workspace["checkpoint"])
     assert model.config == flow.desk_config()
     assert manifest["config"]["model"] == json.loads(json.dumps(model.config.to_dict()))
@@ -277,8 +314,7 @@ class TestEvaluate:
         out = str(tmp_path / "ev")
         assert run(["evaluate", "--clips", workspace["synth"],
                     "--out", out]) == 0
-        lines = open(os.path.join(out,
-                                  "evaluate_summary.txt")).read().splitlines()
+        lines = read_text(os.path.join(out, "evaluate_summary.txt")).splitlines()
         assert lines[0] == cli.SUMMARY_HEADER
         body = [l for l in lines if not l.startswith("#")]
         assert len(body) == 2
@@ -293,9 +329,18 @@ class TestEvaluate:
         for stem in ("clip_000", "clip_001"):
             for suffix in (".footsteps.txt", ".sweep.txt", ".bones.txt"):
                 assert os.path.exists(os.path.join(out, stem + suffix))
-        sweep = open(os.path.join(out, "clip_000.sweep.txt")).read()
+        sweep = read_text(os.path.join(out, "clip_000.sweep.txt"))
         assert sweep.splitlines()[0] == "# v_tol_mm_s f_est"
         assert len(sweep.splitlines()) == 602
+
+    def test_data_dir_from_environment_is_recorded(self, workspace, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.setenv(cli.DATA_DIR_ENV, workspace["synth"])
+        out = str(tmp_path / "env")
+        assert run(["evaluate", "--out", out]) == 0
+        manifest = read_json(os.path.join(out, "manifest_evaluate.json"))
+        assert manifest["config"]["data_dir"] == workspace["synth"]
+        assert "clip_001.sweep.txt" in manifest["outputs"]
 
     def test_empty_dir_is_explicit_error(self, tmp_path):
         empty = tmp_path / "none"

@@ -31,6 +31,18 @@ def _with_header(raw, edit):
     return _join(magic, json.dumps(header).encode("ascii"), payload)
 
 
+def _duplicated_parameter(raw):
+    """steps.0.actnorm.scale listed a second time, with its values appended
+    once more, so the header and the payload sizes still agree."""
+    magic, header, payload = _split(raw)
+    entries = header["params"]
+    k = [name for name, _ in entries].index("steps.0.actnorm.scale")
+    start = 8 * sum(int(np.prod(shape)) for _, shape in entries[:k])
+    values = payload[start:start + 8 * int(np.prod(entries[k][1]))]
+    entries.append(entries[k])
+    return _join(magic, json.dumps(header).encode("ascii"), payload + values)
+
+
 # Each row maps the bytes of a good file to a malformed one.
 CONTAINER_FAULTS = {
     "magic_only": lambda raw: raw[:8],
@@ -67,6 +79,7 @@ CHECKPOINT_FAULTS = {
         raw, lambda h: h["params"][0].__setitem__(1, [-1] + h["params"][0][1])),
     "shape_mismatch": lambda raw: _with_header(
         raw, lambda h: h["params"][0].__setitem__(1, h["params"][0][1][::-1] + [1])),
+    "duplicated_parameter": _duplicated_parameter,
 }
 
 CLIP_FAULTS = {

@@ -17,6 +17,30 @@ def make_model(tiny_skeleton, ablation="stmg", seed=0, init="random"):
     return flow.FlowModel.create(make_tiny_config(ablation), tiny_skeleton, seed=seed, init=init)
 
 
+# --- graph operators -------------------------------------------------------------
+
+
+def test_graph_convs_share_one_partition_per_scale():
+    """A desk model stores one partition per kernel scale: every spatial
+    graph conv at that scale, and the encoder's graph operands, hold that
+    same `stacked` array."""
+    config = flow.desk_config()
+    spec = sk.default_skeleton()
+    model = flow.FlowModel.create(config, spec, seed=0)
+    convs = [block.sgcn for block in model.encoder.blocks]
+    convs += [step.conditioner.sgcn for step in model.steps]
+    stored = {}
+    for conv in convs:
+        stacked = conv.adjacency.stacked
+        assert stored.setdefault(conv.adjacency.kernel_scale, stacked) is stacked
+    assert set(stored) == set(config.kernel_schedule) | {config.encoder_kernel_scale}
+    for d, stacked in stored.items():
+        assert np.array_equal(stacked, sk.partition(spec, d).stacked)
+    for block in model.encoder.blocks:
+        graph, _, _ = block.operands(config.history)
+        assert graph[0] is block.sgcn.adjacency.stacked
+
+
 # --- config -------------------------------------------------------------------
 
 def test_config_validation():

@@ -16,7 +16,7 @@ from skelflow import training
 
 from conftest import apply_temporal_operator
 from oracles import (accum_zeros_then_add, graph_conv_chain, history_encoder_chain,
-                     lstm_sequence_chain, temporal_conv_chain)
+                     lstm_sequence_chain, relu, temporal_conv_chain)
 
 TOL = 1e-10
 GRAD_TOL = 1e-6
@@ -83,28 +83,27 @@ edge 2 3
 edge 1 4
 mirror 0 4
 """)
-    return {d: sk.partition(spec, d).matrices for d in (3, 5)}
+    return {d: sk.partition(spec, d) for d in (3, 5)}
 
 
-def spatial_fused(matrices):
-    stacked = nc.interleave_mixes(matrices)
-    return lambda x, w, b: (nc.graph_conv_relu(x, stacked, w, b),)
+def spatial_fused(adjacency):
+    return lambda x, w, b: (nc.graph_conv_relu(x, adjacency.stacked, w, b),)
 
 
-def spatial_chain(matrices):
-    return lambda x, w, b: (nc.relu(graph_conv_chain(matrices, x, w, b)),)
+def spatial_chain(adjacency):
+    return lambda x, w, b: (relu(graph_conv_chain(adjacency.matrices, x, w, b)),)
 
 
 @pytest.mark.parametrize("d", [3, 5])
 @pytest.mark.parametrize("lead", [(2,), (2, 3)])
 def test_graph_conv_matches_chain(partitions, d, lead):
     rng = np.random.default_rng(d)
-    mats = partitions[d]
+    adj = partitions[d]
     inputs = [rng.normal(size=lead + (5, 3)), rng.normal(size=(d, 3, 4)),
               rng.normal(size=4)]
-    out = spatial_fused(mats)(*inputs)[0]
+    out = spatial_fused(adj)(*inputs)[0]
     assert np.any(out == 0.0) and np.any(out > 0.0)  # the relu cuts
-    check_against_chain(spatial_fused(mats), spatial_chain(mats), inputs)
+    check_against_chain(spatial_fused(adj), spatial_chain(adj), inputs)
 
 
 @pytest.mark.parametrize("d", [3, 5])
@@ -119,12 +118,12 @@ def test_graph_conv_without_input_grad(partitions):
     """On an ndarray input the node's parents are the weight and the bias,
     and their gradients match the chain's."""
     rng = np.random.default_rng(12)
-    mats = partitions[3]
+    adj = partitions[3]
     x, weight, bias = (rng.normal(size=(4, 5, 3)), rng.normal(size=(3, 3, 4)),
                        rng.normal(size=4))
     g = rng.normal(size=(4, 5, 4))
     grads = []
-    for fused, fn in ((True, spatial_fused(mats)), (False, spatial_chain(mats))):
+    for fused, fn in ((True, spatial_fused(adj)), (False, spatial_chain(adj))):
         leaves = [nc.Var(weight.copy()), nc.Var(bias.copy())]
         out = fn(x, *leaves)[0]
         if fused:
@@ -261,11 +260,13 @@ def test_temporal_conv_layer_caches_operator_by_value():
     # a new array with the same values keeps the operator
     layer.kernel = layer.kernel.copy()
     assert layer.operator(6)[1] is operator
-    # a lifted kernel gets no operator and leaves the cache alone
+    # a lifted kernel gets a fresh operator of the same values and leaves
+    # the cache alone
     kernel = layer.kernel
     layer.kernel = nc.Var(kernel)
     lifted_shifts, lifted_operator = layer.operator(6)
-    assert lifted_shifts is shifts and lifted_operator is None
+    assert lifted_shifts is shifts and lifted_operator is not operator
+    assert np.array_equal(lifted_operator, operator)
     layer.kernel = kernel
     assert layer.operator(6)[1] is operator
 

@@ -343,3 +343,18 @@ def test_long_chain_partition_bfs_visits(monkeypatch):
     assert pa.matrices[2, 0].sum() == 0.0
     assert pa.matrices[1, m // 2].sum() == 0.0
     assert np.array_equal(pa.matrices[2, m // 2, m // 2 - 1:m // 2 + 2], [0.5, 0.0, 0.5])
+
+
+def test_partition_matrices_are_a_read_only_view_of_stacked(tiny_skeleton):
+    """The partition is stored once: row i*D + k of `stacked` is subset k of
+    marker i, and `matrices` views the same memory without copying it."""
+    for spec in (sk.default_skeleton(), tiny_skeleton):
+        for d in (3, 5, 7):
+            pa = sk.partition(spec, d)
+            m = spec.marker_count
+            assert pa.stacked.shape == (m * d, m) and pa.stacked.flags.c_contiguous
+            assert np.shares_memory(pa.matrices, pa.stacked)
+            assert not pa.stacked.flags.writeable and not pa.matrices.flags.writeable
+            for i in range(m):
+                for k in range(d):
+                    assert np.array_equal(pa.stacked[i * d + k], pa.matrices[k, i])
