@@ -45,12 +45,17 @@ class EmptyBatchError(OSError):
     """An input directory matched no clip files."""
 
 
+class DuplicateStemError(OSError):
+    """Two clips of an input directory share a file stem (and so report names)."""
+
+
 @dataclass
 class JobConfig:
     """One resolved CLI job; model defaults follow the published setup."""
 
     out: str = "out"
     checkpoint: str = "model.ckpt"
+    init_from: str = ""     # train: the checkpoint to continue from
     skeleton_path: str = ""
     data_dir: str = ""
     clip_format: str = "text"
@@ -66,6 +71,8 @@ class JobConfig:
     num_sequences: int = 3
     control: str = "line:speed=70"
     mask: str = "none"
+    clip: str = ""          # reconstruct: input clip ("" for a synthetic walker)
+    report: bool = False    # generate: also write a bone-length report
     # metrics
     grid_max: float = 600.0
     grid_step: float = 1.0
@@ -174,17 +181,30 @@ def _load_skeleton(config):
     return _skeleton.default_skeleton()
 
 
-def _load_model(config):
-    """The checkpoint's model, and the job config with that model's config
-    in place of the default one, so the manifest records what ran."""
-    model, _ = _flow.load_checkpoint(config.checkpoint)
-    if config.skeleton_path:
+def _load_model(config, path, spec=None):
+    """The checkpoint's model, and the job config with its model in place, so
+    the manifest records what ran.  The checkpoint's skeleton must match
+    `spec`, or else the job's `--skeleton` file if it names one."""
+    model, _ = _flow.load_checkpoint(path)
+    if spec is None and config.skeleton_path:
         spec = _skeleton.load_skeleton(config.skeleton_path)
-        if _skeleton.to_config_text(spec) != _skeleton.to_config_text(model.skeleton):
-            raise ValueError(
-                "checkpoint skeleton does not match --skeleton "
-                f"({model.skeleton.marker_count} vs {spec.marker_count} markers)")
+    if spec is not None and \
+            _skeleton.to_config_text(spec) != _skeleton.to_config_text(model.skeleton):
+        raise ValueError(
+            f"checkpoint '{path}' skeleton does not match the job's "
+            f"({model.skeleton.marker_count} vs {spec.marker_count} markers)")
     return model, replace(config, model=model.config)
+
+
+def _write_clip(config, name, positions, controls, source, spec):
+    """Save root-relative `positions` with their controls as clip `name` of
+    the output directory; its path and bone-length analysis."""
+    clip = _data.MotionClip(
+        positions=positions, controls=controls[:, :positions.shape[2]],
+        fps=config.fps, root_relative=True, source=source)
+    path = os.path.join(config.out, name)
+    _data.save_clip(clip, path, format=config.clip_format)
+    return path, _metrics.bone_length_analysis(clip, spec)
 
 
 def _metric_grid(config):
@@ -228,31 +248,24 @@ def _clip_paths(directory):
     return paths
 
 
-def _ingest_directory(directory, fps, spec):
-    return _training.augmented_windows(
-        (_data.resample(_data.load_clip(p), target_fps=fps)
-         for p in _clip_paths(directory)), spec)
-
-
 def _training_windows(config, spec):
     if config.data_dir:
-        return _ingest_directory(config.data_dir, config.fps, spec)
+        return _training.augmented_windows(
+            (_data.resample(_data.load_clip(p), target_fps=config.fps)
+             for p in _clip_paths(config.data_dir)), spec)
     return _training.synthetic_corpus(
         specs=config.paths, steps=config.walker_steps, fps=config.fps,
         seed=config.seed, noise_std=config.noise_std, skeleton_spec=spec)
 
 
-def cmd_train(config, init_from=""):
+def cmd_train(config):
     out = _ensure_out(config)
     spec = _load_skeleton(config)
     windows = _training_windows(config, spec)
     train_w, hold_w = _training.split_corpus(windows)
-    if init_from:
-        model, _ = _flow.load_checkpoint(init_from)
-        if _skeleton.to_config_text(model.skeleton) != _skeleton.to_config_text(spec):
-            raise ValueError("--init-from checkpoint skeleton does not match")
+    if config.init_from:
         # the manifest and the checkpoint's meta record the model that runs
-        config = replace(config, model=model.config)
+        model, config = _load_model(config, config.init_from, spec)
     else:
         model = _flow.FlowModel.create(config.model, spec, seed=config.seed)
         _training.initialize_from_corpus(model, train_w, config.train)
@@ -305,9 +318,9 @@ def _seed_material(config, model, frames_needed):
     return rel.positions[:, :, :t_h], rel.controls[:, :frames_needed]
 
 
-def cmd_generate(config, with_report=False):
+def cmd_generate(config):
     out = _ensure_out(config)
-    model, config = _load_model(config)
+    model, config = _load_model(config, config.checkpoint)
     t_h = model.config.history
     history, controls = _seed_material(config, model,
                                        t_h + config.horizon)
@@ -320,19 +333,14 @@ def cmd_generate(config, with_report=False):
     written = []
     report_lines = ["# clip bl_rmse_cm bl_sigma_cm"]
     for i, frames in enumerate(batch):
-        full = np.concatenate([history, frames], axis=2)
-        clip = _data.MotionClip(
-            positions=full, controls=controls[:, :full.shape[2]],
-            fps=config.fps, root_relative=True,
-            source=f"generated:{config.control}")
-        path = os.path.join(out, _clip_name("gen", i, config))
-        _data.save_clip(clip, path, format=config.clip_format)
+        path, bone = _write_clip(config, _clip_name("gen", i, config),
+                                 np.concatenate([history, frames], axis=2), controls,
+                                 f"generated:{config.control}", model.skeleton)
         written.append(path)
-        bone = _metrics.bone_length_analysis(clip, model.skeleton)
         report_lines.append(f"{os.path.basename(path)} "
                             f"{bone.bl_rmse:.6f} {bone.bl_sigma:.6f}")
         print(f"wrote {os.path.basename(path)} bl_rmse {bone.bl_rmse:.4f} cm")
-    if with_report:
+    if config.report:
         report_path = os.path.join(out, "generate_report.txt")
         _write_text(report_path, "\n".join(report_lines) + "\n")
         written.append(report_path)
@@ -343,12 +351,12 @@ def cmd_generate(config, with_report=False):
 # -- reconstruct ------------------------------------------------------------------------
 
 
-def _reconstruction_input(config, model, clip_path):
+def _reconstruction_input(config, model):
     t_h = model.config.history
     needed = t_h + max(config.horizon, t_h)
-    if not clip_path:
+    if not config.clip:
         return _seed_material(config, model, needed)
-    clip = _data.load_clip(clip_path)
+    clip = _data.load_clip(config.clip)
     rel = clip if clip.root_relative else _data.to_root_relative(
         clip, skeleton_spec=model.skeleton)
     if rel.frame_count < needed:
@@ -358,12 +366,12 @@ def _reconstruction_input(config, model, clip_path):
     return rel.positions[:, :, :t_h], rel.controls[:, :needed]
 
 
-def cmd_reconstruct(config, clip_path=""):
+def cmd_reconstruct(config):
     out = _ensure_out(config)
-    model, config = _load_model(config)
+    model, config = _load_model(config, config.checkpoint)
     t_h = model.config.history
     horizon = max(config.horizon, t_h)
-    history, controls = _reconstruction_input(config, model, clip_path)
+    history, controls = _reconstruction_input(config, model)
     mask_seeds = np.random.SeedSequence((config.seed, 1)).spawn(config.num_sequences)
     run_seeds = np.random.SeedSequence((config.seed, 2)).spawn(config.num_sequences)
     masks = [_sequence.mask_preset(
@@ -377,13 +385,10 @@ def cmd_reconstruct(config, clip_path=""):
     written = []
     summary = ["# clip preset masked_markers bl_rmse_cm"]
     for i, (mask, result) in enumerate(zip(masks, results)):
-        full = np.concatenate([result.past, result.future], axis=2)
-        clip = _data.MotionClip(
-            positions=full, controls=controls[:, :full.shape[2]],
-            fps=config.fps, root_relative=True,
-            source=f"reconstructed:{config.mask}")
-        path = os.path.join(out, _clip_name("recon", i, config))
-        _data.save_clip(clip, path, format=config.clip_format)
+        path, bone = _write_clip(
+            config, _clip_name("recon", i, config),
+            np.concatenate([result.past, result.future], axis=2),
+            controls, f"reconstructed:{config.mask}", model.skeleton)
         masked_rows = sorted(int(m) for m in
                              np.flatnonzero(~mask.astype(bool).any(axis=1)))
         sidecar = {
@@ -392,12 +397,10 @@ def cmd_reconstruct(config, clip_path=""):
             "observed_cells": int(mask.sum()),
             "history_frames": t_h,
             "horizon": horizon,
-            "mask_sha256": _sha256_bytes(
-                mask.astype(np.uint8).tobytes()),
+            "mask_sha256": _sha256_bytes(mask.astype(np.uint8).tobytes()),
         }
         side_path = os.path.join(out, f"recon_{i:03d}.provenance.json")
         _write_text(side_path, _canonical_json(sidecar))
-        bone = _metrics.bone_length_analysis(clip, model.skeleton)
         summary.append(f"{os.path.basename(path)} {config.mask} "
                        f"{','.join(str(m) for m in masked_rows) or '-'} "
                        f"{bone.bl_rmse:.6f}")
@@ -417,20 +420,25 @@ SUMMARY_HEADER = ("# clip max_f_est v_tol_95 step_mean_s step_std_s "
                   "bl_rmse_cm bl_sigma_cm")
 
 
-def cmd_evaluate(config, clips_dir=""):
-    out = _ensure_out(config)
+def cmd_evaluate(config):
     spec = _load_skeleton(config)
-    source = clips_dir or config.data_dir
-    if not source:
+    if not config.data_dir:
         raise ValueError("evaluate needs --clips (or data_dir/config)")
+    stems = {}
+    for p in _clip_paths(config.data_dir):
+        stem = os.path.splitext(os.path.basename(p))[0]
+        if stem in stems:
+            raise DuplicateStemError(f"clips '{stems[stem]}' and '{p}' share "
+                                     f"the stem '{stem}' of their reports")
+        stems[stem] = p
+    out = _ensure_out(config)
     grid = _metric_grid(config)
     reference = None if config.reference == "auto" else config.reference
     written = []
     rows = [SUMMARY_HEADER]
     reports = []
-    for p in _clip_paths(source):
+    for stem, p in stems.items():
         clip = _data.load_clip(p)
-        stem = os.path.splitext(os.path.basename(p))[0]
         sweep = _metrics.footstep_sweep(
             clip, spec, grid=grid,
             min_duration_frames=config.min_duration_frames)
@@ -464,10 +472,9 @@ def cmd_evaluate(config, clips_dir=""):
 
 
 # Every flag's argparse `dest` is the JobConfig field it sets ("train.<field>"
-# and "model.<field>" for the nested configs); only these dests are command
-# inputs instead.
-COMMAND_INPUTS = ("config", "scale", "init_from", "report", "clip", "clips",
-                  "command")
+# and "model.<field>" for the nested configs); only these dests are read by
+# `resolve_config` itself.
+COMMAND_INPUTS = ("config", "scale", "command")
 
 # `train --scale` model presets; each keeps the markers and ablation it is given
 MODEL_SCALES = {"desk": _flow.desk_config, "full": _flow.ModelConfig}
@@ -522,7 +529,7 @@ def build_parser():
     p.add_argument("--eval-every", dest="train.eval_every", type=int)
     p.add_argument("--grad-clip", dest="train.grad_clip", type=float)
     p.add_argument("--checkpoint", help="checkpoint file name")
-    p.add_argument("--init-from", default="", help="checkpoint to continue from")
+    p.add_argument("--init-from", help="checkpoint to continue from")
 
     p = sub.add_parser("generate", help="sample sequences from a checkpoint")
     _add_common(p)
@@ -531,13 +538,13 @@ def build_parser():
     p.add_argument("--horizon", type=int)
     p.add_argument("--temperature", type=float)
     p.add_argument("--control", help="path spec for controls")
-    p.add_argument("--report", action="store_true",
+    p.add_argument("--report", action="store_true", default=None,
                    help="also write a bone-length report")
 
     p = sub.add_parser("reconstruct", help="fill masked markers in a window")
     _add_common(p)
     p.add_argument("--checkpoint")
-    p.add_argument("--clip", default="", help="input clip (default: synthetic)")
+    p.add_argument("--clip", help="input clip (default: synthetic)")
     p.add_argument("--mask",
                    help="masking preset: " + ", ".join(_sequence.MASK_PRESETS))
     p.add_argument("--num", dest="num_sequences", type=int)
@@ -547,7 +554,7 @@ def build_parser():
 
     p = sub.add_parser("evaluate", help="footstep and bone reports for clips")
     _add_common(p)
-    p.add_argument("--clips", default="", help="directory of clip files")
+    p.add_argument("--clips", dest="data_dir", help="directory of clip files")
     p.add_argument("--grid-max", type=float)
     p.add_argument("--grid-step", type=float)
     p.add_argument("--min-duration", dest="min_duration_frames", type=int)
@@ -600,17 +607,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         config = resolve_config(args)
-        if args.command == "synth":
-            return cmd_synth(config)
-        if args.command == "train":
-            return cmd_train(config, init_from=args.init_from)
-        if args.command == "generate":
-            return cmd_generate(config, with_report=args.report)
-        if args.command == "reconstruct":
-            return cmd_reconstruct(config, clip_path=args.clip)
-        if args.command == "evaluate":
-            return cmd_evaluate(config, clips_dir=args.clips)
-        raise ValueError(f"unknown command '{args.command}'")
+        # looked up per call, so a wrapped or patched command runs
+        return globals()[f"cmd_{args.command}"](config)
     except (OSError, _data.ClipFormatError, _flow.CheckpointFormatError,
             json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)

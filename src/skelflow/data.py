@@ -601,26 +601,19 @@ def parse_path_spec(spec):
             except ValueError:
                 raise PathSpecError(
                     f"parameter '{key}' needs a number, got '{value.strip()}'") from None
-    return _check_path_params({"kind": kind, **params})
-
-
-def _check_path_params(params):
-    kind = params.get("kind")
-    if kind not in _PATH_DEFAULTS:
-        raise PathSpecError(f"unknown path kind '{kind}'")
-    for key in _PATH_DEFAULTS[kind]:
-        if key not in params:
-            raise PathSpecError(f"path '{kind}' is missing parameter '{key}'")
+            if not math.isfinite(params[key]):
+                raise PathSpecError(
+                    f"parameter '{key}' must be finite, got {value.strip()}")
     if not params["speed"] > 0:
         raise PathSpecError("speed must be positive")
-    if kind == "circle" and abs(params.get("radius", 0.0)) < 1.0:
+    if kind == "circle" and abs(params["radius"]) < 1.0:
         raise PathSpecError("circle radius must be at least 1 cm in magnitude")
     if kind == "s_curve":
         if params["wavelength"] <= 0:
             raise PathSpecError("wavelength must be positive")
         if params["sway"] < 0:
             raise PathSpecError("sway must be non-negative")
-    return params
+    return {"kind": kind, **params}
 
 
 def path_spec_string(params):
@@ -793,8 +786,7 @@ def synth_gait(path_spec, steps=20, fps=20.0, seed=0, cadence=2.0, noise_std=0.0
     measurement jitter to every marker for training realism, which breaks
     the exact-rigidity guarantees.
     """
-    params = _check_path_params(dict(path_spec)) if isinstance(path_spec, dict) \
-        else parse_path_spec(path_spec)
+    params = parse_path_spec(path_spec)
     steps = int(steps)
     if steps < 2:
         raise ValueError("need at least 2 footsteps")

@@ -174,8 +174,9 @@ def build_skeleton(config_text):
         for e in norm_edges:
             if e not in bones:
                 raise SkeletonConfigError(f"bone_cm missing for edge {e}")
-            if bones[e] <= 0:
-                raise SkeletonConfigError(f"bone_cm for edge {e} must be positive")
+            if not 0 < bones[e] < np.inf:
+                raise SkeletonConfigError(
+                    f"bone_cm for edge {e} must be positive and finite, got {bones[e]}")
             bl.append(bones[e])
         bone_lengths = tuple(bl)
 

@@ -392,8 +392,7 @@ def synth_gait_per_frame(path_spec, steps=20, fps=20.0, seed=0, cadence=2.0,
     footfalls in a dict, scalar 3 x 3 rotations and a knee solve per leg per
     frame.  Kept as the reference that the whole-trajectory walker must
     reproduce byte for byte, errors included."""
-    params = data._check_path_params(dict(path_spec)) if isinstance(path_spec, dict) \
-        else data.parse_path_spec(path_spec)
+    params = data.parse_path_spec(path_spec)
     steps = int(steps)
     if steps < 2:
         raise ValueError("need at least 2 footsteps")

@@ -39,6 +39,15 @@ def run(args):
     return cli.main(args)
 
 
+def other_skeleton(tmp_path):
+    """A 21-marker skeleton file that differs from the default one (its
+    center marker), so clips fit it but checkpoints of the default do not."""
+    path = tmp_path / "center9.txt"
+    path.write_text(skeleton.to_config_text(skeleton.default_skeleton())
+                    .replace("center 10\n", "center 9\n"))
+    return str(path)
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """One synth dir and one short desk-scale training run, shared."""
@@ -94,6 +103,8 @@ class TestSynth:
     def test_bad_path_spec_is_config_error(self, tmp_path):
         assert run(["synth", "--out", str(tmp_path / "x"),
                     "--path", "zigzag:speed=70"]) == cli.EXIT_CONFIG
+        assert run(["synth", "--out", str(tmp_path / "x"),
+                    "--path", "circle:radius=nan"]) == cli.EXIT_CONFIG
 
 
 class TestTrain:
@@ -133,6 +144,19 @@ class TestTrain:
         manifest = read_json(os.path.join(out, "manifest_train.json"))
         assert model.config.ablation == meta["ablation"] == "mg"
         assert manifest["config"]["model"] == json.loads(json.dumps(model.config.to_dict()))
+
+    def test_init_from_checkpoint_of_another_skeleton_is_config_error(
+            self, workspace, tmp_path, capsys):
+        """`train --init-from` checks the checkpoint against the job's
+        skeleton, here given by --skeleton."""
+        assert run(["train", "--out", str(tmp_path / "o"), "--steps", "2",
+                    "--walker-steps", "12", "--path", "line:speed=70",
+                    "--skeleton", other_skeleton(tmp_path),
+                    "--init-from", workspace["checkpoint"]]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: checkpoint ")
+        assert "skeleton does not match the job's (21 vs 21 markers)" in err
+        assert not (tmp_path / "o" / "model.ckpt").exists()
 
     def test_mg_ablation_has_no_graph_parameters(self, tmp_path):
         out = str(tmp_path / "mg")
@@ -253,6 +277,25 @@ class TestGenerate:
                     "--skeleton", str(other),
                     "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
 
+    def test_skeleton_is_checked_only_when_given(self, workspace, tmp_path, capsys):
+        """Without --skeleton, generate runs the checkpoint's own skeleton,
+        even one that is not the default; a --skeleton of the same marker
+        count that the checkpoint was not trained on exits 2."""
+        other = other_skeleton(tmp_path)
+        trained = str(tmp_path / "run")
+        assert run(["train", "--out", trained, "--skeleton", other, "--steps", "1",
+                    "--batch-size", "2", "--nll-frames", "2", "--eval-every", "1",
+                    "--walker-steps", "12", "--path", "line:speed=70"]) == 0
+        args = ["generate", "--num", "1", "--horizon", "4"]
+        assert run(args + ["--checkpoint", os.path.join(trained, "model.ckpt"),
+                           "--out", str(tmp_path / "ok")]) == 0
+        capsys.readouterr()
+        assert run(args + ["--checkpoint", workspace["checkpoint"], "--skeleton", other,
+                           "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+        assert "skeleton does not match the job's (21 vs 21 markers)" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "o" / "gen_000.txt").exists()
+
 
 class TestReconstruct:
     def test_right_arm_provenance(self, workspace, tmp_path):
@@ -280,7 +323,7 @@ class TestReconstruct:
             ["reconstruct", "--checkpoint", workspace["checkpoint"],
              "--mask", "none", "--num", "1", "--horizon", "10",
              "--seed", "5", "--out", out]))
-        history, _ = cli._reconstruction_input(config, model, "")
+        history, _ = cli._reconstruction_input(config, model)
         clip = data.load_clip(os.path.join(out, "recon_000.txt"))
         t_h = model.config.history
         np.testing.assert_array_equal(clip.positions[:, :, :t_h], history)
@@ -307,6 +350,29 @@ def test_manifest_records_the_checkpoint_model(workspace, tmp_path, command, fla
     assert manifest["config"]["model"] == json.loads(json.dumps(model.config.to_dict()))
     assert manifest["config_sha256"] == hashlib.sha256(
         cli._canonical_json(manifest["config"]).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command, flags, key, value", [
+    ("evaluate", ["--clips", "{synth}"], "data_dir", "{synth}"),
+    ("train", ["--init-from", "{checkpoint}", "--steps", "1", "--batch-size", "2",
+               "--nll-frames", "2", "--eval-every", "1", "--walker-steps", "12",
+               "--path", "line:speed=70"], "init_from", "{checkpoint}"),
+    ("reconstruct", ["--checkpoint", "{checkpoint}", "--clip", "{clip}",
+                     "--num", "1", "--horizon", "10"], "clip", "{clip}"),
+    ("generate", ["--checkpoint", "{checkpoint}", "--num", "1", "--horizon", "4",
+                  "--report"], "report", True),
+])
+def test_manifest_names_every_input(workspace, tmp_path, command, flags, key, value):
+    """Each input a command reads is a job key, so its manifest and config
+    hash record it."""
+    paths = {"synth": workspace["synth"], "checkpoint": workspace["checkpoint"],
+             "clip": os.path.join(workspace["synth"], "clip_000.txt")}
+    out = str(tmp_path / command)
+    assert run([command, *(f.format(**paths) for f in flags), "--out", out]) == 0
+    manifest = read_json(os.path.join(out, f"manifest_{command}.json"))
+    if isinstance(value, str):
+        value = value.format(**paths)
+    assert manifest["config"][key] == value
 
 
 class TestEvaluate:
@@ -341,6 +407,33 @@ class TestEvaluate:
         manifest = read_json(os.path.join(out, "manifest_evaluate.json"))
         assert manifest["config"]["data_dir"] == workspace["synth"]
         assert "clip_001.sweep.txt" in manifest["outputs"]
+
+    def test_clips_sharing_a_stem_are_io_error(self, workspace, tmp_path, capsys):
+        """`w.txt` and `w.bin` would write the same `w.*.txt` reports: the
+        directory is refused before anything is written."""
+        clips = tmp_path / "clips"
+        clips.mkdir()
+        clip = data.load_clip(os.path.join(workspace["synth"], "clip_000.txt"))
+        data.save_clip(clip, str(clips / "w.txt"))
+        data.save_clip(clip, str(clips / "w.bin"), format="binary")
+        out = tmp_path / "o"
+        assert run(["evaluate", "--clips", str(clips), "--out", str(out)]) == \
+            cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert str(clips / "w.txt") in err and str(clips / "w.bin") in err
+        assert not out.exists()
+
+    def test_non_finite_bone_length_is_config_error(self, workspace, tmp_path,
+                                                    capsys):
+        spec = skeleton.default_skeleton()
+        text = skeleton.to_config_text(spec) + "".join(
+            f"bone_cm {i} {j} {'nan' if n == 0 else 10.0}\n"
+            for n, (i, j) in enumerate(spec.edges))
+        path = tmp_path / "nan_bone.txt"
+        path.write_text(text)
+        assert run(["evaluate", "--clips", workspace["synth"], "--skeleton", str(path),
+                    "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+        assert "must be positive and finite" in capsys.readouterr().err
 
     def test_empty_dir_is_explicit_error(self, tmp_path):
         empty = tmp_path / "none"
@@ -584,8 +677,7 @@ class TestResolveConfig:
         assert config.walker_steps == 9
 
     def test_every_flag_names_a_config_field(self):
-        assert set(cli.COMMAND_INPUTS) == {
-            "config", "scale", "init_from", "report", "clip", "clips", "command"}
+        assert set(cli.COMMAND_INPUTS) == {"config", "scale", "command"}
         assert not set(cli.COMMAND_INPUTS) & set(cli.JobConfig.__dataclass_fields__)
         nested = {"": cli.JobConfig, "train": training.TrainConfig,
                   "model": flow.ModelConfig}
@@ -605,6 +697,16 @@ class TestResolveConfig:
         assert not bad
         assert {name for name, _ in actions} == {
             "", "synth", "train", "generate", "reconstruct", "evaluate"}
+
+    def test_report_flag_not_given_leaves_the_file_value(self, tmp_path):
+        path = write_config(tmp_path, {"report": True, "clip": "a.txt",
+                                       "init_from": "b.ckpt"})
+        assert resolve(["generate", "--config", path]).report is True
+        assert resolve(["generate"]).report is False
+        assert resolve(["generate", "--report"]).report is True
+        assert resolve(["reconstruct", "--config", path]).clip == "a.txt"
+        assert resolve(["train", "--config", path]).init_from == "b.ckpt"
+        assert resolve(["evaluate", "--clips", "d"]).data_dir == "d"
 
     def test_two_calls_build_at_most_one_parser(self, tmp_path, monkeypatch):
         built = []

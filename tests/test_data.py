@@ -473,6 +473,21 @@ class TestPathSpecs:
         with pytest.raises(PathSpecError):
             data.parse_path_spec("line:speed=0")
 
+    @pytest.mark.parametrize("spec, message", [
+        ("line:speed=nan", "'speed' must be finite"),
+        ("circle:radius=inf", "'radius' must be finite"),
+        ("s_curve:wavelength=-inf", "'wavelength' must be finite"),
+        ("circle:radius=0.5", "at least 1 cm"),
+        ("s_curve:wavelength=0", "wavelength must be positive"),
+        ("s_curve:sway=-0.1", "sway must be non-negative")])
+    def test_out_of_range_values_rejected(self, spec, message):
+        with pytest.raises(PathSpecError, match=message):
+            data.parse_path_spec(spec)
+
+    def test_walker_takes_only_a_spec_string(self):
+        with pytest.raises(PathSpecError, match="must be a string"):
+            data.synth_gait({"kind": "line", "speed": 70.0}, steps=4)
+
     def test_canonical_string_roundtrips(self):
         params = data.parse_path_spec("circle:radius=220,speed=60")
         assert data.parse_path_spec(data.path_spec_string(params)) == params

@@ -178,6 +178,14 @@ def test_bone_lengths_require_all_edges():
     assert spec.bone_lengths_cm == (10.0, 20.0)
 
 
+@pytest.mark.parametrize("length", ["nan", "inf", "-inf", "0", "-2.5"])
+def test_bone_lengths_must_be_positive_and_finite(length):
+    text = ("markers 3\ncenter 0\nheels 0 1\nedge 0 1\nedge 1 2\n"
+            f"bone_cm 0 1 {length}\nbone_cm 1 2 20.0\n")
+    with pytest.raises(sk.SkeletonConfigError, match="positive and finite"):
+        sk.build_skeleton(text)
+
+
 # --- hop distances ----------------------------------------------------------
 
 def test_hop_distances_match_floyd_warshall_on_random_graphs():
