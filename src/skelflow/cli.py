@@ -171,6 +171,8 @@ def _clip_name(prefix, index, config):
 
 
 def _ensure_out(config):
+    """Create the output directory; each command calls it only after its
+    inputs are read and checked, so a job that fails on one leaves none."""
     os.makedirs(config.out, exist_ok=True)
     return config.out
 
@@ -216,12 +218,13 @@ def _metric_grid(config):
 
 
 def cmd_synth(config):
+    walkers = [_data.synth_gait(
+        spec_string, steps=config.walker_steps, fps=config.fps,
+        seed=config.seed + 1000 * i, noise_std=config.noise_std)
+        for i, spec_string in enumerate(config.paths)]
     out = _ensure_out(config)
     written = []
-    for i, spec_string in enumerate(config.paths):
-        clip, truth = _data.synth_gait(
-            spec_string, steps=config.walker_steps, fps=config.fps,
-            seed=config.seed + 1000 * i, noise_std=config.noise_std)
+    for i, (spec_string, (clip, truth)) in enumerate(zip(config.paths, walkers)):
         clip_path = os.path.join(out, _clip_name("clip", i, config))
         _data.save_clip(clip, clip_path, format=config.clip_format)
         truth_path = os.path.join(out, f"clip_{i:03d}.truth.json")
@@ -259,7 +262,6 @@ def _training_windows(config, spec):
 
 
 def cmd_train(config):
-    out = _ensure_out(config)
     spec = _load_skeleton(config)
     windows = _training_windows(config, spec)
     train_w, hold_w = _training.split_corpus(windows)
@@ -269,6 +271,7 @@ def cmd_train(config):
     else:
         model = _flow.FlowModel.create(config.model, spec, seed=config.seed)
         _training.initialize_from_corpus(model, train_w, config.train)
+    out = _ensure_out(config)
     nll0 = _training.evaluate_nll(model, hold_w, config.train)
     print(f"windows train {len(train_w)} holdout {len(hold_w)} "
           f"post-init holdout nll {nll0:.6f}")
@@ -319,7 +322,6 @@ def _seed_material(config, model, frames_needed):
 
 
 def cmd_generate(config):
-    out = _ensure_out(config)
     model, config = _load_model(config, config.checkpoint)
     t_h = model.config.history
     history, controls = _seed_material(config, model,
@@ -330,6 +332,7 @@ def cmd_generate(config):
             history=history, controls=controls, horizon=config.horizon,
             temperature=config.temperature, seed=child)
         for child in children])
+    out = _ensure_out(config)
     written = []
     report_lines = ["# clip bl_rmse_cm bl_sigma_cm"]
     for i, frames in enumerate(batch):
@@ -367,7 +370,6 @@ def _reconstruction_input(config, model):
 
 
 def cmd_reconstruct(config):
-    out = _ensure_out(config)
     model, config = _load_model(config, config.checkpoint)
     t_h = model.config.history
     horizon = max(config.horizon, t_h)
@@ -382,6 +384,7 @@ def cmd_reconstruct(config):
             history=history, mask=mask, controls=controls, horizon=horizon,
             temperature=config.temperature, seed=run_seed)
         for mask, run_seed in zip(masks, run_seeds)])
+    out = _ensure_out(config)
     written = []
     summary = ["# clip preset masked_markers bl_rmse_cm"]
     for i, (mask, result) in enumerate(zip(masks, results)):

@@ -32,11 +32,6 @@ def bounded_scale(raw):
     return nc.sigmoid(raw + SCALE_SHIFT) + SCALE_FLOOR
 
 
-def identity_scale_raw():
-    """Raw value at which bounded_scale returns exactly 1."""
-    return float(np.log(999.0) - SCALE_SHIFT)
-
-
 class Linear(nc.Module):
     param_attrs = ("weight", "bias")
 

@@ -286,6 +286,9 @@ def _write_binary(clip, path):
 
 def _read_binary(path):
     header, payload = read_container(path, CLIP_MAGIC, ClipFormatError)
+    version = header.get("version")
+    if type(version) is not int or version != 1:
+        raise ClipFormatError(f"{path}: unsupported clip version {version!r}")
     try:
         m, t = int(header["markers"]), int(header["frames"])
         fps = float(header["fps"])

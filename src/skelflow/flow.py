@@ -21,7 +21,6 @@ recurrence steps through time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, asdict, field
 
 import numpy as np
@@ -168,13 +167,9 @@ class InvertibleMix(nc.Module):
 
     param_attrs = ("weight",)
 
-    def __init__(self, channels, rng=None):
-        if rng is None:
-            self.weight = np.eye(channels)
-        else:
-            q, r = np.linalg.qr(rng.normal(size=(channels, channels)))
-            q = q * np.sign(np.diag(r))  # fix reflection ambiguity
-            self.weight = q
+    def __init__(self, channels, rng):
+        q, r = np.linalg.qr(rng.normal(size=(channels, channels)))
+        self.weight = q * np.sign(np.diag(r))  # fix reflection ambiguity
         self._inverted = (None, None)  # (weight bytes, inverse) after a passing check
 
     def _logabsdet(self):
@@ -266,36 +261,8 @@ class FlowModel(nc.Module):
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def create(cls, config, skeleton_spec, seed=0, init="default"):
-        rng = nc.make_rng(seed)
-        model = cls(config, skeleton_spec, rng)
-        if init == "identity":
-            model._make_identity()
-        elif init == "random":
-            model._randomize_heads(rng)
-        elif init != "default":
-            raise ValueError(f"unknown init mode '{init}'")
-        return model
-
-    def _make_identity(self):
-        from .conditioning import identity_scale_raw
-        half = self.config.markers * self.config.c2
-        for step in self.steps:
-            step.actnorm.scale = np.ones_like(step.actnorm.scale)
-            step.actnorm.bias = np.zeros_like(step.actnorm.bias)
-            step.mix.weight = np.eye(self.config.channels)
-            step.conditioner.out.weight = np.zeros_like(step.conditioner.out.weight)
-            bias = np.zeros_like(step.conditioner.out.bias)
-            bias[:half] = identity_scale_raw()
-            step.conditioner.out.bias = bias
-
-    def _randomize_heads(self, rng):
-        """Make every parameter group active (for gradient checking)."""
-        for step in self.steps:
-            step.actnorm.scale = np.exp(rng.normal(0.0, 0.2, size=step.actnorm.scale.shape))
-            step.actnorm.bias = rng.normal(0.0, 0.2, size=step.actnorm.bias.shape)
-            step.conditioner.out.weight = rng.normal(0.0, 0.05, size=step.conditioner.out.weight.shape)
-            step.conditioner.out.bias = rng.normal(0.0, 0.05, size=step.conditioner.out.bias.shape)
+    def create(cls, config, skeleton_spec, seed=0):
+        return cls(config, skeleton_spec, nc.make_rng(seed))
 
     # -- plumbing -------------------------------------------------------------
 
@@ -308,6 +275,8 @@ class FlowModel(nc.Module):
         shape = (self.config.markers, self.config.channels)
         if mean.shape != shape or std.shape != shape:
             raise ValueError(f"standardization stats must have shape {shape}")
+        if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+            raise ValueError("standardization stats must be finite")
         if np.any(std <= 0):
             raise ValueError("standardization std must be positive")
         self.data_mean = mean
@@ -462,15 +431,20 @@ class FlowModel(nc.Module):
 # -- checkpoints ------------------------------------------------------------------
 
 
+def _saved_arrays(model):
+    """(name, array) of everything a checkpoint stores, in save order: the
+    parameters, then the standardization buffers."""
+    return [(name, nc._data(arr)) for name, arr in model.named_parameters()] + [
+        ("buffers.data_mean", model.data_mean), ("buffers.data_std", model.data_std)]
+
+
 def save_checkpoint(model, path, meta=None):
     """Deterministic binary checkpoint: header JSON + raw float64 blobs.
 
     No timestamps or environment data; identical models produce identical
     bytes.
     """
-    entries = [(name, nc._data(arr)) for name, arr in model.named_parameters()]
-    entries.append(("buffers.data_mean", model.data_mean))
-    entries.append(("buffers.data_std", model.data_std))
+    entries = _saved_arrays(model)
     header = {
         "format_version": 1,
         "package_version": __version__,
@@ -486,41 +460,52 @@ class CheckpointFormatError(ValueError):
     """File is not a recognizable model checkpoint."""
 
 
+class _NoDraws:
+    """Generator stand-in that builds a model without random draws: every
+    draw is a read-only broadcast zero of the requested size, so no
+    parameter-sized array is allocated before the payload replaces it."""
+
+    @staticmethod
+    def normal(loc=0.0, scale=1.0, size=None):
+        return np.broadcast_to(0.0, size)
+
+    uniform = normal
+
+
 def load_checkpoint(path):
-    """Load a checkpoint written by save_checkpoint; returns (model, meta)."""
+    """Load a checkpoint written by save_checkpoint; returns (model, meta).
+
+    The header's `params` must list exactly the arrays that its config and
+    skeleton describe, in save order; the model adopts views of the payload.
+    """
     header, payload = _data.read_container(path, CHECKPOINT_MAGIC, CheckpointFormatError)
-    if header.get("format_version") != 1:
-        raise CheckpointFormatError(f"{path}: unsupported format {header.get('format_version')}")
+    version = header.get("format_version")
+    if type(version) is not int or version != 1:
+        raise CheckpointFormatError(f"{path}: unsupported format {version!r}")
     try:
         config = ModelConfig.from_dict(header["config"])
         spec = sk.build_skeleton(header["skeleton_text"])
-        model = FlowModel.create(config, spec, seed=0, init="default")
-        entries = [(str(name), tuple(int(n) for n in shape))
-                   for name, shape in header["params"]]
+        model = FlowModel(config, spec, _NoDraws())
         meta = dict(header["meta"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointFormatError(f"{path}: bad header content: {exc!r}") from None
-    sizes = [math.prod(shape) for _, shape in entries]
-    if min(sizes, default=0) < 0 or sum(sizes) != payload.size:
+    entries = _saved_arrays(model)
+    if header.get("params") != [[name, list(arr.shape)] for name, arr in entries]:
+        raise CheckpointFormatError(
+            f"{path}: header params are not the {len(entries)} arrays its config "
+            f"and skeleton describe, in save order")
+    sizes = [arr.size for _, arr in entries]
+    if sum(sizes) != payload.size:
         raise CheckpointFormatError(
             f"{path}: payload holds {payload.size} values, header declares {sum(sizes)}")
-    current = dict(model.named_parameters())
-    current["buffers.data_mean"] = model.data_mean
-    current["buffers.data_std"] = model.data_std
-    loaded = set()
-    for (name, shape), arr in zip(entries, np.split(payload, np.cumsum(sizes)[:-1])):
-        if name not in current:
-            raise CheckpointFormatError(f"{path}: unknown parameter {name}")
-        if name in loaded:
-            raise CheckpointFormatError(f"{path}: parameter {name} listed twice")
-        loaded.add(name)
-        if current[name].shape != shape:
-            raise CheckpointFormatError(f"{path}: shape mismatch for {name}")
-        if name.startswith("buffers."):
-            setattr(model, name[len("buffers."):], arr.reshape(shape))
-        else:
-            model.set_parameter(name, arr.reshape(shape))
-    missing = set(current) - loaded
-    if missing:
-        raise CheckpointFormatError(f"{path}: missing parameters {sorted(missing)[:3]}")
+    values = [block.reshape(arr.shape) for (_, arr), block in
+              zip(entries, np.split(payload, np.cumsum(sizes)[:-1]))]
+    for (name, _), arr in zip(entries[:-2], values):
+        if not np.isfinite(arr).all():
+            raise CheckpointFormatError(f"{path}: parameter {name} is not finite")
+        model.set_parameter(name, arr)
+    try:
+        model.set_standardization(*values[-2:])
+    except ValueError as exc:
+        raise CheckpointFormatError(f"{path}: {exc}") from None
     return model, meta

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from skelflow import conditioning as cond
+from skelflow import flow
 from skelflow import skeleton as sk
 from skelflow.flow import ModelConfig
 
@@ -41,6 +43,42 @@ def make_tiny_config(ablation="stmg"):
 @pytest.fixture
 def tiny_config():
     return make_tiny_config()
+
+
+def identity_scale_raw():
+    """Raw value at which `bounded_scale` returns exactly 1."""
+    return float(np.log(999.0) - cond.SCALE_SHIFT)
+
+
+def identity_model(config, skeleton_spec, seed=0):
+    """A seeded model whose every flow step is the identity map: actnorm
+    scale 1 and bias 0, an identity channel mix, and coupling heads that
+    give scale 1 and offset 0."""
+    model = flow.FlowModel.create(config, skeleton_spec, seed=seed)
+    half = config.markers * config.c2
+    for step in model.steps:
+        step.actnorm.scale = np.ones_like(step.actnorm.scale)
+        step.actnorm.bias = np.zeros_like(step.actnorm.bias)
+        step.mix.weight = np.eye(config.channels)
+        step.conditioner.out.weight = np.zeros_like(step.conditioner.out.weight)
+        bias = np.zeros_like(step.conditioner.out.bias)
+        bias[:half] = identity_scale_raw()
+        step.conditioner.out.bias = bias
+    return model
+
+
+def random_model(config, skeleton_spec, seed=0):
+    """A seeded model with every parameter group active (for gradient
+    checks): after the seeded init, the actnorms and the zero-initialized
+    coupling heads are drawn from the same generator."""
+    rng = np.random.default_rng(seed)
+    model = flow.FlowModel(config, skeleton_spec, rng)
+    for step in model.steps:
+        step.actnorm.scale = np.exp(rng.normal(0.0, 0.2, size=step.actnorm.scale.shape))
+        step.actnorm.bias = rng.normal(0.0, 0.2, size=step.actnorm.bias.shape)
+        step.conditioner.out.weight = rng.normal(0.0, 0.05, size=step.conditioner.out.weight.shape)
+        step.conditioner.out.bias = rng.normal(0.0, 0.05, size=step.conditioner.out.bias.shape)
+    return model
 
 
 def random_frame_inputs(config, rng, batch=1):

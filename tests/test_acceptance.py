@@ -22,7 +22,8 @@ import skelflow.sequence as sequence
 import skelflow.skeleton as sk
 import skelflow.training as training
 
-from conftest import TINY_SKELETON_TEXT, make_tiny_config, random_frame_inputs
+from conftest import (TINY_SKELETON_TEXT, make_tiny_config, random_frame_inputs,
+                      random_model)
 from oracles import brute_force_footsteps, fd_jacobian_logdet
 
 FPS = 20.0
@@ -42,8 +43,7 @@ def _verdict(capsys, num, name, ok, detail):
 def _full_model(ablation, seed=0):
     """Full-size 16-step model with active heads and random standardization."""
     config = flow.ModelConfig(ablation=ablation).validate()
-    model = flow.FlowModel.create(config, sk.default_skeleton(),
-                                  seed=seed, init="random")
+    model = random_model(config, sk.default_skeleton(), seed=seed)
     rng = np.random.default_rng(seed + 100)
     model.set_standardization(
         rng.normal(scale=20.0, size=(config.markers, config.channels)),
@@ -64,8 +64,7 @@ def _roundtrip_error(model, seed=1, frames=100):
 
 
 def _tiny_model(ablation, seed):
-    model = flow.FlowModel.create(make_tiny_config(ablation), TINY,
-                                  seed=seed, init="random")
+    model = random_model(make_tiny_config(ablation), TINY, seed=seed)
     rng = np.random.default_rng(seed + 50)
     model.set_standardization(rng.normal(scale=2.0, size=(4, 2)),
                               rng.uniform(0.5, 3.0, size=(4, 2)))

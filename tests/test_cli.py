@@ -375,6 +375,24 @@ def test_manifest_names_every_input(workspace, tmp_path, command, flags, key, va
     assert manifest["config"][key] == value
 
 
+@pytest.mark.parametrize("command, flags, code", [
+    ("synth", ["--path", "zigzag:speed=1"], cli.EXIT_CONFIG),
+    ("synth", ["--path", "line:speed=70", "--path", "zigzag:speed=1"], cli.EXIT_CONFIG),
+    ("train", ["--init-from", "{missing}", "--steps", "1", "--walker-steps", "12",
+               "--path", "line:speed=70"], cli.EXIT_IO),
+    ("generate", ["--checkpoint", "{missing}"], cli.EXIT_IO),
+    ("reconstruct", ["--checkpoint", "{missing}"], cli.EXIT_IO),
+    ("reconstruct", ["--checkpoint", "{checkpoint}", "--clip", "{missing}"], cli.EXIT_IO),
+    ("evaluate", ["--clips", "{missing}"], cli.EXIT_IO),
+])
+def test_bad_input_leaves_no_output_directory(workspace, tmp_path, command, flags, code):
+    """Every command reads and checks its inputs before it creates --out."""
+    paths = {"checkpoint": workspace["checkpoint"], "missing": str(tmp_path / "nope")}
+    out = tmp_path / "out"
+    assert run([command, *(f.format(**paths) for f in flags), "--out", str(out)]) == code
+    assert not out.exists()
+
+
 class TestEvaluate:
     def test_reports_recover_generator_step_count(self, workspace, tmp_path):
         out = str(tmp_path / "ev")

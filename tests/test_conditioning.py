@@ -5,7 +5,7 @@ from skelflow import conditioning as cond
 from skelflow import numcore as nc
 from skelflow import skeleton as sk
 
-from conftest import apply_temporal_operator, make_tiny_config
+from conftest import apply_temporal_operator, identity_scale_raw, make_tiny_config
 
 
 @pytest.fixture
@@ -29,7 +29,7 @@ def test_bounded_scale_range_and_monotone():
 
 
 def test_identity_scale_raw_gives_unit_scale():
-    raw = cond.identity_scale_raw()
+    raw = identity_scale_raw()
     assert abs(cond.bounded_scale(np.array([raw]))[0] - 1.0) < 1e-12
 
 

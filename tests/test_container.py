@@ -3,16 +3,18 @@ table run against both loaders, and the CLI exit code for each fault."""
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import skelflow.cli as cli
 from skelflow import data, flow
+from skelflow import skeleton as sk
 from skelflow.data import ClipFormatError, ClipParseError, MotionClip
 from skelflow.flow import CheckpointFormatError
 
-from conftest import make_tiny_config
+from conftest import make_tiny_config, random_model
 
 
 def _split(raw):
@@ -31,16 +33,64 @@ def _with_header(raw, edit):
     return _join(magic, json.dumps(header).encode("ascii"), payload)
 
 
-def _duplicated_parameter(raw):
-    """steps.0.actnorm.scale listed a second time, with its values appended
-    once more, so the header and the payload sizes still agree."""
+def _blocks(raw):
+    """(magic, header, [(entry, payload bytes of that entry)]) of a good
+    checkpoint, one pair per entry of the header's params."""
     magic, header, payload = _split(raw)
-    entries = header["params"]
-    k = [name for name, _ in entries].index("steps.0.actnorm.scale")
-    start = 8 * sum(int(np.prod(shape)) for _, shape in entries[:k])
-    values = payload[start:start + 8 * int(np.prod(entries[k][1]))]
-    entries.append(entries[k])
-    return _join(magic, json.dumps(header).encode("ascii"), payload + values)
+    blocks, start = [], 0
+    for entry in header["params"]:
+        stop = start + 8 * int(np.prod(entry[1]))
+        blocks.append((entry, payload[start:stop]))
+        start = stop
+    return magic, header, blocks
+
+
+def _rearranged(rearrange):
+    """A row that rearranges the checkpoint's (entry, bytes) pairs, keeping
+    each header entry with its payload block, so the header and the payload
+    sizes still agree."""
+    def fault(raw):
+        magic, header, blocks = _blocks(raw)
+        blocks = rearrange(blocks)
+        header["params"] = [entry for entry, _ in blocks]
+        return _join(magic, json.dumps(header).encode("ascii"),
+                     b"".join(block for _, block in blocks))
+    return fault
+
+
+def _find(blocks, name):
+    return [entry[0] for entry, _ in blocks].index(name)
+
+
+def _duplicated(blocks):
+    """steps.0.actnorm.scale listed a second time, with its values."""
+    return blocks + [blocks[_find(blocks, "steps.0.actnorm.scale")]]
+
+
+def _swapped(blocks):
+    """The first two parameters (of different shapes) trade places."""
+    assert blocks[0][0][1] != blocks[1][0][1]
+    return [blocks[1], blocks[0]] + blocks[2:]
+
+
+def _dropped(blocks):
+    k = _find(blocks, "steps.1.mix.weight")
+    return blocks[:k] + blocks[k + 1:]
+
+
+def _renamed(blocks):
+    (name, shape), block = blocks[0]
+    return [((name + "_old", shape), block)] + blocks[1:]
+
+
+def _with_values(name, index, value):
+    """A row that sets entry `index` of the named array to `value`."""
+    def set_value(blocks):
+        k = _find(blocks, name)
+        values = np.frombuffer(blocks[k][1], dtype="<f8").copy()
+        values[index] = value
+        return blocks[:k] + [(blocks[k][0], values.tobytes())] + blocks[k + 1:]
+    return _rearranged(set_value)
 
 
 # Each row maps the bytes of a good file to a malformed one.
@@ -79,7 +129,22 @@ CHECKPOINT_FAULTS = {
         raw, lambda h: h["params"][0].__setitem__(1, [-1] + h["params"][0][1])),
     "shape_mismatch": lambda raw: _with_header(
         raw, lambda h: h["params"][0].__setitem__(1, h["params"][0][1][::-1] + [1])),
-    "duplicated_parameter": _duplicated_parameter,
+    "duplicated_parameter": _rearranged(_duplicated),
+    "swapped_parameters": _rearranged(_swapped),
+    "dropped_parameter": _rearranged(_dropped),
+    "renamed_parameter": _rearranged(_renamed),
+    "inflated_lstm_hidden": lambda raw: _with_header(
+        raw, lambda h: h["config"].update(lstm_hidden=1200)),
+    "format_version_true": lambda raw: _with_header(
+        raw, lambda h: h.update(format_version=True)),
+    "format_version_float": lambda raw: _with_header(
+        raw, lambda h: h.update(format_version=1.0)),
+    "negative_data_std_entry": _with_values("buffers.data_std", 5, -1.0),
+    "zero_data_std_entry": _with_values("buffers.data_std", 5, 0.0),
+    "nan_data_std_entry": _with_values("buffers.data_std", 5, np.nan),
+    "infinite_data_mean_entry": _with_values("buffers.data_mean", 0, np.inf),
+    "nan_parameter_value": _with_values("steps.0.mix.weight", 1, np.nan),
+    "infinite_parameter_value": _with_values("encoder.blocks.0.sgcn.weight", 2, -np.inf),
 }
 
 CLIP_FAULTS = {
@@ -87,6 +152,12 @@ CLIP_FAULTS = {
         raw, lambda h: h.pop("markers")),
     "negative_marker_count": lambda raw: _with_header(
         raw, lambda h: h.update(markers=-1, frames=0)),
+    "header_without_version": lambda raw: _with_header(
+        raw, lambda h: h.pop("version")),
+    "unsupported_version": lambda raw: _with_header(
+        raw, lambda h: h.update(version=2)),
+    "float_version": lambda raw: _with_header(
+        raw, lambda h: h.update(version=1.0)),
 }
 
 # Rows for text clips: optional header values that do not parse.
@@ -126,8 +197,7 @@ INVALID_CLIPS = {
 @pytest.fixture(scope="module")
 def good_checkpoint(tmp_path_factory, tiny_skeleton):
     path = tmp_path_factory.mktemp("ckpt") / "good.ckpt"
-    model = flow.FlowModel.create(make_tiny_config(), tiny_skeleton, seed=3,
-                                  init="random")
+    model = random_model(make_tiny_config(), tiny_skeleton, seed=3)
     flow.save_checkpoint(model, path, meta={"seed": 3})
     return path
 
@@ -158,6 +228,36 @@ def test_good_files_load(good_checkpoint, good_clip):
     model, meta = flow.load_checkpoint(good_checkpoint)
     assert meta == {"seed": 3}
     assert data.load_clip(good_clip).positions.shape == (5, 3, 11)
+
+
+def test_load_makes_no_random_draw(good_checkpoint, monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("load_checkpoint made a random generator")
+    want = flow.load_checkpoint(good_checkpoint)[0]
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    model, _ = flow.load_checkpoint(good_checkpoint)
+    assert [k for k, _ in model.named_parameters()] == \
+        [k for k, _ in want.named_parameters()]
+    for (_, got), (_, ref) in zip(model.named_parameters(), want.named_parameters()):
+        assert np.array_equal(got, ref)
+
+
+def test_inflated_header_is_rejected_before_it_allocates(tmp_path):
+    """A desk checkpoint whose header claims lstm_hidden 1200: the model
+    that header describes would hold hundreds of MB, and the check against
+    the header's params must fail before any of it is allocated."""
+    path = tmp_path / "desk.ckpt"
+    flow.save_checkpoint(
+        flow.FlowModel.create(flow.desk_config(), sk.default_skeleton()), path)
+    bad = _corrupt(path, CHECKPOINT_FAULTS["inflated_lstm_hidden"], tmp_path, "bad.ckpt")
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointFormatError, match="params"):
+            flow.load_checkpoint(bad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_writers_keep_the_version_1_layout(good_checkpoint, good_clip):

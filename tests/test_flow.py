@@ -9,12 +9,16 @@ from skelflow import numcore as nc
 
 from skelflow import skeleton as sk
 
-from conftest import make_tiny_config, random_frame_inputs
+from conftest import identity_model, make_tiny_config, random_frame_inputs, random_model
 from oracles import fd_jacobian_logdet, inverse_transform_frame_reference
 
 
+MODEL_INITS = {"default": flow.FlowModel.create, "identity": identity_model,
+               "random": random_model}
+
+
 def make_model(tiny_skeleton, ablation="stmg", seed=0, init="random"):
-    return flow.FlowModel.create(make_tiny_config(ablation), tiny_skeleton, seed=seed, init=init)
+    return MODEL_INITS[init](make_tiny_config(ablation), tiny_skeleton, seed=seed)
 
 
 # --- graph operators -------------------------------------------------------------
@@ -120,7 +124,7 @@ def test_mix_starts_as_rotation():
 
 
 def test_mix_singular_raises():
-    layer = flow.InvertibleMix(2)
+    layer = flow.InvertibleMix(2, np.random.default_rng(1))
     layer.weight = np.ones((2, 2))
     with pytest.raises(nc.SingularMatrixError):
         layer.forward(np.zeros((1, 3, 2)), 3)
@@ -173,8 +177,8 @@ def test_inverse_is_bit_identical_to_op_by_op_reference(tiny_skeleton, ablation,
     if size == "tiny":
         model = make_model(tiny_skeleton, ablation, seed=21)
     else:
-        model = flow.FlowModel.create(flow.desk_config(ablation=ablation),
-                                      sk.default_skeleton(), seed=21, init="random")
+        model = random_model(flow.desk_config(ablation=ablation),
+                             sk.default_skeleton(), seed=21)
     cfg = model.config
     rng = np.random.default_rng(22)
     model.set_standardization(rng.normal(size=(cfg.markers, cfg.channels)) * 0.1,

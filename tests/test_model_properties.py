@@ -16,6 +16,7 @@ from skelflow import skeleton as sk
 from skelflow import training
 from skelflow.conditioning import ABLATIONS
 
+from conftest import random_model
 from oracles import fd_jacobian_logdet, segment_nll_per_frame
 
 TOL = 1e-12
@@ -50,8 +51,7 @@ def models(draw, max_size=32):
         ablation=draw(st.sampled_from(ABLATIONS)),
     ).validate()
     seed = draw(st.integers(0, 2 ** 16))
-    model = flow.FlowModel.create(config, sk.build_skeleton("\n".join(lines)),
-                                  seed=seed, init="random")
+    model = random_model(config, sk.build_skeleton("\n".join(lines)), seed=seed)
     rng = np.random.default_rng(seed)
     model.set_standardization(rng.normal(0.0, 0.3, size=(markers, channels)),
                               rng.uniform(0.5, 2.0, size=(markers, channels)))

@@ -12,13 +12,13 @@ from skelflow.sequence import (
 )
 from skelflow.skeleton import build_skeleton, default_skeleton
 
-from conftest import TINY_SKELETON_TEXT, make_tiny_config
+from conftest import TINY_SKELETON_TEXT, identity_model, make_tiny_config, random_model
 
 
 @pytest.fixture(scope="module")
 def tiny_model():
     skel = build_skeleton(TINY_SKELETON_TEXT)
-    model = flow.FlowModel.create(make_tiny_config(), skel, seed=3, init="random")
+    model = random_model(make_tiny_config(), skel, seed=3)
     rng = np.random.default_rng(0)
     model.set_standardization(rng.normal(size=(4, 2)) * 0.1,
                               np.abs(rng.normal(size=(4, 2))) + 0.5)
@@ -81,7 +81,7 @@ class TestGenerate:
 
     def test_identity_model_mode_rollout_is_mean_pose(self):
         skel = build_skeleton(TINY_SKELETON_TEXT)
-        model = flow.FlowModel.create(make_tiny_config(), skel, init="identity")
+        model = identity_model(make_tiny_config(), skel)
         rng = np.random.default_rng(4)
         mean = rng.normal(size=(4, 2))
         model.set_standardization(mean, np.abs(rng.normal(size=(4, 2))) + 0.5)
@@ -167,8 +167,7 @@ BATCH_TOL = 1e-10
 
 @pytest.fixture(scope="module")
 def desk_model():
-    model = flow.FlowModel.create(flow.desk_config(), default_skeleton(), seed=4,
-                                  init="random")
+    model = random_model(flow.desk_config(), default_skeleton(), seed=4)
     rng = np.random.default_rng(1)
     model.set_standardization(rng.normal(size=(21, 3)), np.abs(rng.normal(size=(21, 3))) + 2.0)
     return model

@@ -13,7 +13,7 @@ import skelflow.numcore as nc
 import skelflow.skeleton as skeleton
 import skelflow.training as training
 
-from conftest import TINY_SKELETON_TEXT, make_tiny_config
+from conftest import TINY_SKELETON_TEXT, make_tiny_config, random_model
 from oracles import segment_nll_per_frame
 
 # sha256 of the 112 windows of `training.synthetic_corpus()`, each window's
@@ -152,8 +152,7 @@ class TestSegmentNll:
         # threaded segment loss once the LSTM has nonzero weights.
         rng = np.random.default_rng(3)
         config = small_model(seed=9).config
-        model = flow.FlowModel.create(config, skeleton.default_skeleton(),
-                                      seed=9, init="random")
+        model = random_model(config, skeleton.default_skeleton(), seed=9)
         for name, p in model.named_parameters():
             if "lstm" in name:
                 model.set_parameter(name, nc._data(p)
@@ -206,10 +205,9 @@ def assert_matches_per_frame_oracle(model, pos, ctl, n_frames):
 class TestLayerMajorSegment:
     @pytest.mark.parametrize("ablation", ["stmg", "smg", "mg"])
     def test_tiny_matches_per_frame_oracle(self, ablation):
-        model = flow.FlowModel.create(
+        model = random_model(
             make_tiny_config(ablation),
-            skeleton.build_skeleton(TINY_SKELETON_TEXT), seed=4,
-            init="random")
+            skeleton.build_skeleton(TINY_SKELETON_TEXT), seed=4)
         t_h = model.config.history
         rng = np.random.default_rng(5)
         pos = rng.normal(size=(3, 4, 2, t_h + 5))
@@ -217,9 +215,8 @@ class TestLayerMajorSegment:
         assert_matches_per_frame_oracle(model, pos, ctl, 5)
 
     def test_desk_matches_per_frame_oracle(self, corpus):
-        model = flow.FlowModel.create(flow.desk_config(),
-                                      skeleton.default_skeleton(), seed=2,
-                                      init="random")
+        model = random_model(flow.desk_config(),
+                             skeleton.default_skeleton(), seed=2)
         cfg = training.TrainConfig(init_batch=16)
         training.initialize_from_corpus(model, corpus, cfg)
         t_h = model.config.history
