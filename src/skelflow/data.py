@@ -172,9 +172,11 @@ def _read_text(path):
         fps = float(header["fps"])
         markers = int(header["markers"])
         frames = int(header["frames"]) if "frames" in header else None
-        root_relative = bool(int(header.get("root_relative", "0")))
     except ValueError as exc:
         raise ClipParseError(f"bad header value: {exc}") from None
+    flag = header.get("root_relative", "0")
+    if flag not in ("0", "1"):
+        raise ClipParseError(f"bad header value: root_relative must be 0 or 1, got {flag!r}")
     if not rows:
         raise ClipParseError("clip has no frames")
     want = markers * 3 + 3
@@ -189,7 +191,7 @@ def _read_text(path):
     table = np.stack([v for _, v in rows], axis=1)
     positions = table[:markers * 3].reshape(markers, 3, len(rows))
     controls = table[markers * 3:]
-    return MotionClip(positions, controls, fps, root_relative=root_relative,
+    return MotionClip(positions, controls, fps, root_relative=flag == "1",
                       source=header.get("source", ""))
 
 
@@ -289,6 +291,9 @@ def _read_binary(path):
     version = header.get("version")
     if type(version) is not int or version != 1:
         raise ClipFormatError(f"{path}: unsupported clip version {version!r}")
+    root_relative = header.get("root_relative", False)
+    if type(root_relative) is not bool:
+        raise ClipFormatError(f"{path}: root_relative must be a JSON bool, got {root_relative!r}")
     try:
         m, t = int(header["markers"]), int(header["frames"])
         fps = float(header["fps"])
@@ -300,7 +305,7 @@ def _read_binary(path):
     positions = payload[:m * 3 * t].reshape(m, 3, t)
     controls = payload[m * 3 * t:].reshape(3, t)
     return MotionClip(positions, controls, fps,
-                      root_relative=bool(header.get("root_relative", False)),
+                      root_relative=root_relative,
                       source=str(header.get("source", "")))
 
 

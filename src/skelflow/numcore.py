@@ -433,19 +433,23 @@ def graph_conv_relu(x, stacked, weight, bias):
 # 10 frames, 12 and 24 channels) a chunk's largest array, the second
 # block's gathered rows, is 0.5 MB, so a block's working set stays in cache
 # and its arrays stay below glibc's trim threshold.  Measured on the
-# forward and backward of 64 desk windows (2 cores, one OpenBLAS thread),
-# median ms at 2, 4, 8, 16, 32 and 64 windows per chunk: 51, 45, 43, 45,
-# 52 and 71.  A rollout's 1 or 8 windows are one chunk.
+# forward and backward of 64 desk windows when the backward reran every
+# chunk's whole forward (2 cores, one OpenBLAS thread), median ms at 2, 4,
+# 8, 16, 32 and 64 windows per chunk: 51, 45, 43, 45, 52 and 71.  A
+# rollout's 1 or 8 windows are one chunk.
 ENCODER_CHUNK_WINDOWS = 8
 
 
-def _encoder_chunk(x, blocks, saved=None):
+def _encoder_chunk(x, blocks, kept=None):
     """The blocks of `graph_temporal_encoder` on one chunk of windows:
     x is marker-major (n, M, T, C_in).  Returns the last block's output.
-    A list `saved` gets, per block, its input, gathered rows and inner
-    relu output, as `_encoder_chunk_backward` takes them."""
+    A list `kept` gets the input of every block after the first, the
+    arrays that cost a temporal conv and a residual to remake; the
+    backward recomputes only the graph convs from them."""
     n, m, t, _ = x.shape
-    for (stacked, weight, bias), temporal, residual in blocks:
+    for i, ((stacked, weight, bias), temporal, residual) in enumerate(blocks):
+        if kept is not None and i > 0:
+            kept.append(x)
         rows, h = _graph_conv(x, stacked, weight, bias)
         c_out = h.shape[1]
         if temporal is None:
@@ -458,25 +462,27 @@ def _encoder_chunk(x, blocks, saved=None):
         else:
             y += _affine(x.reshape(-1, x.shape[3]), _data(residual[0]), _data(residual[1]))
         np.maximum(y, 0.0, out=y)
-        if saved is not None:
-            saved.append((x, rows, h))
         # drop this block's arrays now, so the next block's can reuse the memory
         del rows, h
         x = y.reshape(n, m, t, c_out)
     return x
 
 
-def _encoder_chunk_backward(gy, blocks, saved, need_input_grad):
+def _encoder_chunk_backward(gy, blocks, inputs, need_input_grad):
     """Backward through the blocks of one chunk from gy, the gradient on
-    the last block's output already masked by its relu.  Accumulates every
-    parameter gradient and returns the gradient on the chunk's
-    marker-major input, or None when `need_input_grad` is false.  Each
-    relu mask is read from the saved positive entries of its output; the
-    gradients are masked in place."""
+    the last block's output already masked by its relu, with `inputs`
+    every block's marker-major input.  Each block's gathered rows and
+    inner relu output are recomputed from its input by one `_graph_conv`;
+    no temporal conv or residual runs forward again.  Accumulates every
+    parameter gradient and returns the gradient on the chunk's input, or
+    None when `need_input_grad` is false.  Each relu mask is read from
+    the positive entries of its output; the gradients are masked in
+    place, and `inputs` is only read."""
     n, m, t, _ = gy.shape
     for i in range(len(blocks) - 1, -1, -1):
         graph, temporal, residual = blocks[i]
-        xi, rows, h = saved[i]
+        xi = inputs[i]
+        rows, h = _graph_conv(xi, *graph)
         c_in, c_out = xi.shape[3], h.shape[1]
         g2 = gy.reshape(-1, c_out)
         g_sum = _frame_channel_sum(g2, t)  # the temporal and residual biases'
@@ -531,13 +537,18 @@ def graph_temporal_encoder(history, blocks):
     `graph_conv_relu` runs (`_graph_conv`, and `_graph_conv_backward` in
     the backward), with T frames per window.  Both relus run in place.
 
-    The windows run in consecutive chunks of `ENCODER_CHUNK_WINDOWS`, and
-    only the pooled output is kept.  Every window's arithmetic is the same
-    in any chunk, so the output does not depend on the chunking.  The node
-    keeps the history and its operands, not the activations: the backward
-    recomputes each chunk's forward, saving its activations, runs that
-    chunk's backward and accumulates the parameter gradients chunk by
-    chunk.  Every chunk shares the operands' temporal operators.
+    The windows run in consecutive chunks of `ENCODER_CHUNK_WINDOWS`.
+    Every window's arithmetic is the same in any chunk, so the output
+    does not depend on the chunking.  On Vars the node keeps, per chunk,
+    the input of every block after the first and the last block's relu
+    mask as a bool array: the arrays that cost a temporal GEMM or a
+    residual to remake.  The backward remakes the first block's input
+    with one transpose copy of the history and each block's gathered
+    rows and inner relu output with one graph conv (Chen et al. 2016's
+    recompute, on the cheap half only), runs that chunk's backward and
+    accumulates the parameter gradients chunk by chunk.  Every chunk
+    shares the operands' temporal operators.  On ndarrays nothing is
+    kept.
     """
     hd = _data(history)
     n, m, _, t = hd.shape
@@ -549,29 +560,33 @@ def graph_temporal_encoder(history, blocks):
             operands += [kernel, t_bias]
         if residual is not None:
             operands += residual
+    recording = _any_var(*operands)
     scale = 1.0 / (m * t)
     chunks = [slice(start, start + ENCODER_CHUNK_WINDOWS)
               for start in range(0, n, ENCODER_CHUNK_WINDOWS)]
 
-    def chunk_output(chunk, saved=None):
-        x = np.ascontiguousarray(hd[chunk].transpose(0, 1, 3, 2))
-        return _encoder_chunk(x, blocks, saved)
+    def chunk_input(chunk):
+        return np.ascontiguousarray(hd[chunk].transpose(0, 1, 3, 2))
 
     width = _data(blocks[-1][0][1]).shape[2]  # the last graph weight's C_out
     out = np.empty((n, width))
+    kept = []  # per chunk: its later blocks' inputs and its last relu mask
     for chunk in chunks:
-        out[chunk] = chunk_output(chunk).sum(axis=(1, 2)) * scale
-    if not _any_var(*operands):
+        inputs = [] if recording else None
+        y = _encoder_chunk(chunk_input(chunk), blocks, inputs)
+        out[chunk] = y.sum(axis=(1, 2)) * scale
+        if recording:
+            kept.append((inputs, y > 0.0))
+    if not recording:
         return out
     res = Var(out, tuple(v for v in operands if isinstance(v, Var)))
 
     def bw(g):
-        for chunk in chunks:
-            saved = []
-            x = chunk_output(chunk, saved)
+        for chunk, (inputs, mask) in zip(chunks, kept):
             # the pooled mean's gradient, broadcast and masked by the last relu
-            gy = np.multiply(x > 0.0, (g[chunk] * scale)[:, None, None, :])
-            gx = _encoder_chunk_backward(gy, blocks, saved, isinstance(history, Var))
+            gy = np.multiply(mask, (g[chunk] * scale)[:, None, None, :])
+            gx = _encoder_chunk_backward(gy, blocks, [chunk_input(chunk)] + inputs,
+                                         isinstance(history, Var))
             if gx is not None:
                 history._accum_at(chunk, gx.transpose(0, 1, 3, 2))
 

@@ -158,6 +158,10 @@ CLIP_FAULTS = {
         raw, lambda h: h.update(version=2)),
     "float_version": lambda raw: _with_header(
         raw, lambda h: h.update(version=1.0)),
+    "root_relative_string": lambda raw: _with_header(
+        raw, lambda h: h.update(root_relative="false")),
+    "root_relative_number": lambda raw: _with_header(
+        raw, lambda h: h.update(root_relative=1)),
 }
 
 # Rows for text clips: optional header values that do not parse.
@@ -165,6 +169,8 @@ TEXT_CLIP_FAULTS = {
     "frames_not_a_number": lambda raw: raw.replace(b"# frames 11", b"# frames abc"),
     "root_relative_not_a_number": lambda raw: raw.replace(
         b"# root_relative 0", b"# root_relative yes"),
+    "root_relative_not_a_flag": lambda raw: raw.replace(
+        b"# root_relative 0", b"# root_relative 2"),
 }
 
 

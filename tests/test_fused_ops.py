@@ -2,6 +2,7 @@
 finite differences, and by the size of the tape they build."""
 
 import collections
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -519,19 +520,36 @@ def tape_ops(loss):
     return ops
 
 
-@pytest.fixture(scope="module")
-def desk_segment():
-    """A desk model and one batch 8 x 8 training segment."""
+def build_desk_segment(ablation, steps=0):
+    """A desk model of `ablation`, trained `steps` Adam steps past its
+    init, and one batch 8 x 8 training segment."""
     spec = sk.default_skeleton()
     windows = training.synthetic_corpus(specs=("line:speed=70",), steps=12,
                                         skeleton_spec=spec)
-    model = flow.FlowModel.create(flow.desk_config(), spec, seed=0)
+    model = flow.FlowModel.create(flow.desk_config(ablation=ablation), spec, seed=0)
     config = training.TrainConfig(batch_size=8, nll_frames=8, init_batch=16)
     training.initialize_from_corpus(model, windows, config)
+    if steps:
+        training.train(model, windows, windows[:1],
+                       dataclasses.replace(config, steps=steps))
     rng = np.random.default_rng(0)
     picks = training._random_picks(windows, rng, 8, model.config.history, 8)
     pos, ctl = training._stack_crops(windows, picks, model.config.history, 8)
     return model, pos, ctl
+
+
+@pytest.fixture(scope="module")
+def desk_segment():
+    """A desk stmg model and one batch 8 x 8 training segment."""
+    return build_desk_segment("stmg")
+
+
+@pytest.fixture(scope="module", params=["stmg", "smg"])
+def graph_desk_segment(request):
+    """`desk_segment` for each ablation with a graph history encoder, one
+    step past init: at init the coupling conditioners' zeroed output
+    layers make every encoder gradient exactly 0."""
+    return build_desk_segment(request.param, steps=1)
 
 
 def desk_step(model, pos, ctl):
@@ -560,8 +578,11 @@ def test_desk_training_step_tape_census(desk_segment):
 
 def test_desk_training_step_memory(desk_segment):
     """tracemalloc's peak over one desk segment_nll + grad.  It read 38.5 MB
-    when the encoder node kept every block's activations for all 64 windows
-    and 14.8 MB with chunks of 8 windows recomputed in the backward."""
+    when the encoder node kept every block's activations for all 64
+    windows, 14.2 MB with chunks of 8 windows fully recomputed in the
+    backward, and 15.1 MB now that the node keeps each chunk's second
+    block input (1.3 MB in all) and last relu mask (0.3 MB as bools) and
+    the backward recomputes only the graph convs."""
     desk_step(*desk_segment)
     tracemalloc.start()
     try:
@@ -581,4 +602,48 @@ def test_first_accumulation_copy_is_bit_identical(desk_segment, monkeypatch):
     assert float(loss.data) == float(want_loss.data)
     assert len(grads) == len(want_grads) == 90
     for got, want in zip(grads, want_grads):
+        assert np.array_equal(got, want)
+
+
+def test_encoder_backward_reruns_no_block_forward(graph_desk_segment, monkeypatch):
+    """The forward runs each of a desk segment's 8 encoder chunks through
+    `_encoder_chunk` once; the backward recomputes only the graph convs
+    from the kept block inputs and never runs a chunk forward again."""
+    model, pos, ctl = graph_desk_segment
+    calls = []
+    chunk = nc._encoder_chunk
+
+    def counted(*args):
+        calls.append(args[0].shape[0])
+        return chunk(*args)
+
+    monkeypatch.setattr(nc, "_encoder_chunk", counted)
+    lifted = nc.lift(model)
+    try:
+        loss = training.segment_nll(model, pos, ctl, 8)
+        forward = list(calls)
+        nc.grad(loss, list(lifted.values()))
+    finally:
+        nc.restore(model)
+    assert forward == [nc.ENCODER_CHUNK_WINDOWS] * 8
+    assert calls == forward
+
+
+def test_desk_tape_replay_identical(graph_desk_segment):
+    """A second backward over one desk tape, whose encoder node holds the
+    kept block inputs and relu mask, gives the first pass's gradients bit
+    for bit."""
+    model, pos, ctl = graph_desk_segment
+    lifted = nc.lift(model)
+    try:
+        loss = training.segment_nll(model, pos, ctl, 8)
+        leaves = list(lifted.values())
+        first = [g.copy() for g in nc.grad(loss, leaves)]
+        second = nc.grad(loss, leaves)
+    finally:
+        nc.restore(model)
+    assert len(first) == len(second) == len(leaves)
+    encoder = [g for name, g in zip(lifted, first) if name.startswith("encoder.")]
+    assert len(encoder) in (8, 12) and all(np.any(g) for g in encoder)
+    for got, want in zip(second, first):
         assert np.array_equal(got, want)
