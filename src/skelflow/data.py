@@ -294,19 +294,28 @@ def _read_binary(path):
     root_relative = header.get("root_relative", False)
     if type(root_relative) is not bool:
         raise ClipFormatError(f"{path}: root_relative must be a JSON bool, got {root_relative!r}")
-    try:
-        m, t = int(header["markers"]), int(header["frames"])
-        fps = float(header["fps"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ClipFormatError(f"incomplete clip header: {exc}") from None
+
+    def field(key, types, what):
+        if key not in header:
+            raise ClipFormatError(f"{path}: incomplete clip header: no {key!r}")
+        # `type` rather than isinstance, so a JSON bool is not an int
+        if type(header[key]) not in types:
+            raise ClipFormatError(f"{path}: {key} must be {what}, got {header[key]!r}")
+        return header[key]
+
+    m, t = field("markers", (int,), "a JSON int"), field("frames", (int,), "a JSON int")
+    fps = field("fps", (int, float), "a JSON number")
+    if field("channels", (int,), "a JSON int") != 3:
+        raise ClipFormatError(f"{path}: channels must be 3, got {header['channels']!r}")
+    source = header.get("source", "")
+    if type(source) is not str:
+        raise ClipFormatError(f"{path}: source must be a JSON string, got {source!r}")
     if min(m, t) < 0 or payload.size != (m * 3 + 3) * t:
         raise ClipFormatError(
             f"payload holds {payload.size} values, header declares {m} markers x {t} frames")
     positions = payload[:m * 3 * t].reshape(m, 3, t)
     controls = payload[m * 3 * t:].reshape(3, t)
-    return MotionClip(positions, controls, fps,
-                      root_relative=root_relative,
-                      source=str(header.get("source", "")))
+    return MotionClip(positions, controls, fps, root_relative=root_relative, source=source)
 
 
 def save_clip(clip, path, format="text"):

@@ -132,13 +132,11 @@ class ActNorm(nc.Module):
         self.scale = np.ones((markers, channels))
         self.bias = np.zeros((markers, channels))
 
-    def logdet(self):
+    def forward(self, x):
+        """(y, logdet), with logdet = sum log|scale|."""
         if not nc._data(self.scale).all():
             raise ZeroScaleError("actnorm scale has zero entries")
-        return nc.vsum(nc.log(nc.absolute(self.scale)))
-
-    def forward(self, x):
-        return (x + self.bias) * self.scale, self.logdet()
+        return nc.actnorm(x, self.scale, self.bias)
 
     def inverse(self, y):
         """y / scale - bias on plain arrays (no tape)."""
@@ -215,14 +213,9 @@ class FlowStep(nc.Module):
     def forward(self, x, pooled, controls_flat, state):
         y, ld_act = self.actnorm.forward(x)
         z, ld_mix = self.mix.forward(y, self.markers)
-        xb1 = z[:, :, :self.c1]
-        xb2 = z[:, :, self.c1:]
-        s, offset, new_state = self.conditioner(xb1, pooled, controls_flat, state)
-        h2 = (xb2 + offset) * s
-        ld_couple = nc.vsum(nc.log(s), axis=(1, 2))
-        out = nc.concat([xb1, h2], axis=2)
-        logdet = nc.add(nc.add(ld_act, ld_mix), ld_couple)
-        return out, logdet, new_state
+        s, offset, new_state = self.conditioner(z[:, :, :self.c1], pooled, controls_flat, state)
+        out, ld_couple = nc.affine_coupling(z, s, offset)
+        return out, nc.add(nc.add(ld_act, ld_mix), ld_couple), new_state
 
     def inverse(self, h, pooled, controls_flat, state):
         """Inverse of `forward` on plain arrays (no tape): undo the

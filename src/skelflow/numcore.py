@@ -9,7 +9,9 @@ evaluation, or wrap the leaves in :class:`Var` to record a tape and call
 
 Three fused ops, each one tape node with a hand-written backward, carry
 the conditioning networks: :func:`graph_conv_relu` (a graph conv includes
-its relu), :func:`lstm_sequence` and :func:`graph_temporal_encoder`.
+its relu), :func:`lstm_sequence` and :func:`graph_temporal_encoder`.  Two
+more carry a flow step: :func:`actnorm` and :func:`affine_coupling` each
+return their output and its log-determinant as two nodes.
 
 No global state.  A tape is just the implicit DAG hanging off the output
 Var; replaying it (calling :func:`grad` twice on the same output) gives
@@ -212,28 +214,16 @@ def matmul(a, b):
         (b, grad_b)))
 
 
-def vsum(a, axis=None, keepdims=False):
+def vsum(a, axis=None):
     if not isinstance(a, Var):
-        return _data(a).sum(axis=axis, keepdims=keepdims)
+        return _data(a).sum(axis=axis)
 
     def grad_a(g):
-        if not keepdims and axis is not None:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return np.broadcast_to(g, a.data.shape).copy() if np.shape(g) != a.data.shape else g
 
-    return _node("vsum", np.sum(a.data, axis=axis, keepdims=keepdims), ((a, grad_a),))
-
-
-def vmean(a, axis=None, keepdims=False):
-    ad = _data(a)
-    if axis is None:
-        n = ad.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        n = 1
-        for ax in axes:
-            n *= ad.shape[ax]
-    return mul(vsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+    return _node("vsum", np.sum(a.data, axis=axis), ((a, grad_a),))
 
 
 def reshape(a, shape):
@@ -270,12 +260,6 @@ def concat(parts, axis):
     return _node("concat", out, grads)
 
 
-def log(a):
-    if not isinstance(a, Var):
-        return np.log(_data(a))
-    return _node("log", np.log(a.data), ((a, lambda g: g / a.data),))
-
-
 def tanh(a):
     if not isinstance(a, Var):
         return np.tanh(_data(a))
@@ -288,13 +272,6 @@ def sigmoid(a):
         return expit(_data(a))
     sd = expit(a.data)
     return _node("sigmoid", sd, ((a, lambda g: g * sd * (1.0 - sd)),))
-
-
-def absolute(a):
-    if not isinstance(a, Var):
-        return np.abs(_data(a))
-    sgn = np.sign(a.data)
-    return _node("absolute", np.abs(a.data), ((a, lambda g: g * sgn),))
 
 
 def logabsdet(a):
@@ -313,6 +290,56 @@ def logabsdet(a):
         return float(ld)
     inv_t = np.linalg.inv(ad).T
     return _node("logabsdet", ld, ((a, lambda g: g * inv_t),))
+
+
+# -- flow-step ops: one tape node per output, each built by _node --------------
+
+
+def actnorm(x, scale, bias):
+    """Glow's actnorm: (x + bias) * scale, and its log-determinant
+    sum log|scale| per (M, C) frame, a scalar.
+
+    x is (..., M, C); scale and bias are (M, C).  On Vars each output is
+    its own node, "actnorm" and "actnorm_logdet", so scale gets one
+    gradient from each.
+    """
+    xd, sd, bd = _data(x), _data(scale), _data(bias)
+    shifted = xd + bd
+    y, logdet = shifted * sd, np.sum(np.log(np.abs(sd)))
+    if _any_var(x, scale, bias):
+        y = _node("actnorm", y, ((x, lambda g: _unbroadcast(g * sd, xd.shape)),
+                                 (scale, lambda g: _unbroadcast(g * shifted, sd.shape)),
+                                 (bias, lambda g: _unbroadcast(g * sd, bd.shape))))
+    if isinstance(scale, Var):
+        sgn = np.sign(sd)
+        logdet = _node("actnorm_logdet", logdet, ((scale, lambda g: g / np.abs(sd) * sgn),))
+    return y, logdet
+
+
+def affine_coupling(z, s, offset):
+    """RealNVP's affine coupling on the last axis of z: its first C - C2
+    channels pass through and its last C2 = s.shape[-1] become
+    (z2 + offset) * s.  Returns that and the per-row log-determinant, the
+    sum of log s over every axis but the first.
+
+    s must be positive; s and offset are shaped like z's last C2
+    channels.  On Vars each output is its own node, "affine_coupling" and
+    "affine_coupling_logdet", so s gets one gradient from each.
+    """
+    zd, sd, od = _data(z), _data(s), _data(offset)
+    c1 = zd.shape[-1] - sd.shape[-1]
+    shifted = zd[..., c1:] + od
+    out = np.concatenate([zd[..., :c1], shifted * sd], axis=-1)
+    logdet = np.sum(np.log(sd), axis=tuple(range(1, sd.ndim)))
+    if _any_var(z, s, offset):
+        out = _node("affine_coupling", out, (
+            (z, lambda g: np.concatenate([g[..., :c1], g[..., c1:] * sd], axis=-1)),
+            (s, lambda g: g[..., c1:] * shifted),
+            (offset, lambda g: g[..., c1:] * sd)))
+    if isinstance(s, Var):
+        logdet = _node("affine_coupling_logdet", logdet, (
+            (s, lambda g: g.reshape(g.shape + (1,) * (sd.ndim - 1)) / sd),))
+    return out, logdet
 
 
 # -- fused layer ops: one tape node each, with a hand-written backward --------

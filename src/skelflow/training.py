@@ -172,7 +172,7 @@ def segment_nll(model, positions, controls, n_frames):
     windows = np.moveaxis(sliding_window_view(
         controls[..., :t_h + n_frames], t_h + 1, axis=-1), -2, 0)
     logp, _ = model.log_likelihood(frames, histories, windows)
-    return nc.neg(nc.vmean(logp))
+    return nc.mul(nc.vsum(logp), -1.0 / logp.size)
 
 
 def initialize_from_corpus(model, window_list, config):

@@ -125,7 +125,8 @@ def partition_from_hop_table(spec, kernel_scale):
 
 
 # --- elementary taped ops that only the references use ---------------------
-# Each runs on ndarrays, or on Vars as one tape node named after the op.
+# Each runs on ndarrays, or on Vars as one tape node named after the op
+# (`vmean` as two).
 
 
 def div(a, b):
@@ -152,6 +153,26 @@ def relu(a):
     # np.maximum (not where) so non-finite inputs stay visible in the output
     mask = a.data > 0.0
     return nc._node("relu", np.maximum(a.data, 0.0), ((a, lambda g: g * mask),))
+
+
+def log(a):
+    if not isinstance(a, nc.Var):
+        return np.log(nc._data(a))
+    return nc._node("log", np.log(a.data), ((a, lambda g: g / a.data),))
+
+
+def absolute(a):
+    if not isinstance(a, nc.Var):
+        return np.abs(nc._data(a))
+    sgn = np.sign(a.data)
+    return nc._node("absolute", np.abs(a.data), ((a, lambda g: g * sgn),))
+
+
+def vmean(a, axis=None):
+    """The mean over `axis` (a tuple, or None for all) as a vsum and a mul."""
+    ad = nc._data(a)
+    n = ad.size if axis is None else int(np.prod([ad.shape[ax] for ax in axis]))
+    return nc.mul(nc.vsum(a, axis=axis), 1.0 / n)
 
 
 # --- op-by-op layer compositions ------------------------------------------
@@ -219,7 +240,26 @@ def history_encoder_chain(encoder, history):
     x = transpose(history, (0, 3, 1, 2))
     for block in encoder.blocks:
         x = graph_temporal_block_chain(block, x)
-    return nc.vmean(x, axis=(1, 2))
+    return vmean(x, axis=(1, 2))
+
+
+# --- flow-step chains -------------------------------------------------------
+# The op-by-op forms of numcore's flow-step ops, as flow steps built them
+# before those ops existed.  Each runs on ndarrays or on Vars.
+
+
+def actnorm_chain(x, scale, bias):
+    """(x + bias) * scale as an add and a mul, and the logdet
+    sum log|scale| as absolute, log and vsum."""
+    return (x + bias) * scale, nc.vsum(log(absolute(scale)))
+
+
+def affine_coupling_chain(z, s, offset):
+    """The coupling as two split getitems, an add and a mul on the coupled
+    channels, a concat, and the per-row logdet as log and vsum."""
+    c1 = nc._data(z).shape[-1] - nc._data(s).shape[-1]
+    out = nc.concat([z[:, :, :c1], (z[:, :, c1:] + offset) * s], axis=2)
+    return out, nc.vsum(log(s), axis=(1, 2))
 
 
 def lstm_cell_chain(x, h, c, w_ih, w_hh, bias):
@@ -258,7 +298,7 @@ def segment_nll_per_frame(model, positions, controls, n_frames):
         window = controls[:, :, t - t_h:t + 1]
         logp, states = model.log_likelihood(frame, history, window,
                                             states=states)
-        mean_lp = nc.vmean(logp)
+        mean_lp = vmean(logp)
         total = mean_lp if total is None else nc.add(total, mean_lp)
     return nc.neg(div(total, float(n_frames)))
 

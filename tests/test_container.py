@@ -33,6 +33,18 @@ def _with_header(raw, edit):
     return _join(magic, json.dumps(header).encode("ascii"), payload)
 
 
+def _first_frame_with_header(raw, edit):
+    """A clip container cut to its first frame, with its header edited."""
+    magic, header, payload = _split(raw)
+    m, t = header["markers"], header["frames"]
+    values = np.frombuffer(payload, dtype="<f8")
+    first = np.concatenate([values[:m * 3 * t].reshape(m, 3, t)[:, :, 0].ravel(),
+                            values[m * 3 * t:].reshape(3, t)[:, 0]])
+    header["frames"] = 1
+    edit(header)
+    return _join(magic, json.dumps(header).encode("ascii"), first.tobytes())
+
+
 def _blocks(raw):
     """(magic, header, [(entry, payload bytes of that entry)]) of a good
     checkpoint, one pair per entry of the header's params."""
@@ -162,6 +174,22 @@ CLIP_FAULTS = {
         raw, lambda h: h.update(root_relative="false")),
     "root_relative_number": lambda raw: _with_header(
         raw, lambda h: h.update(root_relative=1)),
+    "float_marker_count": lambda raw: _with_header(
+        raw, lambda h: h.update(markers=h["markers"] + 0.9)),
+    "string_marker_count": lambda raw: _with_header(
+        raw, lambda h: h.update(markers=str(h["markers"]))),
+    "bool_frame_count": lambda raw: _first_frame_with_header(
+        raw, lambda h: h.update(frames=True)),
+    "string_fps": lambda raw: _with_header(
+        raw, lambda h: h.update(fps=str(h["fps"]))),
+    "bool_fps": lambda raw: _with_header(
+        raw, lambda h: h.update(fps=True)),
+    "four_channels": lambda raw: _with_header(
+        raw, lambda h: h.update(channels=4)),
+    "header_without_channels": lambda raw: _with_header(
+        raw, lambda h: h.pop("channels")),
+    "list_source": lambda raw: _with_header(
+        raw, lambda h: h.update(source=[1, 2])),
 }
 
 # Rows for text clips: optional header values that do not parse.
@@ -307,6 +335,19 @@ def test_clip_header_fault_is_typed(good_clip, tmp_path, fault):
     bad = _corrupt(good_clip, CLIP_FAULTS[fault], tmp_path, "bad.bin")
     with pytest.raises(ClipFormatError):
         data.load_clip(bad)
+
+
+def test_clip_header_fields_that_load(good_clip, tmp_path):
+    """A JSON int fps reads as a float, an absent source as "", and a
+    one-frame cut of the good clip loads."""
+    bad = _corrupt(good_clip, lambda raw: _with_header(
+        raw, lambda h: (h.update(fps=20), h.pop("source"))), tmp_path, "int_fps.bin")
+    clip = data.load_clip(bad)
+    assert clip.fps == 20.0 and type(clip.fps) is float and clip.source == ""
+    one = _corrupt(good_clip, lambda raw: _first_frame_with_header(raw, lambda h: None),
+                   tmp_path, "one_frame.bin")
+    assert np.array_equal(data.load_clip(one).positions,
+                          data.load_clip(good_clip).positions[:, :, :1])
 
 
 @pytest.mark.parametrize("fault", sorted(CHECKPOINT_FAULTS))

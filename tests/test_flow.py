@@ -10,7 +10,7 @@ from skelflow import numcore as nc
 from skelflow import skeleton as sk
 
 from conftest import identity_model, make_tiny_config, random_frame_inputs, random_model
-from oracles import fd_jacobian_logdet, inverse_transform_frame_reference
+from oracles import fd_jacobian_logdet, inverse_transform_frame_reference, vmean
 
 
 MODEL_INITS = {"default": flow.FlowModel.create, "identity": identity_model,
@@ -111,7 +111,8 @@ def test_actnorm_logdet_value():
     layer = flow.ActNorm(2, 2)
     layer.scale = np.array([[2.0, 1.0], [0.5, -4.0]])
     want = np.log(2.0) + 0.0 + np.log(0.5) + np.log(4.0)
-    assert abs(layer.logdet() - want) < 1e-12
+    _, logdet = layer.forward(np.zeros((1, 2, 2)))
+    assert abs(logdet - want) < 1e-12
 
 
 # --- invertible mix ----------------------------------------------------------------
@@ -421,7 +422,7 @@ def test_200_adam_steps_cut_nll_by_20_percent(tiny_skeleton):
     for _ in range(200):
         lifted = nc.lift(model)
         logp, _ = model.log_likelihood(frames, histories, controls)
-        loss = nc.neg(nc.vmean(logp))
+        loss = nc.neg(vmean(logp))
         gl = nc.grad(loss, list(lifted.values()))
         grads = dict(zip(lifted.keys(), gl))
         nc.restore(model)

@@ -16,8 +16,9 @@ from skelflow import skeleton as sk
 from skelflow import training
 
 from conftest import apply_temporal_operator
-from oracles import (accum_zeros_then_add, graph_conv_chain, history_encoder_chain,
-                     lstm_sequence_chain, relu, temporal_conv_chain)
+from oracles import (accum_zeros_then_add, actnorm_chain, affine_coupling_chain,
+                     graph_conv_chain, history_encoder_chain, lstm_sequence_chain, relu,
+                     temporal_conv_chain)
 
 TOL = 1e-10
 GRAD_TOL = 1e-6
@@ -502,6 +503,68 @@ def test_lstm_sequence_rejects_partial_frames():
         nc.lstm_sequence(x.reshape(6, 4)[:5], h, c, w_ih, w_hh, bias)
 
 
+# --- the flow-step ops ------------------------------------------------------------
+
+FLOW_STEP_OPS = {"actnorm": (nc.actnorm, actnorm_chain),
+                 "affine_coupling": (nc.affine_coupling, affine_coupling_chain)}
+
+
+def flow_step_inputs(op, channels, rng, rows=5, markers=4):
+    """(x, scale, bias) for actnorm, with scales of both signs, or
+    (z, s, offset) for affine_coupling, with s positive on the last
+    C - (C + 1) // 2 channels, as a flow step splits them.  The values
+    keep `weighted_tanh_sum`'s tanh out of saturation, where central
+    differences cannot resolve a relative error."""
+    x = rng.normal(0.0, 0.5, size=(rows, markers, channels))
+    if op == "actnorm":
+        shape = (markers, channels)
+        scale = rng.uniform(0.5, 1.5, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+        return [x, scale, rng.normal(0.0, 0.5, size=shape)]
+    shape = (rows, markers, channels - (channels + 1) // 2)
+    return [x, rng.uniform(0.5, 1.5, size=shape), rng.normal(0.0, 0.5, size=shape)]
+
+
+@pytest.mark.parametrize("x_var", [False, True], ids=["x_array", "x_var"])
+@pytest.mark.parametrize("channels", [3, 4])
+@pytest.mark.parametrize("op", sorted(FLOW_STEP_OPS))
+def test_flow_step_op_matches_chain_bit_for_bit(op, channels, x_var):
+    """Output, logdet and every operand gradient equal the old chain's,
+    with x an ndarray (the first flow step's input) or a Var."""
+    fused, chain = FLOW_STEP_OPS[op]
+    inputs = flow_step_inputs(op, channels, np.random.default_rng(channels))
+    for got, want in zip(fused(*inputs), chain(*inputs)):
+        assert not isinstance(got, nc.Var)
+        assert np.array_equal(got, want)
+    weights = [np.random.default_rng(0).normal(size=np.shape(o)) for o in fused(*inputs)]
+    runs = []
+    for fn in (fused, chain):
+        leaves = [nc.Var(a.copy()) for a in inputs[0 if x_var else 1:]]
+        outputs = fn(*([] if x_var else inputs[:1]) + leaves)
+        loss = weighted_tanh_sum(outputs, weights)
+        runs.append(([o.data for o in outputs] + [loss.data], nc.grad(loss, leaves)))
+    (values, grads), (want_values, want_grads) = runs
+    for got, want in zip(values + grads, want_values + want_grads):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("channels", [3, 4])
+@pytest.mark.parametrize("op", sorted(FLOW_STEP_OPS))
+def test_flow_step_op_grad_check(op, channels):
+    grad_check_each(FLOW_STEP_OPS[op][0],
+                    flow_step_inputs(op, channels, np.random.default_rng(30 + channels)))
+
+
+@pytest.mark.parametrize("op", sorted(FLOW_STEP_OPS))
+def test_flow_step_op_outputs_are_two_nodes(op):
+    """The output's node has every operand as a parent, the logdet's only
+    the scale; the bench's census reads each node's name."""
+    leaves = [nc.Var(a) for a in flow_step_inputs(op, 3, np.random.default_rng(40))]
+    out, logdet = FLOW_STEP_OPS[op][0](*leaves)
+    assert out._parents == tuple(leaves) and logdet._parents == (leaves[1],)
+    assert out._bw.__qualname__.split(".")[0] == op
+    assert logdet._bw.__qualname__.split(".")[0] == op + "_logdet"
+
+
 # --- tape size ------------------------------------------------------------------
 
 
@@ -570,10 +633,12 @@ def test_desk_training_step_tape_census(desk_segment):
     finally:
         nc.restore(model)
     ops = tape_ops(loss)
-    assert sum(ops.values()) <= 300
+    assert sum(ops.values()) <= 257  # 90 leaves and 167 op nodes
     assert ops["graph_temporal_encoder"] == 1
     assert ops["graph_conv_relu"] == 6  # one per coupling conditioner
+    assert ops["actnorm"] == ops["affine_coupling"] == 6  # one per flow step
     assert ops["relu"] == 0 and ops["transpose"] == 0
+    assert ops["absolute"] == ops["log"] == ops["neg"] == 0
 
 
 def test_desk_training_step_memory(desk_segment):
@@ -593,14 +658,18 @@ def test_desk_training_step_memory(desk_segment):
     assert peak <= 20_000_000
 
 
-def test_first_accumulation_copy_is_bit_identical(desk_segment, monkeypatch):
+def test_first_accumulation_copy_is_bit_identical(graph_desk_segment, monkeypatch):
     """Copying the first gradient into a node, instead of adding it to
-    zeros, leaves a desk step's loss and gradients unchanged."""
-    loss, grads = desk_step(*desk_segment)
+    zeros, leaves a desk step's loss and gradients unchanged, the nonzero
+    encoder gradients of a model past its init included."""
+    names = [name for name, _ in graph_desk_segment[0].named_parameters()]
+    loss, grads = desk_step(*graph_desk_segment)
     monkeypatch.setattr(nc.Var, "_accum", accum_zeros_then_add)
-    want_loss, want_grads = desk_step(*desk_segment)
+    want_loss, want_grads = desk_step(*graph_desk_segment)
     assert float(loss.data) == float(want_loss.data)
-    assert len(grads) == len(want_grads) == 90
+    assert len(grads) == len(want_grads) == len(names)
+    encoder = [g for name, g in zip(names, grads) if name.startswith("encoder.")]
+    assert len(encoder) in (8, 12) and all(np.any(g) for g in encoder)
     for got, want in zip(grads, want_grads):
         assert np.array_equal(got, want)
 

@@ -1,4 +1,5 @@
-"""Module layering: every skelflow module imports only modules of lower layers."""
+"""Module layering: every skelflow module imports only modules of lower
+layers, and `numcore` defines only functions that the package uses."""
 
 import ast
 import pathlib
@@ -52,3 +53,44 @@ def test_imports_point_to_lower_layers(module):
     imports = imported_modules((PACKAGE_DIR / f"{module}.py").read_text())
     upward = sorted(name for name in imports if LAYER_OF[name] >= LAYER_OF[module])
     assert not upward, f"{module} (layer {LAYER_OF[module]}) imports {upward}"
+
+
+# numcore functions that no module calls: acceptance 03's gradient check
+# runs `grad_check` on probes built with `tanh`
+NUMCORE_TEST_ONLY = {"tanh", "grad_check"}
+
+
+def numcore_uses(sources):
+    """Public numcore functions and the names the package uses, read from
+    {module: source}: `nc.<name>` in any other module, and a bare name in
+    numcore outside the function of that name (a Var method counts)."""
+    tree = ast.parse(sources["numcore"])
+    public = {node.name for node in tree.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    used = set()
+    for node in tree.body:
+        names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        used |= names - {getattr(node, "name", None)}
+    for module, source in sources.items():
+        if module != "numcore":
+            used |= {n.attr for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Attribute)
+                     and isinstance(n.value, ast.Name) and n.value.id == "nc"}
+    return public, used
+
+
+def test_numcore_use_reader():
+    sources = {"numcore": ("def a(x):\n    return a(x)\n\ndef b(x):\n    return x\n\n"
+                           "def c(x):\n    return x\n\ndef d(x):\n    return x\n\n"
+                           "def _e(x):\n    return x\n\n"
+                           "class V:\n    def __neg__(self):\n        return c(self)\n"),
+               "flow": "from . import numcore as nc\nnc.b(1)\nd = 2\n"}
+    public, used = numcore_uses(sources)
+    assert public == {"a", "b", "c", "d"}
+    assert public - used == {"a", "d"}
+
+
+def test_numcore_defines_only_used_functions():
+    sources = {m: (PACKAGE_DIR / f"{m}.py").read_text() for m in MODULES}
+    public, used = numcore_uses(sources)
+    assert NUMCORE_TEST_ONLY <= public
+    assert sorted(public - used - NUMCORE_TEST_ONLY) == []
