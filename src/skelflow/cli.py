@@ -148,8 +148,29 @@ def _write_text(path, text):
         fh.write(text)
 
 
+# the environment variables that set the BLAS thread count, which decides
+# how a GEMM groups its sums and so the last bits of its output
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def numeric_env():
+    """What a run's bytes depend on besides its config: numpy's version,
+    the BLAS library numpy was built with, and the BLAS thread settings.
+    Neither the CPU count nor numcore's worker count is recorded: they
+    differ between machines and change no byte."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_id = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy before 1.26 has no dict form
+        blas_id = "unknown"
+    env = {"numpy": np.__version__, "blas": blas_id}
+    env.update((name, os.environ.get(name, "unset")) for name in BLAS_THREAD_VARS)
+    return env
+
+
 def write_manifest(config, command, out_dir, output_paths):
-    """Record config hash, seed, version and output checksums."""
+    """Record config hash, seed, version, numeric environment and output
+    checksums."""
     cfg_json = _canonical_json(config.to_dict())
     payload = {
         "command": command,
@@ -157,6 +178,7 @@ def write_manifest(config, command, out_dir, output_paths):
         "seed": config.seed,
         "config": config.to_dict(),
         "config_sha256": _sha256_bytes(cfg_json.encode()),
+        "numeric_env": numeric_env(),
         "outputs": {os.path.basename(p): _sha256_file(p)
                     for p in sorted(output_paths)},
     }

@@ -13,14 +13,32 @@ its relu), :func:`lstm_sequence` and :func:`graph_temporal_encoder`.  Two
 more carry a flow step: :func:`actnorm` and :func:`affine_coupling` each
 return their output and its log-determinant as two nodes.
 
-No global state.  A tape is just the implicit DAG hanging off the output
-Var; replaying it (calling :func:`grad` twice on the same output) gives
-bit-identical gradients.
+A tape is just the implicit DAG hanging off the output Var; replaying it
+(calling :func:`grad` twice on the same output) gives bit-identical
+gradients.
+
+The one piece of process state is a small worker pool, which runs the
+history encoder's window chunks (forward and backward) and Adam's
+gradient scan and per-parameter updates.  Its size, `WORKERS`, is fixed at import: the
+usable CPUs divided by the BLAS thread count, which is the first positive
+int among `OPENBLAS_NUM_THREADS`, `GOTO_NUM_THREADS` and `OMP_NUM_THREADS`,
+or the usable CPU count when none is set.  So a run whose BLAS is not
+pinned keeps one worker: BLAS already threads every large GEMM, and a
+second Python worker competing with it for the same cores made training
+steps slower, not faster.  With one worker nothing is submitted and no
+thread is started.  The threads start on first use, never at import, and
+a forked child drops its parent's pool and makes its own.  Every result
+is bit for bit the same at any worker count: a task touches only its own
+arrays, and the caller adds the encoder's per-chunk parameter gradients
+into the Vars in chunk order, as a one-worker run does.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +60,96 @@ class NonFiniteGradientError(NonFiniteError):
 
 
 _FLOAT64 = np.dtype(np.float64)
+
+
+# -- the worker pool --------------------------------------------------------------
+
+
+def _usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _blas_threads(cpus):
+    """The BLAS thread count the environment sets, else `cpus` (what
+    OpenBLAS and OpenMP take when nothing is set)."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads
+    return cpus
+
+
+def _pool_size():
+    cpus = _usable_cpus()
+    return max(1, cpus // _blas_threads(cpus))
+
+
+# How many contiguous parts `_pooled` splits its tasks into: the calling
+# thread runs the first, a pool of WORKERS - 1 threads the others.
+WORKERS = _pool_size()
+_executor = None
+_executor_lock = threading.Lock()
+
+
+def _pool():
+    """The process's worker threads, started on first use."""
+    global _executor
+    with _executor_lock:
+        if _executor is None:
+            _executor = ThreadPoolExecutor(max(1, WORKERS - 1),
+                                           thread_name_prefix="skelflow-numcore")
+        return _executor
+
+
+def _drop_pool():
+    # a forked child inherits the executor but none of its threads, so a
+    # task submitted to it would never run; the child makes its own
+    global _executor, _executor_lock
+    _executor, _executor_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _split(costs, parts):
+    """Cut range(len(costs)) into at most `parts` contiguous slices of
+    about equal total cost: a new slice starts at the first item whose
+    cost's midpoint lies past the next 1/parts share of the total."""
+    total, acc, cuts = sum(costs), 0, [0]
+    for i, cost in enumerate(costs):
+        if i and len(cuts) < parts and (2 * acc + cost) * parts >= 2 * len(cuts) * total:
+            cuts.append(i)
+        acc += cost
+    cuts.append(len(costs))
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+
+
+def _pooled(fn, items, costs):
+    """[fn(x) for x in items], with the items split by `costs` into
+    `WORKERS` contiguous parts.  The calling thread runs the first part and
+    the pool the others, so one worker or one item runs inline and submits
+    nothing.  Every task has finished before a result is read, so a task's
+    exception reaches the caller, as itself, with nothing still running.
+    Each x must touch only its own arrays."""
+    parts = _split(costs, WORKERS) if WORKERS > 1 else [slice(None)]
+    if len(parts) == 1:
+        return [fn(x) for x in items]
+    pool = _pool()
+    # `map` is lazy, so each part's calls run on the worker, inside `list`
+    futures = [pool.submit(list, map(fn, items[part])) for part in parts[1:]]
+    try:
+        results = [fn(x) for x in items[parts[0]]]
+    finally:
+        wait(futures)
+    for future in futures:
+        results += future.result()
+    return results
 
 
 def _data(x):
@@ -407,19 +515,26 @@ def _graph_conv(x, stacked, weight, bias):
     return rows, h
 
 
-def _graph_conv_backward(gh, rows, stacked, weight, bias, t, need_input_grad):
+def _accum_all(grads):
+    """Accumulate each (Var, gradient) pair of `grads`, in order."""
+    for v, g in grads:
+        v._accum(g)
+
+
+def _graph_conv_backward(gh, rows, stacked, weight, bias, t, need_input_grad, grads):
     """Backward of `_graph_conv` on windows of t frames from gh, the
-    gradient on its output already masked by the relu.  Accumulates the
-    weight and bias gradients and returns the (n*M*T, C_in) gradient on
-    the input, or None when `need_input_grad` is false."""
+    gradient on its output already masked by the relu.  Appends the
+    (Var, gradient) pairs of the bias and the weight to `grads` and
+    returns the (n*M*T, C_in) gradient on the input, or None when
+    `need_input_grad` is false."""
     wd = _data(weight)
     d, c_in, c_out = wd.shape
     m = stacked.shape[1]
     n = rows.shape[0] // (m * t)
     if isinstance(bias, Var):
-        bias._accum(_frame_channel_sum(gh, t))
+        grads.append((bias, _frame_channel_sum(gh, t)))
     if isinstance(weight, Var):
-        weight._accum((rows.T @ gh).reshape(wd.shape))
+        grads.append((weight, (rows.T @ gh).reshape(wd.shape)))
     if not need_input_grad:
         return None
     g_rows = (gh @ wd.reshape(d * c_in, c_out).T).reshape(n, m, t, d, c_in)
@@ -448,7 +563,9 @@ def graph_conv_relu(x, stacked, weight, bias):
 
     def bw(g):
         gh = np.multiply(g.reshape(-1, c_out), h > 0.0)
-        gx = _graph_conv_backward(gh, rows, stacked, weight, bias, 1, isinstance(x, Var))
+        grads = []
+        gx = _graph_conv_backward(gh, rows, stacked, weight, bias, 1, isinstance(x, Var), grads)
+        _accum_all(grads)
         if gx is not None:
             x._accum(gx.reshape(shape))
 
@@ -459,11 +576,12 @@ def graph_conv_relu(x, stacked, weight, bias):
 # Windows per chunk of `graph_temporal_encoder`.  At desk scale (21 markers,
 # 10 frames, 12 and 24 channels) a chunk's largest array, the second
 # block's gathered rows, is 0.5 MB, so a block's working set stays in cache
-# and its arrays stay below glibc's trim threshold.  Measured on the
-# forward and backward of 64 desk windows when the backward reran every
-# chunk's whole forward (2 cores, one OpenBLAS thread), median ms at 2, 4,
-# 8, 16, 32 and 64 windows per chunk: 51, 45, 43, 45, 52 and 71.  A
-# rollout's 1 or 8 windows are one chunk.
+# and its arrays stay below glibc's trim threshold.  The forward plus
+# backward of one desk step's 64 windows, 2 cores, one OpenBLAS thread,
+# median ms of 25 runs at 4, 8 and 16 windows per chunk: 33.4, 30.3 and
+# 30.5 on one worker, 26.3, 22.4 and 26.3 on two.  A rollout's 1 or 8
+# windows are one chunk.  The chunk size also sets how the parameter
+# gradients' sums are grouped, so changing it changes checkpoint bytes.
 ENCODER_CHUNK_WINDOWS = 8
 
 
@@ -500,12 +618,15 @@ def _encoder_chunk_backward(gy, blocks, inputs, need_input_grad):
     the last block's output already masked by its relu, with `inputs`
     every block's marker-major input.  Each block's gathered rows and
     inner relu output are recomputed from its input by one `_graph_conv`;
-    no temporal conv or residual runs forward again.  Accumulates every
-    parameter gradient and returns the gradient on the chunk's input, or
-    None when `need_input_grad` is false.  Each relu mask is read from
-    the positive entries of its output; the gradients are masked in
-    place, and `inputs` is only read."""
+    no temporal conv or residual runs forward again.  Returns the
+    gradient on the chunk's input, or None when `need_input_grad` is
+    false, and the (Var, gradient) pairs of every parameter in the order
+    a backward accumulates them; no Var is written, so chunks can run on
+    different workers.  Each relu mask is read from the positive entries
+    of its output; the gradients are masked in place, and `inputs` is
+    only read."""
     n, m, t, _ = gy.shape
+    grads = []
     for i in range(len(blocks) - 1, -1, -1):
         graph, temporal, residual = blocks[i]
         xi = inputs[i]
@@ -516,29 +637,29 @@ def _encoder_chunk_backward(gy, blocks, inputs, need_input_grad):
         if residual is not None:
             r_weight, r_bias = residual
             if isinstance(r_bias, Var):
-                r_bias._accum(g_sum)
+                grads.append((r_bias, g_sum))
             if isinstance(r_weight, Var):
-                r_weight._accum(xi.reshape(-1, c_in).T @ g2)
+                grads.append((r_weight, xi.reshape(-1, c_in).T @ g2))
         if temporal is None:
             gh = np.multiply(g2, h > 0.0)
         else:
             shifts, kernel, t_bias, dense = temporal
             gt = gy.reshape(n * m, t * c_out)
             if isinstance(t_bias, Var):
-                t_bias._accum(g_sum)
+                grads.append((t_bias, g_sum))
             if isinstance(kernel, Var):
-                kernel._accum(_kernel_grad(shifts, h.reshape(n * m, t * c_out), gt,
-                                           c_out, c_out))
+                grads.append((kernel, _kernel_grad(shifts, h.reshape(n * m, t * c_out), gt,
+                                                   c_out, c_out)))
             gh = (gt @ dense.T).reshape(-1, c_out)
             np.multiply(gh, h > 0.0, out=gh)
-        gx = _graph_conv_backward(gh, rows, *graph, t, i > 0 or need_input_grad)
+        gx = _graph_conv_backward(gh, rows, *graph, t, i > 0 or need_input_grad, grads)
         if gx is None:
-            return None
+            return None, grads
         gx += g2 if residual is None else g2 @ _data(residual[0]).T
         if i > 0:
             np.multiply(gx, xi.reshape(-1, c_in) > 0.0, out=gx)
         gy = gx.reshape(n, m, t, c_in)
-    return gy
+    return gy, grads
 
 
 def graph_temporal_encoder(history, blocks):
@@ -572,10 +693,16 @@ def graph_temporal_encoder(history, blocks):
     residual to remake.  The backward remakes the first block's input
     with one transpose copy of the history and each block's gathered
     rows and inner relu output with one graph conv (Chen et al. 2016's
-    recompute, on the cheap half only), runs that chunk's backward and
-    accumulates the parameter gradients chunk by chunk.  Every chunk
-    shares the operands' temporal operators.  On ndarrays nothing is
-    kept.
+    recompute, on the cheap half only) and runs that chunk's backward.
+    Every chunk shares the operands' temporal operators.  On ndarrays
+    nothing is kept.
+
+    The chunks run forward and backward on the worker pool, in
+    contiguous parts (see `_pooled`); a call with one chunk, as every
+    rollout's is, runs inline.  Each chunk's backward returns its
+    parameter gradients, and the caller accumulates them into the Vars
+    in chunk order, so the sums, and so the bytes, are those of a run on
+    one thread.
     """
     hd = _data(history)
     n, m, _, t = hd.shape
@@ -589,31 +716,40 @@ def graph_temporal_encoder(history, blocks):
             operands += residual
     recording = _any_var(*operands)
     scale = 1.0 / (m * t)
-    chunks = [slice(start, start + ENCODER_CHUNK_WINDOWS)
+    chunks = [slice(start, min(start + ENCODER_CHUNK_WINDOWS, n))
               for start in range(0, n, ENCODER_CHUNK_WINDOWS)]
+    sizes = [chunk.stop - chunk.start for chunk in chunks]
 
     def chunk_input(chunk):
         return np.ascontiguousarray(hd[chunk].transpose(0, 1, 3, 2))
 
     width = _data(blocks[-1][0][1]).shape[2]  # the last graph weight's C_out
     out = np.empty((n, width))
-    kept = []  # per chunk: its later blocks' inputs and its last relu mask
-    for chunk in chunks:
+
+    def forward(chunk):
+        """Fills the chunk's rows of `out`; returns, on Vars, its later
+        blocks' inputs and its last relu mask."""
         inputs = [] if recording else None
         y = _encoder_chunk(chunk_input(chunk), blocks, inputs)
         out[chunk] = y.sum(axis=(1, 2)) * scale
-        if recording:
-            kept.append((inputs, y > 0.0))
+        return (inputs, y > 0.0) if recording else None
+
+    kept = _pooled(forward, chunks, sizes)
     if not recording:
         return out
     res = Var(out, tuple(v for v in operands if isinstance(v, Var)))
 
     def bw(g):
-        for chunk, (inputs, mask) in zip(chunks, kept):
+        def backward_chunk(chunk_kept):
+            chunk, (inputs, mask) = chunk_kept
             # the pooled mean's gradient, broadcast and masked by the last relu
             gy = np.multiply(mask, (g[chunk] * scale)[:, None, None, :])
-            gx = _encoder_chunk_backward(gy, blocks, [chunk_input(chunk)] + inputs,
-                                         isinstance(history, Var))
+            return _encoder_chunk_backward(gy, blocks, [chunk_input(chunk)] + inputs,
+                                           isinstance(history, Var))
+
+        results = _pooled(backward_chunk, list(zip(chunks, kept)), sizes)
+        for chunk, (gx, grads) in zip(chunks, results):
+            _accum_all(grads)
             if gx is not None:
                 history._accum_at(chunk, gx.transpose(0, 1, 3, 2))
 
@@ -807,40 +943,50 @@ def adam_init(params):
     return state
 
 
+def _adam_update(p, g, m, v, t, step_size, beta1, beta2, eps):
+    """Adam's step t on one parameter array p, in place, in the operation
+    order of
+
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * (g * g)
+        p = p - step_size * (m / b1t) / (sqrt(v / b2t) + eps)
+
+    with two full-size temporaries."""
+    b1t = 1.0 - beta1 ** t
+    b2t = 1.0 - beta2 ** t
+    tmp = np.multiply(1.0 - beta1, g)
+    m *= beta1
+    m += tmp
+    np.multiply(g, g, out=tmp)
+    tmp *= 1.0 - beta2
+    v *= beta2
+    v += tmp
+    np.divide(v, b2t, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += eps
+    update = np.divide(m, b1t)
+    update *= step_size
+    update /= tmp
+    np.subtract(p, update, out=p)
+
+
 def adam_step(params, grads, state, step_size, beta1=0.9, beta2=0.999, eps=1e-8):
     """One Adam update, written into the `params` arrays and the moments.
 
     Every gradient is scanned first: on a NaN/inf entry it raises
-    NonFiniteGradientError before any array is written.
+    NonFiniteGradientError, naming the first such parameter, before any
+    array is written.  The scan and then the updates run on the worker
+    pool, each parameter on one worker.
     """
-    for k in params:
-        if not np.all(np.isfinite(grads[k])):
+    keys = list(params)
+    sizes = [np.size(params[k]) for k in keys]
+    finite = _pooled(lambda k: bool(np.isfinite(grads[k]).all()), keys, sizes)
+    for k, ok in zip(keys, finite):
+        if not ok:
             raise NonFiniteGradientError(f"non-finite gradient for '{k}'")
     t = state.step + 1
-    b1t = 1.0 - beta1 ** t
-    b2t = 1.0 - beta2 ** t
-    for k, p in params.items():
-        g = grads[k]
-        m, v = state.m[k], state.v[k]
-        # in place, in the operation order of
-        #   m = beta1 * m + (1 - beta1) * g
-        #   v = beta2 * v + (1 - beta2) * (g * g)
-        #   p = p - step_size * (m / b1t) / (sqrt(v / b2t) + eps)
-        # with two full-size temporaries
-        tmp = np.multiply(1.0 - beta1, g)
-        m *= beta1
-        m += tmp
-        np.multiply(g, g, out=tmp)
-        tmp *= 1.0 - beta2
-        v *= beta2
-        v += tmp
-        np.divide(v, b2t, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        tmp += eps
-        update = np.divide(m, b1t)
-        update *= step_size
-        update /= tmp
-        np.subtract(p, update, out=p)
+    _pooled(lambda k: _adam_update(params[k], grads[k], state.m[k], state.v[k], t,
+                                   step_size, beta1, beta2, eps), keys, sizes)
     state.step = t
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from skelflow import conditioning as cond
 from skelflow import flow
+from skelflow import numcore as nc
 from skelflow import skeleton as sk
 from skelflow.flow import ModelConfig
 
@@ -16,6 +17,26 @@ edge 1 2
 edge 2 3
 mirror 0 3
 """
+
+
+@pytest.fixture
+def set_workers(monkeypatch):
+    """Force numcore's worker count for one test.  Each call starts from
+    no pool, so the next pooled call makes one of WORKERS - 1 threads;
+    the pools a test makes are shut down at its end."""
+    original = nc._executor
+
+    def shut_down_own_pool():
+        if nc._executor not in (None, original):
+            nc._executor.shutdown()
+
+    def force(workers):
+        shut_down_own_pool()
+        monkeypatch.setattr(nc, "WORKERS", workers)
+        monkeypatch.setattr(nc, "_executor", None)
+
+    yield force
+    shut_down_own_pool()
 
 
 @pytest.fixture(scope="session")

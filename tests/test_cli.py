@@ -5,6 +5,8 @@ import dataclasses
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ import skelflow.data as data
 import skelflow.flow as flow
 import skelflow.metrics as metrics
 import skelflow.numcore as nc
+import skelflow.sequence as sequence
 import skelflow.skeleton as skeleton
 import skelflow.training as training
 
@@ -391,6 +394,76 @@ def test_bad_input_leaves_no_output_directory(workspace, tmp_path, command, flag
     out = tmp_path / "out"
     assert run([command, *(f.format(**paths) for f in flags), "--out", str(out)]) == code
     assert not out.exists()
+
+
+def test_rollouts_submit_nothing_to_the_pool(workspace, tmp_path, set_workers,
+                                            monkeypatch):
+    """A B=1 generate, a reconstruct and a `generate --num 8` job run every
+    encoder call as one chunk, inline, even with a pool to hand."""
+    set_workers(2)
+    submitted = []
+    real_pool = nc._pool
+
+    class CountingPool:
+        def submit(self, *args):
+            submitted.append(args)
+            return real_pool().submit(*args)
+
+    monkeypatch.setattr(nc, "_pool", CountingPool)
+    model, _ = flow.load_checkpoint(workspace["checkpoint"])
+    cfg = model.config
+    rng = np.random.default_rng(6)
+    history = rng.normal(size=(cfg.markers, cfg.channels, cfg.history))
+    controls = rng.normal(size=(3, 2 * cfg.history)) * 0.1
+    sequence.generate(model, sequence.GenerationRequest(
+        history=history, controls=controls, horizon=cfg.history, seed=1))
+    mask = sequence.mask_preset("right_arm", markers=cfg.markers, history=cfg.history)
+    sequence.reconstruct(model, history, mask, controls, seed=2)
+    assert run(["generate", "--checkpoint", workspace["checkpoint"], "--num", "8",
+                "--horizon", "6", "--seed", "3", "--out", str(tmp_path / "g8")]) == 0
+    assert submitted == []
+    # the count does see pooled work: an Adam step's scan and update
+    params = {"a": np.zeros(2), "b": np.zeros(2)}
+    nc.adam_step(params, {"a": np.ones(2), "b": np.ones(2)}, nc.adam_init(params), 0.1)
+    assert len(submitted) == 2
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
+
+def train_in_subprocess(cwd, blas_threads):
+    """`skelflow train --steps 2 --out run` in cwd, in a fresh interpreter
+    importing this tree's package, at `blas_threads` OpenBLAS threads."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
+               PYTHONPATH=os.pathsep.join(
+                   [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    subprocess.run(
+        [sys.executable, "-m", "skelflow.cli", "train", "--out", "run", "--steps", "2",
+         "--batch-size", "2", "--nll-frames", "2", "--eval-every", "2",
+         "--walker-steps", "12", "--path", "line:speed=70", "--seed", "3"],
+        cwd=cwd, env=env, check=True, timeout=300, capture_output=True)
+    return os.path.join(cwd, "run")
+
+
+def test_manifest_records_numeric_env_and_reruns_repeat_under_it(tmp_path):
+    """At 1 and at 2 BLAS threads, each manifest records its own setting,
+    and a rerun at the same setting writes the same bytes."""
+    for threads in (1, 2):
+        cwd = tmp_path / f"blas{threads}"
+        cwd.mkdir()
+        first = train_in_subprocess(cwd, threads)
+        os.rename(first, cwd / "first")
+        again = train_in_subprocess(cwd, threads)
+        names = sorted(os.listdir(again))
+        assert names == sorted(os.listdir(cwd / "first"))
+        assert names == ["manifest_train.json", "model.ckpt", "train_log.txt"]
+        for name in names:
+            assert sha(os.path.join(again, name)) == sha(cwd / "first" / name), name
+        env = read_json(os.path.join(again, "manifest_train.json"))["numeric_env"]
+        assert env["OPENBLAS_NUM_THREADS"] == str(threads)
+        assert env["numpy"] == np.__version__
+        assert set(env) == {"numpy", "blas", "OPENBLAS_NUM_THREADS",
+                            "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
 
 
 class TestEvaluate:

@@ -3,6 +3,7 @@ finite differences, and by the size of the tape they build."""
 
 import collections
 import dataclasses
+import sys
 import tracemalloc
 
 import numpy as np
@@ -716,3 +717,59 @@ def test_desk_tape_replay_identical(graph_desk_segment):
     assert len(encoder) in (8, 12) and all(np.any(g) for g in encoder)
     for got, want in zip(second, first):
         assert np.array_equal(got, want)
+
+
+def desk_adam_run(model, pos, ctl, steps=3):
+    """A desk step's loss and every gradient, then the parameters and both
+    Adam moments after `steps` clipped Adam steps on the same segment.
+    The model's parameters are put back afterwards."""
+    params = dict(model.named_parameters())
+    start = {k: p.copy() for k, p in params.items()}
+    loss, grads = desk_step(model, pos, ctl)
+    out = [loss.data.copy()] + [g.copy() for g in grads]
+    state = nc.adam_init(params)
+    try:
+        for _ in range(steps):
+            _, grads = desk_step(model, pos, ctl)
+            grads = dict(zip(params, grads))
+            nc.clip_grad_norm(grads, 5.0)
+            nc.adam_step(params, grads, state, step_size=3e-3)
+        out += [p.copy() for p in params.values()]
+        out += list(state.m.values()) + list(state.v.values())
+    finally:
+        for k, p in params.items():
+            p[...] = start[k]
+    return out
+
+
+def test_same_bytes_at_any_worker_count(graph_desk_segment, set_workers):
+    """One worker, two (the encoder's 8 chunks in halves), and three (an
+    uneven 3/2/3 split): the loss, every gradient, and the parameters and
+    Adam moments after 3 steps are equal bit for bit."""
+    names = [name for name, _ in graph_desk_segment[0].named_parameters()]
+    runs = []
+    for workers in (1, 2, 3):
+        set_workers(workers)
+        runs.append(desk_adam_run(*graph_desk_segment))
+    encoder = [g for name, g in zip(names, runs[0][1:]) if name.startswith("encoder.")]
+    assert len(encoder) in (8, 12) and all(np.any(g) for g in encoder)
+    assert len(runs[0]) == 1 + 4 * len(names)
+    for run in runs[1:]:
+        assert len(run) == len(runs[0])
+        assert all(np.array_equal(got, want) for got, want in zip(run, runs[0]))
+
+
+def test_pool_stress_more_workers_than_cores(graph_desk_segment, set_workers):
+    """Eight workers, one encoder chunk each, with the interpreter
+    switching threads every microsecond: a desk step's gradients still
+    equal a one-worker run's bit for bit."""
+    set_workers(1)
+    want = desk_step(*graph_desk_segment)[1]
+    set_workers(8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = desk_step(*graph_desk_segment)[1]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))

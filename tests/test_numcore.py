@@ -1,3 +1,6 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -370,6 +373,117 @@ def test_adam_first_step_size_is_lr_signed():
     nc.adam_step(params, {"p": g}, state, step_size=0.01)
     expected = -0.01 * g / (np.abs(g) + 1e-8)
     assert np.max(np.abs(params["p"] - expected)) < 1e-12
+
+
+# --- worker pool -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("env, cpus, want", [
+    ({}, 2, 1),  # BLAS unpinned: it threads over every CPU itself
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 2, 1),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 5, 2),
+    ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "two",
+      "OMP_NUM_THREADS": "1"}, 3, 3),
+    ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 4, 4),
+    ({"OMP_NUM_THREADS": "8"}, 2, 1),
+])
+def test_pool_size_is_cpus_over_blas_threads(monkeypatch, env, cpus, want):
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(nc, "_usable_cpus", lambda: cpus)
+    assert nc._pool_size() == want
+
+
+@pytest.mark.parametrize("costs, parts, want", [
+    ([8] * 8, 1, [(0, 8)]),
+    ([8] * 8, 2, [(0, 4), (4, 8)]),
+    ([8] * 8, 3, [(0, 3), (3, 5), (5, 8)]),
+    ([8] * 8 + [1], 2, [(0, 4), (4, 9)]),  # 64 windows plus one more
+    ([100, 1, 1, 1], 2, [(0, 1), (1, 4)]),
+    ([8] * 3, 8, [(0, 1), (1, 2), (2, 3)]),
+    ([0, 0, 0], 2, [(0, 1), (1, 3)]),
+    ([5], 4, [(0, 1)]),
+])
+def test_split_cuts_contiguous_parts_of_even_cost(costs, parts, want):
+    assert [(s.start, s.stop) for s in nc._split(costs, parts)] == want
+
+
+def test_pooled_keeps_item_order_and_runs_the_first_part_inline(set_workers):
+    set_workers(3)
+    threads = {}
+
+    def square(x):
+        threads[x] = threading.current_thread()
+        return x * x
+
+    assert nc._pooled(square, range(6), [1] * 6) == [x * x for x in range(6)]
+    caller = threading.current_thread()
+    assert [threads[x] is caller for x in range(6)] == [True] * 2 + [False] * 4
+    assert threads[2] is threads[3] and threads[4] is threads[5]
+
+
+def test_one_worker_or_one_item_submits_nothing(set_workers, monkeypatch):
+    def no_pool():
+        raise AssertionError("a task went to the pool")
+
+    monkeypatch.setattr(nc, "_pool", no_pool)
+    set_workers(1)
+    assert nc._pooled(abs, [-1, -2, -3], [1, 1, 1]) == [1, 2, 3]
+    set_workers(2)
+    assert nc._pooled(abs, [-4], [1]) == [4]
+
+
+class _Boom(Exception):
+    pass
+
+
+def test_worker_exception_reaches_the_caller_and_the_pool_stays_usable(set_workers):
+    set_workers(2)
+    caller = threading.current_thread()
+    done = []
+
+    def fn(x):
+        if x == 3:
+            if threading.current_thread() is not caller:
+                raise _Boom(x)
+            return x  # run inline: the check below fails
+        done.append(x)
+        return x
+
+    with pytest.raises(_Boom) as err:
+        nc._pooled(fn, [0, 1, 2, 3], [1] * 4)
+    assert err.value.args == (3,)
+    assert sorted(done) == [0, 1, 2]
+    assert nc._pooled(lambda x: x + 1, [0, 1, 2, 3], [1] * 4) == [1, 2, 3, 4]
+
+
+def test_caller_exception_waits_for_the_workers(set_workers):
+    set_workers(2)
+    done = []
+
+    def fn(x):
+        if x == 0:
+            raise _Boom
+        time.sleep(0.05)
+        done.append(x)
+
+    with pytest.raises(_Boom):
+        nc._pooled(fn, [0, 1], [1, 1])
+    assert done == [1]  # no task of the failed call is still running
+
+
+def test_adam_names_the_first_nonfinite_gradient_on_any_worker(set_workers):
+    set_workers(2)
+    params = {k: np.zeros(3) for k in "abcd"}
+    grads = {k: np.ones(3) for k in "abcd"}
+    grads["c"][1] = grads["d"][0] = np.nan  # both in the worker's part
+    state = nc.adam_init(params)
+    with pytest.raises(nc.NonFiniteGradientError, match="'c'"):
+        nc.adam_step(params, grads, state, step_size=0.1)
+    assert all(not np.any(p) for p in params.values()) and state.step == 0
 
 
 # --- clip / rng / module ----------------------------------------------------

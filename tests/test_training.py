@@ -1,6 +1,10 @@
 """Tests for corpus assembly and the seeded training loop."""
 
 import hashlib
+import os
+import signal
+import time
+import warnings
 import weakref
 from dataclasses import replace
 
@@ -439,6 +443,44 @@ class TestTrainLoop:
         cfg = training.TrainConfig(steps=1, nll_frames=20, init_batch=16)
         with pytest.raises(ValueError, match="cannot fit"):
             training.train(model, corpus, corpus, cfg)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_trains_on_a_pool_of_its_own(self, corpus, set_workers):
+        # a child that kept its parent's executor, whose threads do not
+        # survive the fork, would wait for its first pooled task forever
+        set_workers(2)
+        train_w, hold_w = training.split_corpus(corpus, holdout_every=4)
+        model = small_model()
+        # 2 x 8 = 16 history windows: two encoder chunks, one per worker
+        cfg = training.TrainConfig(steps=1, batch_size=2, nll_frames=8,
+                                   eval_every=1, init_batch=16)
+        training.initialize_from_corpus(model, train_w, cfg)
+        training.train(model, train_w, hold_w, cfg)
+        parent_pool = nc._executor
+        assert parent_pool is not None
+        with warnings.catch_warnings():
+            # Python 3.12+ warns on fork in a process with threads, which
+            # is the case under test
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                training.train(model, train_w, hold_w, cfg)
+                code = 0 if nc._executor not in (None, parent_pool) else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60.0
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child did not finish its training step")
+            time.sleep(0.02)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 class TestTrainLog:
