@@ -149,8 +149,9 @@ def _write_text(path, text):
 
 
 # the environment variables that set the BLAS thread count, which decides
-# how a GEMM groups its sums and so the last bits of its output
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# how a GEMM groups its sums and so the last bits of its output: every one
+# numcore sizes its worker pool by, and MKL's
+BLAS_THREAD_VARS = nc.BLAS_THREAD_VARS + ("MKL_NUM_THREADS",)
 
 
 def numeric_env():

@@ -17,35 +17,29 @@ import numpy as np
 
 from . import numcore as nc
 
+# the coupling scale is sigmoid(raw + SCALE_SHIFT) + SCALE_FLOOR (see
+# `nc.coupling_head`): zero raw gives ~0.8818, and the scale stays in
+# (1e-3, 1 + 1e-3) so the inverse pass never divides by ~0
 SCALE_SHIFT = 2.0
 SCALE_FLOOR = 1e-3
 
 ABLATIONS = ("stmg", "smg", "mg")
 
 
-def bounded_scale(raw):
-    """Map raw conditioner output to a positive coupling scale.
-
-    sigmoid(raw + 2) + 1e-3: zero raw gives ~0.8818, and the scale stays in
-    (1e-3, 1 + 1e-3) so the inverse pass never divides by ~0.
-    """
-    return nc.sigmoid(raw + SCALE_SHIFT) + SCALE_FLOOR
-
-
 class Linear(nc.Module):
+    """The parameters of x @ weight + bias, which the fused op that takes
+    the layer applies: a block's residual (`nc.graph_temporal_encoder`)
+    or a conditioner's output (`nc.coupling_head`)."""
+
     param_attrs = ("weight", "bias")
 
     def __init__(self, in_dim, out_dim, rng, zero_init=False):
         if zero_init:
             self.weight = np.zeros((in_dim, out_dim))
-            self.bias = np.zeros(out_dim)
         else:
             k = 1.0 / np.sqrt(in_dim)
             self.weight = rng.uniform(-k, k, size=(in_dim, out_dim))
-            self.bias = np.zeros(out_dim)
-
-    def __call__(self, x):
-        return nc.matmul(x, self.weight) + self.bias
+        self.bias = np.zeros(out_dim)
 
 
 class SpatialGraphConv(nc.Module):
@@ -288,7 +282,7 @@ class CouplingConditioner(nc.Module):
             g = nc.reshape(self.sgcn(pose_half), (b, -1))
         u = nc.concat([g, pooled, controls_flat], axis=1)
         h, new_state = self.lstm(u, state)
-        raw = nc.reshape(self.out(h), (b, 2, self.markers, self.out_channels))
-        s = bounded_scale(raw[:, 0])
-        offset = raw[:, 1]
+        s, offset = nc.coupling_head(h, self.out.weight, self.out.bias,
+                                     (self.markers, self.out_channels),
+                                     SCALE_SHIFT, SCALE_FLOOR)
         return s, offset, new_state

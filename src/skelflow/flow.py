@@ -380,7 +380,7 @@ class FlowModel(nc.Module):
 
     # -- data-dependent init ----------------------------------------------------
 
-    def init_actnorm(self, frames, histories, controls, history_mask=None):
+    def init_actnorm(self, frames, histories, controls):
         """Initialize every step's actnorm from one batch, sequentially.
 
         frames (N, M, C), histories (N, M, C, T_h), controls (N, 3, T_h+1),
@@ -388,7 +388,7 @@ class FlowModel(nc.Module):
         and unit std per (marker, channel).
         """
         h, pooled, ctrl_flat, states, _ = self._rows(
-            nc._data(frames), histories, controls, None, history_mask)
+            nc._data(frames), histories, controls, None, None)
         h = nc._data(self.standardize(h))
         for step, state in zip(self.steps, states):
             step.actnorm.init_from_batch(h)

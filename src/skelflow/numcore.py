@@ -7,11 +7,14 @@ code runs with or without gradient recording: pass ndarrays for a plain
 evaluation, or wrap the leaves in :class:`Var` to record a tape and call
 :func:`grad`.
 
-Three fused ops, each one tape node with a hand-written backward, carry
+Four fused ops, each one tape node with a hand-written backward, carry
 the conditioning networks: :func:`graph_conv_relu` (a graph conv includes
-its relu), :func:`lstm_sequence` and :func:`graph_temporal_encoder`.  Two
-more carry a flow step: :func:`actnorm` and :func:`affine_coupling` each
-return their output and its log-determinant as two nodes.
+its relu), :func:`lstm_sequence`, :func:`graph_temporal_encoder` and
+:func:`coupling_head` (a conditioner's output layer and its bounded
+scale, with the scale and offset two slices of the node).  Two more carry
+a flow step: :func:`actnorm` and :func:`affine_coupling` each return
+their output and its log-determinant as two nodes.  A Var has no
+arithmetic operators; every op is called by name.
 
 A tape is just the implicit DAG hanging off the output Var; replaying it
 (calling :func:`grad` twice on the same output) gives bit-identical
@@ -71,10 +74,14 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
+# where `_blas_threads` reads the BLAS thread count, in OpenBLAS's precedence
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 def _blas_threads(cpus):
     """The BLAS thread count the environment sets, else `cpus` (what
     OpenBLAS and OpenMP take when nothing is set)."""
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+    for name in BLAS_THREAD_VARS:
         try:
             threads = int(os.environ.get(name, ""))
         except ValueError:
@@ -175,8 +182,9 @@ class Var:
 
     __slots__ = ("data", "grad", "_parents", "_bw")
 
-    # keep numpy from absorbing Vars in mixed expressions like ndarray + Var;
-    # with this numpy returns NotImplemented and Python uses our __r*__ ops
+    # Vars have no arithmetic operators: every op is a module-level function.
+    # This keeps numpy from absorbing a Var into an object array in a mixed
+    # expression like ndarray + Var, which raises TypeError instead
     __array_ufunc__ = None
 
     def __init__(self, data, _parents=(), _bw=None):
@@ -211,37 +219,8 @@ class Var:
             self.grad = np.zeros(self.data.shape, dtype=np.float64)
         self.grad[key] += g
 
-    # arithmetic sugar; all dispatch through the module-level ops
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return matmul(other, self)
-
     def __getitem__(self, key):
         return getitem(self, key)
-
-    def reshape(self, *shape):
-        return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
 
     def __repr__(self):
         return f"Var(shape={self.data.shape})"
@@ -295,12 +274,6 @@ def mul(a, b):
     ad, bd = _data(a), _data(b)
     return _node("mul", ad * bd, ((a, lambda g: _unbroadcast(g * bd, ad.shape)),
                                   (b, lambda g: _unbroadcast(g * ad, bd.shape))))
-
-
-def neg(a):
-    if not isinstance(a, Var):
-        return -_data(a)
-    return _node("neg", -a.data, ((a, lambda g: -g),))
 
 
 def matmul(a, b):
@@ -373,13 +346,6 @@ def tanh(a):
         return np.tanh(_data(a))
     td = np.tanh(a.data)
     return _node("tanh", td, ((a, lambda g: g * (1.0 - td * td)),))
-
-
-def sigmoid(a):
-    if not isinstance(a, Var):
-        return expit(_data(a))
-    sd = expit(a.data)
-    return _node("sigmoid", sd, ((a, lambda g: g * sd * (1.0 - sd)),))
 
 
 def logabsdet(a):
@@ -834,6 +800,44 @@ def lstm_sequence(x, h0, c0, w_ih, w_hh, bias):
 
     both._bw = bw
     return both[:t * b], both[t * b:]
+
+
+def coupling_head(h, weight, bias, shape, shift, floor):
+    """An affine coupling's scale and offset from a conditioner's hidden
+    rows h (N, H): raw = h @ weight + bias, laid out as (N, 2) + shape,
+    gives s = sigmoid(raw[:, 0] + shift) + floor, in (floor, 1 + floor),
+    and offset = raw[:, 1].
+
+    On ndarrays the outputs are plain arrays; on Vars they are the two
+    slices of one node, whose backward forms the gradient on raw once and
+    takes h's, the weight's and the bias's from it with two GEMMs and one
+    column sum."""
+    hd, wd = _data(h), _data(weight)
+    n = hd.shape[0]
+    raw = _affine(hd, wd, _data(bias)).reshape((n, 2) + tuple(shape))
+    sig = expit(raw[:, 0] + shift)
+    s = sig + floor
+    if not _any_var(h, weight, bias):
+        return s, raw[:, 1]
+    raw[:, 0] = s
+    both = Var(raw, tuple(v for v in (h, weight, bias) if isinstance(v, Var)))
+
+    def bw(g):
+        # each half added to zeros, as a slice's `_accum_at` adds it, so a
+        # -0.0 comes out +0.0 and the bytes are the unfused chain's
+        g_raw = np.zeros(g.shape)
+        g_raw[:, 0] += g[:, 0] * sig * (1.0 - sig)
+        g_raw[:, 1] += g[:, 1]
+        g_raw = g_raw.reshape(n, -1)
+        if isinstance(h, Var):
+            h._accum(g_raw @ wd.T)
+        if isinstance(weight, Var):
+            weight._accum(hd.T @ g_raw)
+        if isinstance(bias, Var):
+            bias._accum(g_raw.sum(axis=0))
+
+    both._bw = bw
+    return both[:, 0], both[:, 1]
 
 
 def backward(loss, keep=()):

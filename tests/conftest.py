@@ -67,7 +67,7 @@ def tiny_config():
 
 
 def identity_scale_raw():
-    """Raw value at which `bounded_scale` returns exactly 1."""
+    """Raw value at which a coupling head's scale is exactly 1."""
     return float(np.log(999.0) - cond.SCALE_SHIFT)
 
 

@@ -6,6 +6,7 @@ wrong.
 """
 
 import numpy as np
+from scipy.special import expit
 
 from skelflow import data, metrics
 from skelflow import numcore as nc
@@ -129,6 +130,19 @@ def partition_from_hop_table(spec, kernel_scale):
 # (`vmean` as two).
 
 
+def neg(a):
+    if not isinstance(a, nc.Var):
+        return -nc._data(a)
+    return nc._node("neg", -a.data, ((a, lambda g: -g),))
+
+
+def sigmoid(a):
+    if not isinstance(a, nc.Var):
+        return expit(nc._data(a))
+    sd = expit(a.data)
+    return nc._node("sigmoid", sd, ((a, lambda g: g * sd * (1.0 - sd)),))
+
+
 def div(a, b):
     """a / b with broadcasting."""
     if not nc._any_var(a, b):
@@ -186,8 +200,8 @@ def graph_conv_chain(matrices, x, weight, bias):
     out = None
     for k in range(matrices.shape[0]):
         term = nc.matmul(nc.matmul(matrices[k], x), weight[k])
-        out = term if out is None else out + term
-    return out + bias
+        out = term if out is None else nc.add(out, term)
+    return nc.add(out, bias)
 
 
 def flip(a, axis):
@@ -214,8 +228,8 @@ def temporal_conv_chain(x, kernel, bias):
     out = None
     for tap in range(k):
         term = nc.matmul(xp[:, tap:tap + t], kernel[tap])
-        out = term if out is None else out + term
-    return out + bias
+        out = term if out is None else nc.add(out, term)
+    return nc.add(out, bias)
 
 
 def graph_temporal_block_chain(block, x):
@@ -229,8 +243,8 @@ def graph_temporal_block_chain(block, x):
     if block.res is None:
         shortcut = x
     else:
-        shortcut = nc.matmul(x, block.res.weight) + block.res.bias
-    return relu(h + shortcut)
+        shortcut = nc.add(nc.matmul(x, block.res.weight), block.res.bias)
+    return relu(nc.add(h, shortcut))
 
 
 def history_encoder_chain(encoder, history):
@@ -251,27 +265,36 @@ def history_encoder_chain(encoder, history):
 def actnorm_chain(x, scale, bias):
     """(x + bias) * scale as an add and a mul, and the logdet
     sum log|scale| as absolute, log and vsum."""
-    return (x + bias) * scale, nc.vsum(log(absolute(scale)))
+    return nc.mul(nc.add(x, bias), scale), nc.vsum(log(absolute(scale)))
 
 
 def affine_coupling_chain(z, s, offset):
     """The coupling as two split getitems, an add and a mul on the coupled
     channels, a concat, and the per-row logdet as log and vsum."""
     c1 = nc._data(z).shape[-1] - nc._data(s).shape[-1]
-    out = nc.concat([z[:, :, :c1], (z[:, :, c1:] + offset) * s], axis=2)
+    out = nc.concat([z[:, :, :c1], nc.mul(nc.add(z[:, :, c1:], offset), s)], axis=2)
     return out, nc.vsum(log(s), axis=(1, 2))
+
+
+def coupling_head_chain(h, weight, bias, shape, shift, floor):
+    """`nc.coupling_head` as conditioners built it before that op: a
+    matmul and an add, a reshape to (N, 2) + shape, both slices, and the
+    bounded scale as an add, a sigmoid and an add."""
+    n = nc._data(h).shape[0]
+    raw = nc.reshape(nc.add(nc.matmul(h, weight), bias), (n, 2) + tuple(shape))
+    return nc.add(sigmoid(nc.add(raw[:, 0], shift)), floor), raw[:, 1]
 
 
 def lstm_cell_chain(x, h, c, w_ih, w_hh, bias):
     """One LSTM step as 17 elementary ops; returns (h', c')."""
-    gates = nc.matmul(x, w_ih) + nc.matmul(h, w_hh) + bias
+    gates = nc.add(nc.add(nc.matmul(x, w_ih), nc.matmul(h, w_hh)), bias)
     n = nc._data(h).shape[1]
-    i = nc.sigmoid(gates[:, :n])
-    f = nc.sigmoid(gates[:, n:2 * n])
+    i = sigmoid(gates[:, :n])
+    f = sigmoid(gates[:, n:2 * n])
     g = nc.tanh(gates[:, 2 * n:3 * n])
-    o = nc.sigmoid(gates[:, 3 * n:])
-    c_new = f * c + i * g
-    h_new = o * nc.tanh(c_new)
+    o = sigmoid(gates[:, 3 * n:])
+    c_new = nc.add(nc.mul(f, c), nc.mul(i, g))
+    h_new = nc.mul(o, nc.tanh(c_new))
     return h_new, c_new
 
 
@@ -300,7 +323,7 @@ def segment_nll_per_frame(model, positions, controls, n_frames):
                                             states=states)
         mean_lp = vmean(logp)
         total = mean_lp if total is None else nc.add(total, mean_lp)
-    return nc.neg(div(total, float(n_frames)))
+    return neg(div(total, float(n_frames)))
 
 
 def adam_step_reference(params, grads, state, step_size, beta1=0.9,
@@ -367,10 +390,9 @@ def inverse_transform_frame_reference(model, z, history, controls, states=None,
             u, c = nc.lstm_sequence(u, h_prev, c_prev, layer.w_ih, layer.w_hh, layer.bias)
             layer_states.append((u[-b:], c))
         new_states[k] = layer_states
-        raw = nc.reshape(nc.add(nc.matmul(u, cond.out.weight), cond.out.bias),
-                         (rows, 2, cond.markers, cond.out_channels))
-        s = nc.add(nc.sigmoid(nc.add(raw[:, 0], 2.0)), 1e-3)
-        xb2 = nc.sub(div(hb2, s), raw[:, 1])
+        s, offset = coupling_head_chain(u, cond.out.weight, cond.out.bias,
+                                        (cond.markers, cond.out_channels), 2.0, 1e-3)
+        xb2 = nc.sub(div(hb2, s), offset)
         zz = nc.concat([hb1, xb2], axis=2)
         if nc.logabsdet(step.mix.weight) < np.log(1e-12):
             raise nc.SingularMatrixError("channel mix matrix is near singular")

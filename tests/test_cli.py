@@ -462,8 +462,22 @@ def test_manifest_records_numeric_env_and_reruns_repeat_under_it(tmp_path):
         env = read_json(os.path.join(again, "manifest_train.json"))["numeric_env"]
         assert env["OPENBLAS_NUM_THREADS"] == str(threads)
         assert env["numpy"] == np.__version__
-        assert set(env) == {"numpy", "blas", "OPENBLAS_NUM_THREADS",
+        assert set(env) == {"numpy", "blas", "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
                             "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+
+
+def test_numeric_env_records_every_variable_the_pool_reads(monkeypatch):
+    """Every variable numcore reads the BLAS thread count from is in the
+    manifest's numeric environment: with GOTO_NUM_THREADS=1 alone, BLAS
+    and the pool's sizing rule take one thread, and the manifest says so."""
+    for name in cli.BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("GOTO_NUM_THREADS", "1")
+    env = cli.numeric_env()
+    assert env["GOTO_NUM_THREADS"] == "1"
+    assert set(nc.BLAS_THREAD_VARS) <= set(env)
+    assert env["OPENBLAS_NUM_THREADS"] == env["OMP_NUM_THREADS"] == "unset"
+    assert nc._blas_threads(64) == 1
 
 
 class TestEvaluate:

@@ -14,24 +14,31 @@ def tiny_adj(tiny_skeleton):
     return sk.partition(tiny_skeleton, 3)
 
 
-# --- bounded scale -----------------------------------------------------------
+# --- the coupling head's bounded scale ----------------------------------------
+
+def head_scale(raw):
+    """The scale `nc.coupling_head` gives a conditioner for each value of
+    `raw`, on rows of one hidden unit whose weight passes it through."""
+    h = np.asarray(raw, dtype=np.float64)[:, None]
+    s, _ = nc.coupling_head(h, np.array([[1.0, 0.0]]), np.zeros(2), (1,),
+                            cond.SCALE_SHIFT, cond.SCALE_FLOOR)
+    return s[:, 0]
+
 
 def test_bounded_scale_at_zero_frozen_value():
     # sigmoid(2) + 1e-3
-    assert abs(cond.bounded_scale(np.zeros(1))[0] - 0.8817970779778823) < 1e-15
+    assert abs(head_scale([0.0])[0] - 0.8817970779778823) < 1e-15
 
 
 def test_bounded_scale_range_and_monotone():
-    x = np.linspace(-50, 50, 1001)
-    s = cond.bounded_scale(x)
+    s = head_scale(np.linspace(-50, 50, 1001))
     assert np.all(s > 1e-3 - 1e-12)
     assert np.all(s < 1.0 + 1e-3 + 1e-12)
     assert np.all(np.diff(s) >= 0)
 
 
 def test_identity_scale_raw_gives_unit_scale():
-    raw = identity_scale_raw()
-    assert abs(cond.bounded_scale(np.array([raw]))[0] - 1.0) < 1e-12
+    assert abs(head_scale([identity_scale_raw()])[0] - 1.0) < 1e-12
 
 
 # --- spatial graph conv --------------------------------------------------------

@@ -10,7 +10,7 @@ from skelflow import numcore as nc
 from skelflow import skeleton as sk
 
 from conftest import identity_model, make_tiny_config, random_frame_inputs, random_model
-from oracles import fd_jacobian_logdet, inverse_transform_frame_reference, vmean
+from oracles import fd_jacobian_logdet, inverse_transform_frame_reference, neg, vmean
 
 
 MODEL_INITS = {"default": flow.FlowModel.create, "identity": identity_model,
@@ -422,7 +422,7 @@ def test_200_adam_steps_cut_nll_by_20_percent(tiny_skeleton):
     for _ in range(200):
         lifted = nc.lift(model)
         logp, _ = model.log_likelihood(frames, histories, controls)
-        loss = nc.neg(vmean(logp))
+        loss = neg(vmean(logp))
         gl = nc.grad(loss, list(lifted.values()))
         grads = dict(zip(lifted.keys(), gl))
         nc.restore(model)

@@ -18,8 +18,8 @@ from skelflow import training
 
 from conftest import apply_temporal_operator
 from oracles import (accum_zeros_then_add, actnorm_chain, affine_coupling_chain,
-                     graph_conv_chain, history_encoder_chain, lstm_sequence_chain, relu,
-                     temporal_conv_chain)
+                     coupling_head_chain, graph_conv_chain, history_encoder_chain,
+                     lstm_sequence_chain, relu, temporal_conv_chain)
 
 TOL = 1e-10
 GRAD_TOL = 1e-6
@@ -566,6 +566,70 @@ def test_flow_step_op_outputs_are_two_nodes(op):
     assert logdet._bw.__qualname__.split(".")[0] == op + "_logdet"
 
 
+# --- the coupling head ------------------------------------------------------------
+
+HEAD_SHAPES = [(21, 1), (3, 2)]
+
+
+def head_fused(shape):
+    return lambda h, w, b: nc.coupling_head(h, w, b, shape, cond.SCALE_SHIFT, cond.SCALE_FLOOR)
+
+
+def head_chain(shape):
+    return lambda h, w, b: coupling_head_chain(h, w, b, shape, cond.SCALE_SHIFT, cond.SCALE_FLOOR)
+
+
+def head_inputs(shape, rng, rows=6, hidden=4):
+    """(h, weight, bias) of a conditioner's output layer; raw values of
+    a few units, so the scales spread over the sigmoid's bend."""
+    width = 2 * int(np.prod(shape))
+    return [rng.normal(0.0, 1.0, size=(rows, hidden)),
+            rng.normal(0.0, 0.7, size=(hidden, width)), rng.normal(0.0, 0.7, size=width)]
+
+
+@pytest.mark.parametrize("h_var", [False, True], ids=["h_array", "h_var"])
+@pytest.mark.parametrize("shape", HEAD_SHAPES)
+def test_coupling_head_matches_chain_bit_for_bit(shape, h_var):
+    """s, offset and every operand gradient equal the old chain's (matmul,
+    add, reshape, two slices, add, sigmoid, add), with the hidden rows an
+    ndarray or a Var."""
+    fused, chain = head_fused(shape), head_chain(shape)
+    inputs = head_inputs(shape, np.random.default_rng(50 + shape[0]))
+    for got, want in zip(fused(*inputs), chain(*inputs)):
+        assert isinstance(got, np.ndarray) and got.shape == (6,) + shape
+        assert np.array_equal(got, want)
+    weights = [np.random.default_rng(0).normal(size=(6,) + shape) for _ in range(2)]
+    runs = []
+    for fn in (fused, chain):
+        leaves = [nc.Var(a.copy()) for a in inputs[0 if h_var else 1:]]
+        outputs = fn(*([] if h_var else inputs[:1]) + leaves)
+        loss = weighted_tanh_sum(outputs, weights)
+        runs.append(([o.data for o in outputs] + [loss.data], nc.grad(loss, leaves)))
+    (values, grads), (want_values, want_grads) = runs
+    assert len(grads) == (3 if h_var else 2)
+    for got, want in zip(values + grads, want_values + want_grads):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape", HEAD_SHAPES)
+def test_coupling_head_grad_check(shape):
+    grad_check_each(head_fused(shape), head_inputs(shape, np.random.default_rng(60 + shape[0]),
+                                                   rows=3, hidden=2))
+
+
+def test_coupling_head_outputs_are_two_slices_of_one_node():
+    """s and offset are the two halves of one "coupling_head" node, whose
+    parents are the Var operands; the bench's census reads its name."""
+    h, w, b = head_inputs((3, 2), np.random.default_rng(70))
+    leaves = [nc.Var(w), nc.Var(b)]
+    s, offset = head_fused((3, 2))(h, *leaves)
+    node = s._parents[0]
+    assert s._parents == offset._parents == (node,)
+    assert node._parents == tuple(leaves) and node.shape == (6, 2, 3, 2)
+    assert node._bw.__qualname__.split(".")[0] == "coupling_head"
+    assert np.array_equal(node.data[:, 0], s.data) and np.array_equal(node.data[:, 1], offset.data)
+
+
 # --- tape size ------------------------------------------------------------------
 
 
@@ -634,12 +698,28 @@ def test_desk_training_step_tape_census(desk_segment):
     finally:
         nc.restore(model)
     ops = tape_ops(loss)
-    assert sum(ops.values()) <= 257  # 90 leaves and 167 op nodes
+    assert sum(ops.values()) <= 227  # 90 leaves and 137 op nodes
     assert ops["graph_temporal_encoder"] == 1
     assert ops["graph_conv_relu"] == 6  # one per coupling conditioner
     assert ops["actnorm"] == ops["affine_coupling"] == 6  # one per flow step
+    assert ops["coupling_head"] == 6  # one per coupling conditioner
     assert ops["relu"] == 0 and ops["transpose"] == 0
-    assert ops["absolute"] == ops["log"] == ops["neg"] == 0
+    assert ops["absolute"] == ops["log"] == ops["neg"] == ops["sigmoid"] == 0
+
+
+def test_desk_mg_training_step_op_nodes():
+    """The flat-history ablation has no encoder or conditioner graph
+    convs: 7 op nodes fewer than `stmg`'s 137."""
+    model, pos, ctl = build_desk_segment("mg")
+    nc.lift(model)
+    try:
+        loss = training.segment_nll(model, pos, ctl, 8)
+    finally:
+        nc.restore(model)
+    ops = tape_ops(loss)
+    assert sum(ops.values()) - ops["leaf"] <= 130
+    assert ops["coupling_head"] == 6 and ops["graph_conv_relu"] == 0
+    assert ops["neg"] == ops["sigmoid"] == 0
 
 
 def test_desk_training_step_memory(desk_segment):
