@@ -382,7 +382,7 @@ def _reconstruction_input(config, model):
     needed = t_h + max(config.horizon, t_h)
     if not config.clip:
         return _seed_material(config, model, needed)
-    clip = _data.load_clip(config.clip)
+    clip = _data.resample(_data.load_clip(config.clip), target_fps=config.fps)
     rel = clip if clip.root_relative else _data.to_root_relative(
         clip, skeleton_spec=model.skeleton)
     if rel.frame_count < needed:
@@ -457,12 +457,11 @@ def cmd_evaluate(config):
             raise DuplicateStemError(f"clips '{stems[stem]}' and '{p}' share "
                                      f"the stem '{stem}' of their reports")
         stems[stem] = p
-    out = _ensure_out(config)
     grid = _metric_grid(config)
     reference = None if config.reference == "auto" else config.reference
-    written = []
     rows = [SUMMARY_HEADER]
     reports = []
+    texts = {}  # report file name -> text, written once every clip is done
     for stem, p in stems.items():
         clip = _data.load_clip(p)
         sweep = _metrics.footstep_sweep(
@@ -470,15 +469,9 @@ def cmd_evaluate(config):
             min_duration_frames=config.min_duration_frames)
         bone = _metrics.bone_length_analysis(clip, spec, reference=reference)
         reports.append(sweep)
-        for name, text in ((f"{stem}.footsteps.txt",
-                            _metrics.footstep_report_text(sweep)),
-                           (f"{stem}.sweep.txt",
-                            _metrics.sweep_table_text(sweep)),
-                           (f"{stem}.bones.txt",
-                            _metrics.bone_report_text(bone))):
-            path = os.path.join(out, name)
-            _write_text(path, text)
-            written.append(path)
+        texts[f"{stem}.footsteps.txt"] = _metrics.footstep_report_text(sweep)
+        texts[f"{stem}.sweep.txt"] = _metrics.sweep_table_text(sweep)
+        texts[f"{stem}.bones.txt"] = _metrics.bone_report_text(bone)
         rows.append(f"{stem} {sweep.max_count} {sweep.v_tol_95:g} "
                     f"{sweep.step_mean:.6f} {sweep.step_std:.6f} "
                     f"{bone.bl_rmse:.6f} {bone.bl_sigma:.6f}")
@@ -486,6 +479,12 @@ def cmd_evaluate(config):
     agg = _metrics.aggregate_footstep_counts(reports)
     rows.append(f"# aggregate mean_f_est {agg['mean']:.6f} "
                 f"median_f_est {agg['median']:.6f}")
+    out = _ensure_out(config)
+    written = []
+    for name, text in texts.items():
+        path = os.path.join(out, name)
+        _write_text(path, text)
+        written.append(path)
     summary_path = os.path.join(out, "evaluate_summary.txt")
     _write_text(summary_path, "\n".join(rows) + "\n")
     written.append(summary_path)

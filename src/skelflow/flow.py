@@ -284,14 +284,11 @@ class FlowModel(nc.Module):
     def _std_logdet(self):
         return float(-np.sum(np.log(self.data_std)))
 
-    def _prep_history(self, history, history_mask):
+    def _prep_history(self, history):
         # stats are per (marker, channel); history carries a trailing time axis
-        hist_std = (history - self.data_mean[:, :, None]) / self.data_std[:, :, None]
-        if history_mask is not None:
-            hist_std = hist_std * np.asarray(history_mask, dtype=np.float64)[..., None, :]
-        return hist_std
+        return (history - self.data_mean[:, :, None]) / self.data_std[:, :, None]
 
-    def _rows(self, x, history, controls, states, history_mask):
+    def _rows(self, x, history, controls, states):
         """Lay x out as T*B time-major rows, with its conditioning.
 
         x is one frame (M, C), a batch (B, M, C), or T consecutive frames of
@@ -305,7 +302,7 @@ class FlowModel(nc.Module):
         if not 2 <= len(shape) <= 4:
             raise ValueError(f"expected 2 to 4 dims, got {len(shape)}")
         t, b = ((1, 1) + shape[:-2])[-2:]
-        hist_std = self._prep_history(history, history_mask)
+        hist_std = self._prep_history(history)
         pooled = self.encoder(nc.reshape(hist_std, (t * b,) + hist_std.shape[-3:]))
         ctrl_flat = nc.reshape(controls, (t * b, -1))
         if states is None:
@@ -315,7 +312,7 @@ class FlowModel(nc.Module):
 
     # -- the bijection ---------------------------------------------------------
 
-    def transform_frame(self, x, history, controls, states=None, history_mask=None):
+    def transform_frame(self, x, history, controls, states=None):
         """Full data-to-latent map: returns (z, logdet, states').
 
         x is one frame (M, C), a batch (B, M, C), or T consecutive frames of
@@ -326,8 +323,7 @@ class FlowModel(nc.Module):
         includes the standardization term, so
         log p(x) = log N(z) + logdet.
         """
-        h, pooled, ctrl_flat, states, lead = self._rows(
-            x, history, controls, states, history_mask)
+        h, pooled, ctrl_flat, states, lead = self._rows(x, history, controls, states)
         h = self.standardize(h)
         logdet = np.zeros(nc._data(h).shape[0])
         new_states = []
@@ -339,25 +335,24 @@ class FlowModel(nc.Module):
         return (nc.reshape(h, lead + nc._data(h).shape[1:]),
                 nc.reshape(logdet, lead), new_states)
 
-    def inverse_transform_frame(self, z, history, controls, states=None, history_mask=None):
+    def inverse_transform_frame(self, z, history, controls, states=None):
         """Latent-to-data map; exact inverse of transform_frame, on plain
         arrays (no tape)."""
-        h, pooled, ctrl_flat, states, lead = self._rows(
-            z, history, controls, states, history_mask)
+        h, pooled, ctrl_flat, states, lead = self._rows(z, history, controls, states)
         new_states = [None] * len(self.steps)
         for k in range(len(self.steps) - 1, -1, -1):
             h, new_states[k] = self.steps[k].inverse(h, pooled, ctrl_flat, states[k])
         x = self.destandardize(h)
         return x.reshape(lead + x.shape[1:]), new_states
 
-    def log_likelihood(self, x, history, controls, states=None, history_mask=None):
+    def log_likelihood(self, x, history, controls, states=None):
         """Exact log density of x given history/controls.
 
         Takes the inputs of `transform_frame`.  Returns (logp, new_states);
         logp is per-sample, shaped like x's leading axes: (B,) for a batch,
         (T, B) for T frames of B sequences, a scalar for one frame.
         """
-        z, logdet, new_states = self.transform_frame(x, history, controls, states, history_mask)
+        z, logdet, new_states = self.transform_frame(x, history, controls, states)
         zsq = nc.vsum(nc.mul(z, z), axis=(-2, -1))
         dim = self.config.markers * self.config.channels
         base = nc.sub(nc.mul(zsq, -0.5), 0.5 * dim * LOG2PI)
@@ -365,18 +360,6 @@ class FlowModel(nc.Module):
         if not isinstance(logp, nc.Var) and not np.all(np.isfinite(nc._data(logp))):
             raise nc.NonFiniteError("log-likelihood is not finite")
         return logp, new_states
-
-    def sample_frame(self, z, history, controls, states=None, temperature=1.0, history_mask=None):
-        """Draw one frame from the conditional density: x = f^{-1}(tau * z).
-
-        temperature is a float, or an array that broadcasts against z (one
-        value per sample of a batch).
-        """
-        x, new_states = self.inverse_transform_frame(
-            nc.mul(z, temperature), history, controls, states, history_mask)
-        if not np.isfinite(x).all():
-            raise nc.NonFiniteError("sampled frame is not finite")
-        return x, new_states
 
     # -- data-dependent init ----------------------------------------------------
 
@@ -388,7 +371,7 @@ class FlowModel(nc.Module):
         and unit std per (marker, channel).
         """
         h, pooled, ctrl_flat, states, _ = self._rows(
-            nc._data(frames), histories, controls, None, None)
+            nc._data(frames), histories, controls, None)
         h = nc._data(self.standardize(h))
         for step, state in zip(self.steps, states):
             step.actnorm.init_from_batch(h)

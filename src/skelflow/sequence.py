@@ -2,11 +2,13 @@
 
 The flow transforms one frame at a time, so rolling out a sequence means:
 draw a latent frame, invert the flow under the current history window and
-recurrent states, append the result to the history, repeat.  Reconstruction
-of a partially observed window runs one rollout forward from the masked
-window, reverses the generated future in time, rolls out again across the
-reversed window, and keeps generated values only where the input was
-missing.  Observed cells pass through bit for bit.
+recurrent states, append the result to the history, repeat.  A mask is
+data: `impute_history` writes the data mean into a window's masked cells
+before any rollout.  Reconstruction of a partially observed window runs
+one rollout forward from the imputed window, reverses the generated
+future in time, rolls out again across the reversed window, and keeps
+generated values only where the input was missing.  Observed cells pass
+through bit for bit.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ class GenerationRequest:
     horizon: number of frames to generate, >= 1.
     temperature: latent scale; 0 gives the deterministic mode rollout.
     seed: int or numpy SeedSequence for the latent draws.
-    history_mask: optional (M, T_h) binary matrix, 1 = observed.
+
+    A partially observed seed window is passed through `impute_history`.
     """
 
     history: object
@@ -58,7 +61,6 @@ class GenerationRequest:
     horizon: int
     temperature: float = 1.0
     seed: object = 0
-    history_mask: object = None
 
 
 def _check_mask(mask, markers, history):
@@ -90,11 +92,25 @@ def _check_controls(controls, need):
     return controls
 
 
+def impute_history(model, history, mask):
+    """The (M, C, T_h) seed window with its masked cells replaced by the
+    model's data mean.
+
+    mask is an (M, T_h) binary matrix, 1 = observed.  A masked cell
+    standardizes to exactly 0; observed cells pass through bit for bit.
+    This is the one place a mask acts: the model itself takes none.
+    """
+    history = _check_history(history, model.config)
+    mask = _check_mask(mask, model.config.markers, model.config.history)
+    return np.where(mask[:, None, :] > 0, history, model.data_mean[:, :, None])
+
+
 def generate_batch(model, requests):
     """Roll B requests forward as one batch; returns their (B, M, C, T) frames.
 
-    The requests share one horizon; histories, controls and masks are
-    stacked, and every frame is one (B, ...) call of `model.sample_frame`.
+    The requests share one horizon; seed windows and controls are stacked,
+    and every frame is one (B, ...) call of `model.inverse_transform_frame`
+    on the latents scaled by each request's temperature.
     Request b draws its latents from its own generator, in the order a
     rollout of it alone draws them, and rollouts do not interact, so a
     request's frames match its own B=1 rollout up to the floating-point
@@ -114,7 +130,6 @@ def generate_batch(model, requests):
     # seed window plus output; the history of frame k is [k, k + T_h)
     timeline = np.empty((b, markers, channels, span))
     controls = np.empty((b, 3, span))
-    masks = None  # (B, M, span): 1 after the seed window, or None if unmasked
     latents = np.empty((b, horizon, markers, channels))
     temperature = np.empty((b, 1, 1))
     for i, request in enumerate(requests):
@@ -123,10 +138,6 @@ def generate_batch(model, requests):
                 f"requests must share one horizon: {int(request.horizon)} != {horizon}")
         timeline[i, :, :, :t_h] = _check_history(request.history, cfg)
         controls[i] = _check_controls(request.controls, span)[:, :span]
-        if request.history_mask is not None:
-            if masks is None:
-                masks = np.ones((b, markers, span))
-            masks[i, :, :t_h] = _check_mask(request.history_mask, markers, t_h)
         latents[i] = np.random.default_rng(request.seed).standard_normal(
             (horizon, markers, channels))
         tau = float(request.temperature)
@@ -137,14 +148,9 @@ def generate_batch(model, requests):
     states = model.initial_state(b)
     for k in range(horizon):
         t = t_h + k
-        try:
-            x, states = model.sample_frame(
-                latents[:, k], timeline[..., k:t], controls[:, :, k:t + 1], states,
-                temperature=temperature,
-                history_mask=None if masks is None else masks[..., k:t])
-        except nc.NonFiniteError as exc:
-            raise NonFiniteFrameError(f"non-finite frame at rollout step {k}") from exc
-        x = nc._data(x)
+        x, states = model.inverse_transform_frame(
+            latents[:, k] * temperature, timeline[..., k:t], controls[:, :, k:t + 1],
+            states)
         if not np.isfinite(x).all():
             raise NonFiniteFrameError(f"non-finite frame at rollout step {k}")
         timeline[..., t] = x
@@ -237,10 +243,10 @@ def reconstruct_batch(model, requests):
     requests = list(requests)
     if not requests:
         raise ValueError("need at least one reconstruction request")
-    forward, seeds_bwd = [], []
+    forward, pasts, seeds_bwd = [], [], []
     for request in requests:
         history = _check_history(request.history, cfg)
-        mask = _check_mask(request.mask, markers, t_h)
+        observed = _check_mask(request.mask, markers, t_h).astype(bool)
         horizon = t_h if request.horizon is None else int(request.horizon)
         if horizon < t_h:
             raise ValueError(
@@ -251,8 +257,9 @@ def reconstruct_batch(model, requests):
             else np.random.SeedSequence(seed)
         seed_fwd, seed_bwd = entropy.spawn(2)
         forward.append(GenerationRequest(
-            history=history, controls=controls, horizon=horizon,
-            temperature=request.temperature, seed=seed_fwd, history_mask=mask))
+            history=impute_history(model, history, observed), controls=controls,
+            horizon=horizon, temperature=request.temperature, seed=seed_fwd))
+        pasts.append((history, observed))
         seeds_bwd.append(seed_bwd)
     futures = generate_batch(model, forward)
     # Reverse each past-plus-future timeline; step 2 regenerates its final
@@ -265,9 +272,8 @@ def reconstruct_batch(model, requests):
                           horizon=t_h, temperature=r.temperature, seed=seed)
         for r, (frames, controls), seed in zip(forward, reversed_runs, seeds_bwd)])
     results = []
-    for request, future, rev_past in zip(forward, futures, rev_pasts):
-        observed = request.history_mask.astype(bool)
-        past = np.where(observed[:, None, :], request.history, rev_past[..., ::-1])
+    for (history, observed), future, rev_past in zip(pasts, futures, rev_pasts):
+        past = np.where(observed[:, None, :], history, rev_past[..., ::-1])
         results.append(ReconstructionResult(past=past, future=future, observed=observed))
     return results
 

@@ -105,13 +105,13 @@ def _grad_check_all(ablation, seed=3):
     m, c, t_h = model.config.markers, model.config.channels, model.config.history
     x = rng.normal(size=(b, m, c))
     histories = rng.normal(size=(b, m, c, t_h))
-    pooled = nc._data(model.encoder(model._prep_history(histories, None)))
+    pooled = nc._data(model.encoder(model._prep_history(histories)))
     ctrl = rng.normal(size=(b, 3 * (t_h + 1)))
     xb1_a = rng.normal(size=(b, m, model.config.c1))
     xb1_b = rng.normal(size=(b, m, model.config.c1))
 
     def encoder_probe():
-        return nc.vsum(nc.tanh(model.encoder(model._prep_history(histories, None))))
+        return nc.vsum(nc.tanh(model.encoder(model._prep_history(histories))))
 
     def actnorm_probe(step_obj):
         def probe():
@@ -172,7 +172,7 @@ def _actnorm_worst_stats(ablation, seed=4):
     histories = rng.normal(size=(n, 4, 2, 3))
     controls = rng.normal(size=(n, 3, 4))
     model.init_actnorm(frames, histories, controls)
-    pooled = model.encoder(nc._data(model._prep_history(histories, None)))
+    pooled = model.encoder(nc._data(model._prep_history(histories)))
     ctrl = controls.reshape(n, -1)
     h = nc._data(model.standardize(frames))
     worst_mean = worst_std = 0.0

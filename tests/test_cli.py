@@ -331,6 +331,29 @@ class TestReconstruct:
         t_h = model.config.history
         np.testing.assert_array_equal(clip.positions[:, :, :t_h], history)
 
+    def test_clip_is_resampled_to_the_job_rate(self, workspace, tmp_path):
+        """A 40 fps clip is reconstructed on its 20 fps resampling, and the
+        output is a 20 fps clip whose past is that resampled history."""
+        synth = str(tmp_path / "fast")
+        assert run(["synth", "--out", synth, "--fps", "40", "--steps", "6",
+                    "--noise", "0", "--path", "line:speed=70", "--seed", "4"]) == 0
+        clip_path = os.path.join(synth, "clip_000.txt")
+        out = str(tmp_path / "rec")
+        assert run(["reconstruct", "--checkpoint", workspace["checkpoint"],
+                    "--clip", clip_path, "--mask", "none", "--num", "1",
+                    "--horizon", "10", "--out", out]) == 0
+        model, _ = flow.load_checkpoint(workspace["checkpoint"])
+        t_h = model.config.history
+        want = data.to_root_relative(
+            data.resample(data.load_clip(clip_path), target_fps=20.0),
+            skeleton_spec=model.skeleton)
+        recon = data.load_clip(os.path.join(out, "recon_000.txt"))
+        assert recon.fps == 20.0
+        assert recon.frame_count == t_h + 10
+        np.testing.assert_array_equal(recon.positions[:, :, :t_h],
+                                      want.positions[:, :, :t_h])
+        np.testing.assert_array_equal(recon.controls, want.controls[:, :t_h + 10])
+
     def test_unknown_preset_is_config_error(self, workspace, tmp_path):
         assert run(["reconstruct", "--checkpoint", workspace["checkpoint"],
                     "--mask", "torso", "--out",
@@ -387,10 +410,26 @@ def test_manifest_names_every_input(workspace, tmp_path, command, flags, key, va
     ("reconstruct", ["--checkpoint", "{missing}"], cli.EXIT_IO),
     ("reconstruct", ["--checkpoint", "{checkpoint}", "--clip", "{missing}"], cli.EXIT_IO),
     ("evaluate", ["--clips", "{missing}"], cli.EXIT_IO),
+    # a malformed clip sorted after a good one, whose reports come first
+    ("evaluate", ["--clips", "{bad_clips}"], cli.EXIT_IO),
+    # the default skeleton has no bone_cm lines to take as the reference
+    ("evaluate", ["--clips", "{synth}", "--reference", "config"], cli.EXIT_CONFIG),
+    # a 10 fps clip cannot be resampled up to the job's 20 fps
+    ("reconstruct", ["--checkpoint", "{checkpoint}", "--clip", "{clip_10fps}",
+                     "--num", "1", "--horizon", "10"], cli.EXIT_CONFIG),
 ])
 def test_bad_input_leaves_no_output_directory(workspace, tmp_path, command, flags, code):
     """Every command reads and checks its inputs before it creates --out."""
-    paths = {"checkpoint": workspace["checkpoint"], "missing": str(tmp_path / "nope")}
+    good = os.path.join(workspace["synth"], "clip_000.txt")
+    bad_clips = tmp_path / "bad_clips"
+    bad_clips.mkdir()
+    data.save_clip(data.load_clip(good), str(bad_clips / "clip_000.txt"))
+    (bad_clips / "zbad.txt").write_text("not a clip\n")
+    clip_10fps = str(tmp_path / "slow.txt")
+    data.save_clip(data.resample(data.load_clip(good), target_fps=10.0), clip_10fps)
+    paths = {"checkpoint": workspace["checkpoint"], "missing": str(tmp_path / "nope"),
+             "synth": workspace["synth"], "bad_clips": str(bad_clips),
+             "clip_10fps": clip_10fps}
     out = tmp_path / "out"
     assert run([command, *(f.format(**paths) for f in flags), "--out", str(out)]) == code
     assert not out.exists()

@@ -6,6 +6,7 @@ import pytest
 
 from skelflow import flow
 from skelflow import numcore as nc
+from skelflow import sequence
 
 from skelflow import skeleton as sk
 
@@ -174,7 +175,9 @@ def test_roundtrip_all_ablations(tiny_skeleton, ablation):
 def test_inverse_is_bit_identical_to_op_by_op_reference(tiny_skeleton, ablation,
                                                          masked, size):
     """The plain-array inverse at B=1 against the numcore op composition it
-    replaced, with LSTM states threaded through three frames."""
+    replaced, with LSTM states threaded through three frames.  Masked, the
+    model runs on the imputed history and the reference multiplies the
+    raw standardized history by the mask."""
     if size == "tiny":
         model = make_model(tiny_skeleton, ablation, seed=21)
     else:
@@ -185,16 +188,17 @@ def test_inverse_is_bit_identical_to_op_by_op_reference(tiny_skeleton, ablation,
     model.set_standardization(rng.normal(size=(cfg.markers, cfg.channels)) * 0.1,
                               np.abs(rng.normal(size=(cfg.markers, cfg.channels))) + 0.5)
     _, history, controls = random_frame_inputs(cfg, rng)
-    mask = None
+    mask, model_history = None, history[0]
     if masked:
         mask = np.ones((cfg.markers, cfg.history))
         mask[1, :] = 0.0
         mask[2, 0] = 0.0
+        model_history = sequence.impute_history(model, history[0], mask)
     states = ref_states = None
     for _ in range(3):
         z = rng.standard_normal((cfg.markers, cfg.channels))
-        x, states = model.inverse_transform_frame(z, history[0], controls[0],
-                                                  states, mask)
+        x, states = model.inverse_transform_frame(z, model_history, controls[0],
+                                                  states)
         want, ref_states = inverse_transform_frame_reference(
             model, z, history[0], controls[0], ref_states, mask)
         assert np.array_equal(x, want)
@@ -253,13 +257,17 @@ def test_likelihood_of_identity_model_is_gaussian(tiny_skeleton):
 
 
 def test_temperature_zero_is_deterministic_mode(tiny_skeleton):
+    """A rollout at temperature 0 inverts the zero latent, whatever its
+    seed draws (scaled to zeros of either sign)."""
     model = make_model(tiny_skeleton, seed=15)
     rng = np.random.default_rng(16)
     _, history, controls = random_frame_inputs(model.config, rng)
-    z = rng.standard_normal((4, 2))
-    x1, _ = model.sample_frame(z, history[0], controls[0], temperature=0.0)
-    x2, _ = model.sample_frame(np.zeros((4, 2)), history[0], controls[0], temperature=0.0)
-    assert np.array_equal(x1, x2)
+    frames = [sequence.generate(model, sequence.GenerationRequest(
+        history=history[0], controls=controls[0], horizon=1, temperature=0.0,
+        seed=seed)) for seed in (1, 2)]
+    mode, _ = model.inverse_transform_frame(np.zeros((4, 2)), history[0], controls[0])
+    assert np.array_equal(frames[0][..., 0], mode)
+    assert np.array_equal(frames[1][..., 0], mode)
 
 
 def test_sample_then_loglik_states_agree(tiny_skeleton):
@@ -267,7 +275,7 @@ def test_sample_then_loglik_states_agree(tiny_skeleton):
     rng = np.random.default_rng(18)
     _, history, controls = random_frame_inputs(model.config, rng)
     z = rng.standard_normal((1, 4, 2))
-    x, st_inv = model.sample_frame(z, history, controls, temperature=1.0)
+    x, st_inv = model.inverse_transform_frame(z, history, controls)
     z2, _, st_fwd = model.transform_frame(x, history, controls)
     assert np.max(np.abs(z2 - z)) < 1e-9
     for sa, sb in zip(st_inv, st_fwd):
@@ -283,13 +291,23 @@ def test_masked_history_zeroes_after_standardization(tiny_skeleton):
     frame, history, controls = random_frame_inputs(model.config, rng)
     mask = np.ones((4, 3))
     mask[1] = 0.0
+    mask[3, 0] = 0.0
+    imputed = sequence.impute_history(model, history[0], mask)
+    hist_std = model._prep_history(imputed)
+    observed = np.broadcast_to(mask.astype(bool)[:, None, :], imputed.shape)
+    # masked cells standardize to +0.0; observed cells pass through
+    assert np.all(hist_std[~observed] == 0.0)
+    assert not np.any(np.signbit(hist_std[~observed]))
+    assert np.array_equal(imputed[observed], history[0][observed])
+    assert np.array_equal(hist_std[observed], model._prep_history(history[0])[observed])
     # changing a masked marker's history must not change anything downstream
-    history_b = history.copy()
-    history_b[0, 1] = 999.0
-    lp_a, _ = model.log_likelihood(frame, history, controls, history_mask=mask)
-    lp_b, _ = model.log_likelihood(frame, history_b, controls, history_mask=mask)
+    history_b = history[0].copy()
+    history_b[1] = 999.0
+    lp_a, _ = model.log_likelihood(frame, imputed[None], controls)
+    lp_b, _ = model.log_likelihood(
+        frame, sequence.impute_history(model, history_b, mask)[None], controls)
     assert np.array_equal(lp_a, lp_b)
-    lp_c, _ = model.log_likelihood(frame, history_b, controls)
+    lp_c, _ = model.log_likelihood(frame, history_b[None], controls)
     assert not np.array_equal(lp_a, lp_c)
 
 
@@ -304,7 +322,7 @@ def test_init_actnorm_per_step_statistics(tiny_skeleton):
     controls = rng.normal(size=(n, 3, 4))
     model.init_actnorm(frames, histories, controls)
     # replay and check each step's actnorm output stats
-    hist_std = model._prep_history(histories, None)
+    hist_std = model._prep_history(histories)
     pooled = model.encoder(nc._data(hist_std))
     ctrl = controls.reshape(n, -1)
     h = nc._data(model.standardize(frames))

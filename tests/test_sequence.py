@@ -8,7 +8,7 @@ from skelflow import flow, sequence
 from skelflow.sequence import (
     AllMarkersMissingError, GenerationRequest, MaskPresetError,
     NonFiniteFrameError, ReconstructionRequest, generate, generate_batch,
-    mask_preset, reconstruct, reconstruct_batch, reverse_sequence,
+    impute_history, mask_preset, reconstruct, reconstruct_batch, reverse_sequence,
 )
 from skelflow.skeleton import build_skeleton, default_skeleton
 
@@ -36,21 +36,20 @@ def _request(model, rng, horizon=6, **kw):
 class RecordingModel:
     """Stub with the frame-model call surface for a batch of one request;
     logs that request's conditioning set and emits a recognizable constant
-    frame per step."""
+    frame per step.  Its data mean is -7 everywhere."""
 
     def __init__(self, config):
         self.config = config
+        self.data_mean = np.full((config.markers, config.channels), -7.0)
         self.histories = []
-        self.masks = []
         self.windows = []
         self.calls = 0
 
     def initial_state(self, batch):
         return ("state", 0)
 
-    def sample_frame(self, z, history, controls, states, temperature, history_mask):
+    def inverse_transform_frame(self, z, history, controls, states):
         self.histories.append(np.array(history[0]))
-        self.masks.append(None if history_mask is None else np.array(history_mask[0]))
         self.windows.append(np.array(controls[0]))
         self.calls += 1
         frame = np.full((1, self.config.markers, self.config.channels), float(self.calls))
@@ -98,24 +97,23 @@ class TestGenerate:
         controls = rng.normal(size=(3, config.history + horizon))
         mask = np.ones((config.markers, config.history))
         mask[1, :] = 0.0
-        generate(model, GenerationRequest(history=history, controls=controls,
-                                          horizon=horizon, seed=0, history_mask=mask))
+        seed_window = impute_history(model, history, mask)
+        generate(model, GenerationRequest(history=seed_window, controls=controls,
+                                          horizon=horizon, seed=0))
         frames = [np.full((config.markers, config.channels), float(k + 1))
                   for k in range(horizon)]
-        timeline = np.concatenate([history] + [f[:, :, None] for f in frames], axis=2)
+        timeline = np.concatenate([seed_window] + [f[:, :, None] for f in frames], axis=2)
         for k in range(horizon):
             t = config.history + k
             # conditioning history is exactly the last T_h frames so far
             assert np.array_equal(model.histories[k], timeline[:, :, k:t])
             # control window spans those frames plus the one being generated
             assert np.array_equal(model.windows[k], controls[:, t - config.history:t + 1])
-        # the seeded mask slides out one column per generated frame
+        # the imputed seed cells slide out one column per generated frame
         for k in range(horizon):
-            expect = np.concatenate(
-                [mask[:, k:], np.ones((config.markers, min(k, config.history)))], axis=1)
-            expect = expect[:, -config.history:]
-            assert np.array_equal(model.masks[k], expect)
-        assert np.all(model.masks[config.history] == 1.0)
+            seeded = max(config.history - k, 0)
+            assert np.all(model.histories[k][1, :, :seeded] == -7.0)
+            assert np.all(model.histories[k][1, :, seeded:] > 0.0)
 
     def test_short_control_track_rejected(self, tiny_model):
         rng = np.random.default_rng(6)
@@ -142,10 +140,9 @@ class TestGenerate:
         config = make_tiny_config()
 
         class ExplodingModel(RecordingModel):
-            def sample_frame(self, z, history, controls, states, temperature,
-                             history_mask):
-                frame, states = super().sample_frame(
-                    z, history, controls, states, temperature, history_mask)
+            def inverse_transform_frame(self, z, history, controls, states):
+                frame, states = super().inverse_transform_frame(
+                    z, history, controls, states)
                 if self.calls == 3:
                     frame[0, 0, 0] = np.nan
                 return frame, states
@@ -175,7 +172,7 @@ def desk_model():
 
 def _mixed_requests(model, rng, count, horizon=5):
     """Requests with their own tracks, seeds, temperatures (0 included) and
-    masks (some None)."""
+    imputed seed windows (some fully observed)."""
     cfg = model.config
     temperatures = (1.0, 0.0, 0.6, 1.3, 0.0, 0.9, 1.0, 0.4)
     requests = []
@@ -187,8 +184,11 @@ def _mixed_requests(model, rng, count, horizon=5):
         elif i % 3 == 2:
             mask = mask_preset("random4", markers=cfg.markers, history=cfg.history,
                                seed=i) if cfg.markers > 4 else None
-        requests.append(_request(model, rng, horizon=horizon, seed=100 + 7 * i,
-                                 temperature=temperatures[i], history_mask=mask))
+        request = _request(model, rng, horizon=horizon, seed=100 + 7 * i,
+                           temperature=temperatures[i])
+        if mask is not None:
+            request.history = impute_history(model, request.history, mask)
+        requests.append(request)
     return requests
 
 
@@ -227,10 +227,6 @@ class TestGenerateBatch:
             controls=good.controls, horizon=5)
         with pytest.raises(ValueError, match="history"):
             generate_batch(tiny_model, [good, bad_history])
-        bad_mask = GenerationRequest(history=good.history, controls=good.controls,
-                                     horizon=5, history_mask=np.ones((cfg.markers, 2)))
-        with pytest.raises(ValueError, match="mask"):
-            generate_batch(tiny_model, [good, bad_mask])
         short = GenerationRequest(history=good.history, controls=good.controls[:, :-1],
                                   horizon=5)
         with pytest.raises(ValueError, match="control"):
@@ -241,6 +237,37 @@ class TestGenerateBatch:
             generate_batch(tiny_model, [good, hot])
         with pytest.raises(ValueError):
             generate_batch(tiny_model, [])
+
+
+class TestImputeHistory:
+    def test_masked_cells_take_the_data_mean(self, tiny_model):
+        cfg = tiny_model.config
+        history = np.random.default_rng(33).normal(
+            size=(cfg.markers, cfg.channels, cfg.history))
+        mask = np.ones((cfg.markers, cfg.history))
+        mask[2, :] = 0.0
+        mask[0, 1] = 0.0
+        imputed = impute_history(tiny_model, history, mask)
+        observed = np.broadcast_to(mask.astype(bool)[:, None, :], history.shape)
+        assert np.array_equal(imputed[observed], history[observed])
+        mean = np.broadcast_to(tiny_model.data_mean[:, :, None], history.shape)
+        assert np.array_equal(imputed[~observed], mean[~observed])
+        assert np.array_equal(impute_history(tiny_model, history, np.ones_like(mask)),
+                              history)
+
+    def test_bad_inputs_raise_the_rollout_errors(self, tiny_model):
+        cfg = tiny_model.config
+        history = np.zeros((cfg.markers, cfg.channels, cfg.history))
+        with pytest.raises(ValueError, match="mask"):
+            impute_history(tiny_model, history, np.ones((cfg.markers, 2)))
+        with pytest.raises(ValueError, match="0 or 1"):
+            impute_history(tiny_model, history, np.full((cfg.markers, cfg.history), 0.5))
+        missing = np.ones((cfg.markers, cfg.history))
+        missing[:, 1] = 0.0
+        with pytest.raises(AllMarkersMissingError, match="frame 1"):
+            impute_history(tiny_model, history, missing)
+        with pytest.raises(ValueError, match="history"):
+            impute_history(tiny_model, history[..., :-1], missing[:, :-1])
 
 
 class TestReconstructBatch:
