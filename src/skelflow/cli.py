@@ -156,15 +156,22 @@ BLAS_THREAD_VARS = nc.BLAS_THREAD_VARS + ("MKL_NUM_THREADS",)
 
 def numeric_env():
     """What a run's bytes depend on besides its config: numpy's version,
-    the BLAS library numpy was built with, and the BLAS thread settings.
-    Neither the CPU count nor numcore's worker count is recorded: they
-    differ between machines and change no byte."""
+    the BLAS library numpy was built with, the SIMD extensions numpy
+    dispatches its ufuncs on (its `exp` and `tanh` differ between them in
+    the last bits), and the BLAS thread settings.  Neither the CPU count
+    nor numcore's worker count is recorded: they differ between machines
+    and change no byte."""
     try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.26 has no dict form
+        config = {}
+    try:
+        blas = config["Build Dependencies"]["blas"]
         blas_id = f"{blas['name']} {blas['version']}"
-    except (TypeError, KeyError):  # numpy before 1.26 has no dict form
+    except KeyError:
         blas_id = "unknown"
-    env = {"numpy": np.__version__, "blas": blas_id}
+    env = {"numpy": np.__version__, "blas": blas_id,
+           "simd": config.get("SIMD Extensions", "unknown")}
     env.update((name, os.environ.get(name, "unset")) for name in BLAS_THREAD_VARS)
     return env
 

@@ -140,6 +140,16 @@ def _write_text(clip, path):
             fh.write("\n")
 
 
+def _bad_token_error(line_no, tokens):
+    """The ClipParseError for the first of a data line's tokens that
+    `float()` rejects, for a line whose one-call conversion failed."""
+    for i, tok in enumerate(tokens):
+        try:
+            float(tok)
+        except ValueError:
+            return ClipParseError(f"line {line_no}, column {i + 1}: invalid number '{tok}'")
+
+
 def _read_text(path):
     header = {}
     rows = []
@@ -156,13 +166,12 @@ def _read_text(path):
                     header[parts[0]] = parts[1]
                 continue
             tokens = line.split()
-            values = np.empty(len(tokens))
-            for i, tok in enumerate(tokens):
-                try:
-                    values[i] = float(tok)
-                except ValueError:
-                    raise ClipParseError(
-                        f"line {line_no}, column {i + 1}: invalid number '{tok}'") from None
+            # one conversion per line, with float()'s grammar; only a line
+            # with a bad token is scanned token by token
+            try:
+                values = np.array(tokens, dtype=np.float64)
+            except ValueError:
+                raise _bad_token_error(line_no, tokens) from None
             rows.append((line_no, values))
     if "fps" not in header:
         raise ClipParseError("missing '# fps' header")

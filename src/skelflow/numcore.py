@@ -1,11 +1,11 @@
 """Dense float64 numerics: a tiny reverse-mode tape, gradient checking,
 log-determinants and Adam.
 
-Everything runs on plain ``numpy`` float64 arrays.  Layers elsewhere in the
-package are written against the dispatching ops below, so the same forward
-code runs with or without gradient recording: pass ndarrays for a plain
-evaluation, or wrap the leaves in :class:`Var` to record a tape and call
-:func:`grad`.
+Everything runs on plain ``numpy`` float64 arrays, and numpy is the only
+library the package loads.  Layers elsewhere in the package are written
+against the dispatching ops below, so the same forward code runs with or
+without gradient recording: pass ndarrays for a plain evaluation, or wrap
+the leaves in :class:`Var` to record a tape and call :func:`grad`.
 
 Four fused ops, each one tape node with a hand-written backward, carry
 the conditioning networks: :func:`graph_conv_relu` (a graph conv includes
@@ -15,6 +15,12 @@ scale, with the scale and offset two slices of the node).  Two more carry
 a flow step: :func:`actnorm` and :func:`affine_coupling` each return
 their output and its log-determinant as two nodes.  A Var has no
 arithmetic operators; every op is called by name.
+
+The logistic sigmoid of the LSTM gates and of the coupling scale is
+:func:`_logistic`, ``1 / (1 + exp(-x))`` from numpy ufuncs, with ``-x``
+clamped at 709.78 so ``exp`` never overflows.  numpy runs ``exp`` and
+``tanh`` on the CPU's SIMD extensions, whose last bits can differ from
+libm's, so a run's bytes also depend on which extensions numpy uses.
 
 A tape is just the implicit DAG hanging off the output Var; replaying it
 (calling :func:`grad` twice on the same output) gives bit-identical
@@ -45,7 +51,6 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 LOGDET_FLOOR = float(np.log(1e-300))
 
@@ -723,6 +728,25 @@ def graph_temporal_encoder(history, blocks):
     return res
 
 
+# exp(709.78) is finite and exp(710) overflows: `_logistic` clamps its
+# exponent here, so no input makes `exp` overflow (a RuntimeWarning, and
+# an error under the tests), and every x below -709.78, whose logistic is
+# under 5.6e-309, maps to 1 / (1 + exp(709.78))
+_EXP_MAX = 709.78
+
+
+def _logistic(x, shift=0.0):
+    """The logistic sigmoid of x + shift, 1 / (1 + exp(-(x + shift))), as
+    a new array, from numpy ufuncs alone and with no `np.errstate`: +inf
+    gives 1, +-0.0 (with no shift) 0.5, NaN stays NaN.  The negation is
+    folded into the shift, since -shift - x is -(x + shift) to the bit."""
+    u = np.subtract(-shift, x)
+    np.minimum(u, _EXP_MAX, out=u)
+    np.exp(u, out=u)
+    u += 1.0
+    return np.reciprocal(u, out=u)
+
+
 def lstm_sequence(x, h0, c0, w_ih, w_hh, bias):
     """An LSTM layer over T frames of B sequences from state (h0, c0), each
     (B, H).  x is (T*B, D), time-major: frame k is rows k*B to (k + 1)*B.
@@ -752,7 +776,7 @@ def lstm_sequence(x, h0, c0, w_ih, w_hh, bias):
     h, c = hd, cd
     for k in range(t):
         gates = x_proj[k * b:(k + 1) * b] + h @ w_hhd + bd
-        a = expit(gates)
+        a = _logistic(gates)
         g = np.tanh(gates[:, 2 * n:3 * n])
         c = a[:, n:2 * n] * c + a[:, :n] * g
         tc = np.tanh(c)
@@ -808,17 +832,20 @@ def coupling_head(h, weight, bias, shape, shift, floor):
     gives s = sigmoid(raw[:, 0] + shift) + floor, in (floor, 1 + floor),
     and offset = raw[:, 1].
 
-    On ndarrays the outputs are plain arrays; on Vars they are the two
-    slices of one node, whose backward forms the gradient on raw once and
-    takes h's, the weight's and the bias's from it with two GEMMs and one
-    column sum."""
+    On float64 ndarrays the outputs are plain arrays; on Vars they are
+    the two slices of one node, whose backward forms the gradient on raw
+    once and takes h's, the weight's and the bias's from it with two
+    GEMMs and one column sum."""
+    if not _any_var(h, weight, bias):
+        raw = _affine(h, weight, bias).reshape((h.shape[0], 2) + tuple(shape))
+        s = _logistic(raw[:, 0], shift)
+        s += floor
+        return s, raw[:, 1]
     hd, wd = _data(h), _data(weight)
     n = hd.shape[0]
     raw = _affine(hd, wd, _data(bias)).reshape((n, 2) + tuple(shape))
-    sig = expit(raw[:, 0] + shift)
+    sig = _logistic(raw[:, 0], shift)
     s = sig + floor
-    if not _any_var(h, weight, bias):
-        return s, raw[:, 1]
     raw[:, 0] = s
     both = Var(raw, tuple(v for v in (h, weight, bias) if isinstance(v, Var)))
 

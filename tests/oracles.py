@@ -6,7 +6,6 @@ wrong.
 """
 
 import numpy as np
-from scipy.special import expit
 
 from skelflow import data, metrics
 from skelflow import numcore as nc
@@ -136,10 +135,17 @@ def neg(a):
     return nc._node("neg", -a.data, ((a, lambda g: -g),))
 
 
+def logistic(x):
+    """1 / (1 + exp(-x)) written out, with -x clamped where `exp` would
+    overflow: the formula `nc._logistic` computes, so the fused ops match
+    the chains below bit for bit."""
+    return 1.0 / (1.0 + np.exp(np.minimum(-x, nc._EXP_MAX)))
+
+
 def sigmoid(a):
     if not isinstance(a, nc.Var):
-        return expit(nc._data(a))
-    sd = expit(a.data)
+        return logistic(nc._data(a))
+    sd = logistic(a.data)
     return nc._node("sigmoid", sd, ((a, lambda g: g * sd * (1.0 - sd)),))
 
 
@@ -595,3 +601,63 @@ def synth_gait_per_frame(path_spec, steps=20, fps=20.0, seed=0, cadence=2.0,
         footstep_intervals=intervals,
         bone_lengths=data._expected_bone_lengths(skeleton_spec))
     return clip, truth
+
+
+# --- clip files ---------------------------------------------------------------
+
+
+def read_text_per_token(path):
+    """A text clip read as `data.load_clip` read it before it converted
+    each line in one call: `float()` on each token as the line is read, so
+    the first bad token raises before any header or column-count check."""
+    header = {}
+    rows = []
+    with open(path, "r", encoding="ascii") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                parts = line[1:].strip().split(None, 1)
+                if len(parts) == 2 and parts[0] in ("fps", "markers", "frames",
+                                                    "root_relative", "source"):
+                    header[parts[0]] = parts[1]
+                continue
+            tokens = line.split()
+            values = np.empty(len(tokens))
+            for i, tok in enumerate(tokens):
+                try:
+                    values[i] = float(tok)
+                except ValueError:
+                    raise data.ClipParseError(
+                        f"line {line_no}, column {i + 1}: invalid number '{tok}'") from None
+            rows.append((line_no, values))
+    if "fps" not in header:
+        raise data.ClipParseError("missing '# fps' header")
+    if "markers" not in header:
+        raise data.ClipParseError("missing '# markers' header")
+    try:
+        fps = float(header["fps"])
+        markers = int(header["markers"])
+        frames = int(header["frames"]) if "frames" in header else None
+    except ValueError as exc:
+        raise data.ClipParseError(f"bad header value: {exc}") from None
+    flag = header.get("root_relative", "0")
+    if flag not in ("0", "1"):
+        raise data.ClipParseError(
+            f"bad header value: root_relative must be 0 or 1, got {flag!r}")
+    if not rows:
+        raise data.ClipParseError("clip has no frames")
+    want = markers * 3 + 3
+    for line_no, values in rows:
+        if values.shape[0] != want:
+            raise data.ClipParseError(
+                f"line {line_no}: marker-count mismatch, expected {want} "
+                f"columns for {markers} markers, got {values.shape[0]}")
+    if frames is not None and frames != len(rows):
+        raise data.ClipParseError(
+            f"header declares {frames} frames but file has {len(rows)}")
+    table = np.stack([v for _, v in rows], axis=1)
+    return data.MotionClip(table[:markers * 3].reshape(markers, 3, len(rows)),
+                           table[markers * 3:], fps, root_relative=flag == "1",
+                           source=header.get("source", ""))

@@ -501,8 +501,38 @@ def test_manifest_records_numeric_env_and_reruns_repeat_under_it(tmp_path):
         env = read_json(os.path.join(again, "manifest_train.json"))["numeric_env"]
         assert env["OPENBLAS_NUM_THREADS"] == str(threads)
         assert env["numpy"] == np.__version__
-        assert set(env) == {"numpy", "blas", "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                            "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+        assert set(env) == {"numpy", "blas", "simd", "OPENBLAS_NUM_THREADS",
+                            "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+
+
+def synth_manifest_env(cwd, extra_env):
+    """The `numeric_env` of a `skelflow synth` run in a fresh interpreter
+    importing this tree's package, with `extra_env` set."""
+    env = dict(os.environ, **extra_env, PYTHONPATH=os.pathsep.join(
+        [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    subprocess.run([sys.executable, "-m", "skelflow.cli", "synth", "--out", "run",
+                    "--steps", "4", "--path", "line"],
+                   cwd=cwd, env=env, check=True, timeout=300, capture_output=True)
+    return read_json(os.path.join(cwd, "run", "manifest_synth.json"))["numeric_env"]
+
+
+def test_numeric_env_records_the_simd_extensions_numpy_uses(tmp_path):
+    """numpy's `exp` and `tanh` give different last bits on different SIMD
+    extensions, so a run with the highest one numpy found switched off
+    records a different `numeric_env`."""
+    found = cli.numeric_env()["simd"]
+    if not isinstance(found, dict) or not found.get("found"):
+        pytest.skip("numpy reports no SIMD extension beyond its baseline")
+    disabled = " ".join([os.environ.get("NPY_DISABLE_CPU_FEATURES", ""),
+                         found["found"][-1]]).strip()
+    (tmp_path / "as_run").mkdir()
+    (tmp_path / "disabled").mkdir()
+    as_run = synth_manifest_env(tmp_path / "as_run", {})
+    without = synth_manifest_env(tmp_path / "disabled",
+                                 {"NPY_DISABLE_CPU_FEATURES": disabled})
+    assert as_run["simd"] == found
+    assert found["found"][-1] not in without["simd"]["found"]
+    assert without != as_run
 
 
 def test_numeric_env_records_every_variable_the_pool_reads(monkeypatch):

@@ -14,7 +14,7 @@ from skelflow.data import (
 from skelflow.skeleton import build_skeleton, default_skeleton
 from skelflow.training import DEFAULT_CORPUS_SPECS
 
-from oracles import synth_gait_per_frame
+from oracles import read_text_per_token, synth_gait_per_frame
 
 
 def _file_sha(path):
@@ -86,6 +86,43 @@ class TestMotionClip:
 # -- file formats --------------------------------------------------------------------
 
 
+def _read_outcome(read, path):
+    """What reading a clip gives: the bytes and fields of the clip, or
+    the type and text of the error."""
+    try:
+        clip = read(path)
+    except (ClipParseError, ClipFormatError) as exc:
+        return type(exc).__name__, str(exc)
+    return (clip.positions.tobytes(), clip.controls.tobytes(), clip.fps,
+            clip.root_relative, clip.source)
+
+
+HEAD = "# fps 20\n# markers 1\n"
+ODD_TEXT_CLIPS = {
+    "odd_valid": HEAD + "1_0 +.5 5. -0 1E-3 .5e1\n1e-400 00012 0.1e+2 -1_000.5 4\t5\n",
+    "nan_token": HEAD + "1 2 3 4 5 6\n1 nan 3 4 5 6\n",
+    "inf_tokens": HEAD + "1 2 3 4 5 6\n1 -inf 1e400 4 5 6\n",
+    "hex_float": HEAD + "1 2 3 0x1p3 5 6\n",
+    "double_underscore": HEAD + "1 2 3 1__0 5 6\n",
+    "first_bad_token_wins": HEAD + "1 2 3 4 5 6\n1 2 x3 4 y5 6\n1 z 3 4 5 6\n",
+    "bad_token_before_missing_fps": "# markers 1\n1 2 3 4 5 6\n1 2 three 4 5 6\n",
+    "bad_token_before_bad_header": "# fps 20\n# markers one\n1 2 3 4 5 6\n1 2 ? 4 5 6\n",
+    "bad_token_after_short_line": HEAD + "1 2 3\n1 2 3 4 5 six\n",
+    "bad_token_before_frame_count": "# fps 20\n# markers 1\n# frames 5\n1 2 3 4 5 6e\n",
+    # the non-ASCII line lies past the reader's first decoded block
+    "bad_token_before_non_ascii": HEAD + "1 2 x 4 5 6\n" + "1 2 3 4 5 6\n" * 2000
+    + "1 2 3 4 5 \u00e9\n",
+    "missing_fps": "# markers 1\n1 2 3 4 5 6\n",
+    "missing_markers": "# fps 20\n1 2 3 4 5 6\n",
+    "bad_frames_header": "# fps 20\n# markers 1\n# frames abc\n1 2 3 4 5 6\n",
+    "bad_root_relative": HEAD + "# root_relative yes\n1 2 3 4 5 6\n",
+    "no_frames": HEAD + "# source empty\n",
+    "short_line": HEAD + "1 2 3 4 5 6\n1 2 3 4 5\n",
+    "long_line": HEAD + "1 2 3 4 5 6 7\n",
+    "frame_count_mismatch": "# fps 20\n# markers 1\n# frames 3\n1 2 3 4 5 6\n",
+}
+
+
 class TestClipFiles:
     def test_text_roundtrip_is_lossless(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -152,6 +189,38 @@ class TestClipFiles:
         path.write_text("# markers 1\n1 2 3 4 5 6\n")
         with pytest.raises(ClipParseError, match="fps"):
             data.load_clip(path)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_text_reader_matches_the_per_token_reader(self, tmp_path, seed):
+        """One conversion per line reads the same bits as `float()` per
+        token, on seeded walkers (world and root-relative) and on a
+        random clip."""
+        walker, _ = data.synth_gait("s_curve:speed=80", steps=6, fps=20, seed=seed)
+        skel = default_skeleton()
+        clips = [walker, data.to_root_relative(walker, skel),
+                 _random_clip(np.random.default_rng(seed), source="random")]
+        for k, clip in enumerate(clips):
+            path = tmp_path / f"clip{k}.txt"
+            data.save_clip(clip, path, "text")
+            assert _read_outcome(data.load_clip, path) == _read_outcome(read_text_per_token, path)
+
+    @pytest.mark.parametrize("name", sorted(ODD_TEXT_CLIPS))
+    def test_text_reader_odd_tokens_and_errors_match(self, tmp_path, name):
+        """Odd but valid tokens parse as `float()` parses them, and each
+        malformed clip raises the per-token reader's error: the first bad
+        token in file order, ahead of the header and column-count checks."""
+        path = tmp_path / "odd.txt"
+        path.write_text(ODD_TEXT_CLIPS[name], encoding="utf-8")
+        assert _read_outcome(data.load_clip, path) == _read_outcome(read_text_per_token, path)
+
+    def test_text_odd_tokens_take_float_semantics(self, tmp_path):
+        path = tmp_path / "odd.txt"
+        path.write_text(ODD_TEXT_CLIPS["odd_valid"])
+        clip = data.load_clip(path)
+        for k, row in enumerate(["1_0 +.5 5. -0 1E-3 .5e1", "1e-400 00012 0.1e+2 -1_000.5 4 5"]):
+            want = np.array([float(t) for t in row.split()])
+            got = np.concatenate([clip.positions[0, :, k], clip.controls[:, k]])
+            assert got.tobytes() == want.tobytes()  # -0 keeps its sign
 
     def test_truncated_binary_rejected(self, tmp_path):
         rng = np.random.default_rng(4)

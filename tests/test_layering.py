@@ -1,8 +1,12 @@
 """Module layering: every skelflow module imports only modules of lower
-layers, and `numcore` defines only functions that the package uses."""
+layers, `numcore` defines only functions that the package uses, and numpy
+is the only library outside the standard one that the package loads."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -16,6 +20,7 @@ LAYERS = (
 )
 LAYER_OF = {name: i for i, names in enumerate(LAYERS) for name in names}
 PACKAGE_DIR = pathlib.Path(skelflow.__file__).parent
+TESTS_DIR = pathlib.Path(__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE_DIR.glob("*.py") if p.stem != "__init__")
 
 
@@ -94,3 +99,50 @@ def test_numcore_defines_only_used_functions():
     public, used = numcore_uses(sources)
     assert NUMCORE_TEST_ONLY <= public
     assert sorted(public - used - NUMCORE_TEST_ONLY) == []
+
+
+# --- third-party imports -----------------------------------------------------
+
+# besides the standard library and the package itself; the tests add
+# their own modules
+THIRD_PARTY = {"src": {"numpy"}, "tests": {"numpy", "pytest", "hypothesis"}}
+
+
+def top_level_imports(source):
+    """Top-level names of the packages a module's absolute imports load."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_top_level_reader():
+    source = ("import numpy.linalg as la, os\nfrom scipy.special import expit\n"
+              "from . import data\nfrom .flow import X\n"
+              "def f():\n    import json\n")
+    assert top_level_imports(source) == {"numpy", "os", "scipy", "json"}
+
+
+@pytest.mark.parametrize("where", sorted(THIRD_PARTY))
+def test_only_numpy_outside_the_standard_library(where):
+    directory = PACKAGE_DIR if where == "src" else TESTS_DIR
+    local = {"skelflow"} | {p.stem for p in directory.glob("*.py")}
+    imports = set()
+    for path in directory.glob("*.py"):
+        imports |= top_level_imports(path.read_text())
+    outside = imports - set(sys.stdlib_module_names) - local
+    assert outside == THIRD_PARTY[where]
+
+
+def test_package_loads_no_scipy():
+    """A process that imports the CLI, the numerics and training never
+    loads scipy, not even through another library."""
+    code = ("import sys\nimport skelflow.cli, skelflow.numcore, skelflow.training\n"
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr

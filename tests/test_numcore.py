@@ -1,12 +1,15 @@
+import math
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
 
 from skelflow import numcore as nc
 
-from oracles import absolute, adam_step_reference, div, flip, log, neg, relu, sigmoid, transpose
+from oracles import (absolute, adam_step_reference, div, flip, log, logistic, neg, relu, sigmoid,
+                     transpose)
 
 
 # --- independent oracles -------------------------------------------------
@@ -30,6 +33,53 @@ def central_diff(f, x, step=1e-6):
         fm = f(p)
         flat[i] = (fp - fm) / (2 * step)
     return g
+
+
+# --- the logistic sigmoid -------------------------------------------------
+
+
+def ulps_apart(a, b):
+    """How many float64 values lie between a and b, both >= 0."""
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+def test_logistic_is_within_4_ulp_of_the_libm_formula():
+    """Wherever the exponent is not clamped, `_logistic` is within 4 ulp of
+    1 / (1 + exp(-x)) with libm's `exp`, the formula scipy's `expit` used;
+    numpy's SIMD `exp` differs from libm's only in the last bits."""
+    rng = np.random.default_rng(31)
+    x = np.concatenate([rng.uniform(-nc._EXP_MAX, nc._EXP_MAX, 100_000),
+                        rng.normal(0.0, 8.0, 100_000), [-nc._EXP_MAX, nc._EXP_MAX]])
+    want = np.array([1.0 / (1.0 + math.exp(-v)) for v in x.tolist()])
+    assert int(ulps_apart(nc._logistic(x), want).max()) <= 4
+
+
+def test_logistic_special_values_raise_no_warning():
+    x = np.array([np.inf, 0.0, -0.0, np.nan, 1e300, -709.0, -709.5, -nc._EXP_MAX,
+                  -710.0, -1e300, -np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = nc._logistic(x)
+    assert y[0] == y[4] == 1.0
+    assert y[1] == y[2] == 0.5
+    assert np.isnan(y[3])
+    assert np.all((y[5:] >= 0.0) & (y[5:] <= 1.3e-308))
+
+
+def test_logistic_is_monotone():
+    y = nc._logistic(np.linspace(-50.0, 50.0, 10**6 + 1))
+    assert np.all(np.diff(y) >= 0.0)
+    assert y[0] > 0.0 and y[-1] == 1.0
+
+
+def test_logistic_folds_its_shift_into_the_negation():
+    """`_logistic(x, shift)` is the logistic of x + shift to the bit, and
+    the oracles' written-out formula gives the same bits."""
+    x = np.random.default_rng(32).normal(0.0, 4.0, size=(50, 7))
+    for shift in (0.0, 2.0, -1.5):
+        got = nc._logistic(x, shift)
+        assert np.array_equal(got, nc._logistic(x + shift))
+        assert np.array_equal(got, logistic(x + shift))
 
 
 # --- logabsdet ------------------------------------------------------------
