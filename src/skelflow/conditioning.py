@@ -196,6 +196,8 @@ class HistoryEncoder(nc.Module):
 
 
 class LSTMLayer(nc.Module):
+    """One LSTM layer's parameters; `LSTMStack` runs its layers."""
+
     param_attrs = ("w_ih", "w_hh", "bias")
 
     def __init__(self, in_dim, hidden, rng):
@@ -205,15 +207,6 @@ class LSTMLayer(nc.Module):
         bias = np.zeros(4 * hidden)
         bias[hidden:2 * hidden] = 1.0  # forget gate starts open
         self.bias = bias
-
-    def __call__(self, x, h, c):
-        """Run the layer over the rows of x from state (h, c), each (B, H).
-
-        x is (T*B, D): T consecutive frames of the B sequences, time-major,
-        so one frame is (B, D).  Returns the hidden output of every row and
-        the cell state after the last frame.
-        """
-        return nc.lstm_sequence(x, h, c, self.w_ih, self.w_hh, self.bias)
 
 
 class LSTMStack(nc.Module):
@@ -235,15 +228,10 @@ class LSTMStack(nc.Module):
 
     def __call__(self, x, state):
         """x (T*B, D) holds T frames of the B sequences `state` belongs to,
-        time-major (see `LSTMLayer`).  Returns the top layer's output for
-        every row and the state after the last frame."""
-        new_state = []
-        h = x
-        for layer, (h_prev, c_prev) in zip(self.layers, state):
-            h, c = layer(h, h_prev, c_prev)
-            b = c.shape[0]
-            new_state.append((h if h.shape[0] == b else h[-b:], c))
-        return h, new_state
+        time-major.  Returns the top layer's output for every row and each
+        layer's (h, c) after the last frame, from one `nc.lstm_stack`."""
+        return nc.lstm_stack(x, state, [(layer.w_ih, layer.w_hh, layer.bias)
+                                        for layer in self.layers])
 
 
 class CouplingConditioner(nc.Module):

@@ -302,11 +302,13 @@ class FlowModel(nc.Module):
         if not 2 <= len(shape) <= 4:
             raise ValueError(f"expected 2 to 4 dims, got {len(shape)}")
         t, b = ((1, 1) + shape[:-2])[-2:]
+        if states is None:
+            states = self.initial_state(b)
+        elif len(states) != len(self.steps):
+            raise ValueError(f"{len(states)} LSTM states for {len(self.steps)} flow steps")
         hist_std = self._prep_history(history)
         pooled = self.encoder(nc.reshape(hist_std, (t * b,) + hist_std.shape[-3:]))
         ctrl_flat = nc.reshape(controls, (t * b, -1))
-        if states is None:
-            states = self.initial_state(b)
         return (nc.reshape(x, (t * b,) + shape[-2:]), pooled, ctrl_flat,
                 states, shape[:-2])
 

@@ -9,12 +9,12 @@ the leaves in :class:`Var` to record a tape and call :func:`grad`.
 
 Four fused ops, each one tape node with a hand-written backward, carry
 the conditioning networks: :func:`graph_conv_relu` (a graph conv includes
-its relu), :func:`lstm_sequence`, :func:`graph_temporal_encoder` and
-:func:`coupling_head` (a conditioner's output layer and its bounded
-scale, with the scale and offset two slices of the node).  Two more carry
-a flow step: :func:`actnorm` and :func:`affine_coupling` each return
-their output and its log-determinant as two nodes.  A Var has no
-arithmetic operators; every op is called by name.
+its relu), :func:`lstm_stack` (all of a conditioner's LSTM layers),
+:func:`graph_temporal_encoder` and :func:`coupling_head` (a conditioner's
+output layer and its bounded scale, with the scale and offset two slices
+of the node).  Two more carry a flow step: :func:`actnorm` and
+:func:`affine_coupling` each return their output and its log-determinant
+as two nodes.  A Var has no arithmetic operators; every op is called by name.
 
 The logistic sigmoid of the LSTM gates and of the coupling scale is
 :func:`_logistic`, ``1 / (1 + exp(-x))`` from numpy ufuncs, with ``-x``
@@ -747,83 +747,97 @@ def _logistic(x, shift=0.0):
     return np.reciprocal(u, out=u)
 
 
-def lstm_sequence(x, h0, c0, w_ih, w_hh, bias):
-    """An LSTM layer over T frames of B sequences from state (h0, c0), each
-    (B, H).  x is (T*B, D), time-major: frame k is rows k*B to (k + 1)*B.
-    Returns (hs, c): the hidden output of every row, (T*B, H), and the
-    cell state after the last frame; the final hidden state is hs[-B:].
+def lstm_stack(x, state, layers):
+    """A stack of LSTM layers over T frames of B sequences.  x is (T*B, D),
+    time-major: frame k is rows k*B to (k + 1)*B; `state` holds one (h0, c0)
+    per layer, each (B, H), and `layers` one (w_ih, w_hh, bias).  Returns
+    the top layer's hidden output of every row, (T*B, H), and each layer's
+    (h, c) after the last frame.
 
     Gates are ordered (input, forget, cell, output) along the 4H axis of
-    the weights.  Only the recurrence runs frame by frame: the input
-    projection x @ w_ih is one GEMM over the T*B rows, and so are the
-    weight gradients of the backward, which is backpropagation through
-    time.  On ndarrays the outputs are plain arrays, and one frame (as in
-    a rollout) returns its hidden state as it is; on Vars they are two
-    slices of one ((T + 1)*B, H) tape node.
+    the weights.  Only the recurrence runs frame by frame: a layer's input
+    projection is one GEMM over the T*B rows, and so are the weight
+    gradients of the backward, which is backpropagation through time from
+    the top layer down.  On ndarrays the outputs are plain arrays, and one
+    frame (as in a rollout) returns its hidden states as they are; on Vars
+    they are slices of one node: the top layer's rows, then each (h, c).
     """
-    xd, hd, cd = _data(x), _data(h0), _data(c0)
-    w_ihd, w_hhd, bd = _data(w_ih), _data(w_hh), _data(bias)
-    b, n = hd.shape
+    if len(state) != len(layers):
+        raise ValueError(f"{len(state)} LSTM states for {len(layers)} layers")
+    xd = _data(x)
+    b, n = _data(state[0][0]).shape
     t = xd.shape[0] // b
     if t * b != xd.shape[0]:
         raise ValueError(f"{xd.shape[0]} rows are not whole frames of {b} sequences")
-    x_proj = xd @ w_ihd
-    recording = _any_var(x, h0, c0, w_ih, w_hh, bias)
-    # kept per frame for the backward: sigmoid of every gate (the cell
-    # gate's is unused), tanh of the cell gate, the cell state before the
-    # frame, tanh of the one after
-    sig, cell_in, cs, tcs, hs = [], [], [cd], [], []
-    h, c = hd, cd
-    for k in range(t):
-        gates = x_proj[k * b:(k + 1) * b] + h @ w_hhd + bd
-        a = _logistic(gates)
-        g = np.tanh(gates[:, 2 * n:3 * n])
-        c = a[:, n:2 * n] * c + a[:, :n] * g
-        tc = np.tanh(c)
-        h = a[:, 3 * n:] * tc
-        hs.append(h)
-        if recording:
-            sig.append(a)
-            cell_in.append(g)
-            cs.append(c)
-            tcs.append(tc)
+    operands = [x] + [v for pair in state for v in pair] + [w for layer in layers for w in layer]
+    recording = _any_var(*operands)
+    # kept per layer for the backward: its input rows, its states from
+    # (h0, c0) on and, per frame, every gate's sigmoid, tanh(g) and tanh(c)
+    kept, inputs = [], xd
+    for (h0, c0), (w_ih, w_hh, bias) in zip(state, layers):
+        w_hhd, bd = _data(w_hh), _data(bias)
+        x_proj = inputs @ _data(w_ih)
+        hs, cs, saved = [_data(h0)], [_data(c0)], []
+        for k in range(t):
+            gates = x_proj[k * b:(k + 1) * b] + hs[-1] @ w_hhd + bd
+            a = _logistic(gates)
+            g = np.tanh(gates[:, 2 * n:3 * n])
+            cs.append(a[:, n:2 * n] * cs[-1] + a[:, :n] * g)
+            tc = np.tanh(cs[-1])
+            hs.append(a[:, 3 * n:] * tc)
+            if recording:
+                saved.append((a, g, tc))
+        kept.append((inputs, hs, cs, saved))
+        inputs = hs[1] if t == 1 else np.concatenate(hs[1:])
+    new_state = [(hs[-1], cs[-1]) for _, hs, cs, _ in kept]
     if not recording:
-        return (h if t == 1 else np.concatenate(hs)), c
-    both = Var(np.concatenate(hs + [c]),
-               tuple(v for v in (x, h0, c0, w_ih, w_hh, bias) if isinstance(v, Var)))
+        return inputs, new_state
+    node = Var(np.concatenate([inputs] + [v for pair in new_state for v in pair]),
+               tuple(v for v in operands if isinstance(v, Var)))
 
     def bw(grad):
-        g_gates = np.empty((t * b, 4 * n))
-        g_c = grad[t * b:]  # gradient on the cell state after frame k
-        g_h_next = None  # gradient on frame k's hidden state from frame k + 1
-        for k in range(t - 1, -1, -1):
-            rows = slice(k * b, (k + 1) * b)
-            a, g, tc = sig[k], cell_in[k], tcs[k]
-            i, f, o = a[:, :n], a[:, n:2 * n], a[:, 3 * n:]
-            g_h = grad[rows] if g_h_next is None else grad[rows] + g_h_next
-            g_c = g_c + g_h * o * (1.0 - tc * tc)
-            gg = g_gates[rows]
-            gg[:, :n] = g_c * g * i * (1.0 - i)
-            gg[:, n:2 * n] = g_c * cs[k] * f * (1.0 - f)
-            gg[:, 2 * n:3 * n] = g_c * i * (1.0 - g * g)
-            gg[:, 3 * n:] = g_h * tc * o * (1.0 - o)
-            g_c = g_c * f
-            g_h_next = gg @ w_hhd.T
+        finals = grad[t * b:].reshape(len(layers), 2, b, n)  # on each layer's (h, c)
+        g_in = grad[:t * b]  # on the layer's hidden rows from the layer above
+        for (h0, c0), (w_ih, w_hh, bias), (inputs, hs, cs, saved), (g_h_last, g_c) in \
+                reversed(list(zip(state, layers, kept, finals))):
+            w_ihd, w_hhd = _data(w_ih), _data(w_hh)
+            # added into zeros, as a slice's `_accum_at` adds them, so a
+            # -0.0 comes out +0.0 as in a chain of one-layer nodes
+            g_hs = np.zeros((t * b, n))
+            g_hs += g_in
+            g_hs[-b:] += g_h_last
+            g_gates = np.empty((t * b, 4 * n))
+            g_h_next = None  # gradient on frame k's hidden state from frame k + 1
+            for k in range(t - 1, -1, -1):
+                rows = slice(k * b, (k + 1) * b)
+                a, g, tc = saved[k]
+                i, f, o = a[:, :n], a[:, n:2 * n], a[:, 3 * n:]
+                g_h = g_hs[rows] if g_h_next is None else g_hs[rows] + g_h_next
+                g_c = g_c + g_h * o * (1.0 - tc * tc)  # on the cell state after frame k
+                gg = g_gates[rows]
+                gg[:, :n] = g_c * g * i * (1.0 - i)
+                gg[:, n:2 * n] = g_c * cs[k] * f * (1.0 - f)
+                gg[:, 2 * n:3 * n] = g_c * i * (1.0 - g * g)
+                gg[:, 3 * n:] = g_h * tc * o * (1.0 - o)
+                g_c = g_c * f
+                g_h_next = gg @ w_hhd.T
+            g_in = g_gates @ w_ihd.T
+            if isinstance(h0, Var):
+                h0._accum(g_h_next)
+            if isinstance(c0, Var):
+                c0._accum(g_c)
+            if isinstance(w_ih, Var):
+                w_ih._accum(inputs.T @ g_gates)
+            if isinstance(w_hh, Var):
+                w_hh._accum(np.concatenate(hs[:-1]).T @ g_gates)
+            if isinstance(bias, Var):
+                bias._accum(g_gates.sum(axis=0))
         if isinstance(x, Var):
-            x._accum(g_gates @ w_ihd.T)
-        if isinstance(h0, Var):
-            h0._accum(g_h_next)
-        if isinstance(c0, Var):
-            c0._accum(g_c)
-        if isinstance(w_ih, Var):
-            w_ih._accum(xd.T @ g_gates)
-        if isinstance(w_hh, Var):
-            w_hh._accum(np.concatenate([hd] + hs[:-1]).T @ g_gates)
-        if isinstance(bias, Var):
-            bias._accum(g_gates.sum(axis=0))
+            x._accum(g_in)
 
-    both._bw = bw
-    return both[:t * b], both[t * b:]
+    node._bw = bw
+    return node[:t * b], [(node[at:at + b], node[at + b:at + 2 * b])
+                          for at in range(t * b, node.shape[0], 2 * b)]
 
 
 def coupling_head(h, weight, bias, shape, shift, floor):

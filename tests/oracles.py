@@ -314,6 +314,100 @@ def lstm_sequence_chain(x, h, c, w_ih, w_hh, bias):
     return nc.concat(hs, axis=0), c
 
 
+def lstm_sequence(x, h0, c0, w_ih, w_hh, bias):
+    """An LSTM layer over T frames of B sequences from state (h0, c0), each
+    (B, H).  x is (T*B, D), time-major: frame k is rows k*B to (k + 1)*B.
+    Returns (hs, c): the hidden output of every row, (T*B, H), and the
+    cell state after the last frame; the final hidden state is hs[-B:].
+
+    Gates are ordered (input, forget, cell, output) along the 4H axis of
+    the weights.  Only the recurrence runs frame by frame: the input
+    projection x @ w_ih is one GEMM over the T*B rows, and so are the
+    weight gradients of the backward, which is backpropagation through
+    time.  On ndarrays the outputs are plain arrays, and one frame (as in
+    a rollout) returns its hidden state as it is; on Vars they are two
+    slices of one ((T + 1)*B, H) tape node.
+
+    The one-layer op `numcore.lstm_stack` replaced, kept as its reference.
+    """
+    xd, hd, cd = nc._data(x), nc._data(h0), nc._data(c0)
+    w_ihd, w_hhd, bd = nc._data(w_ih), nc._data(w_hh), nc._data(bias)
+    b, n = hd.shape
+    t = xd.shape[0] // b
+    if t * b != xd.shape[0]:
+        raise ValueError(f"{xd.shape[0]} rows are not whole frames of {b} sequences")
+    x_proj = xd @ w_ihd
+    recording = nc._any_var(x, h0, c0, w_ih, w_hh, bias)
+    # kept per frame for the backward: sigmoid of every gate (the cell
+    # gate's is unused), tanh of the cell gate, the cell state before the
+    # frame, tanh of the one after
+    sig, cell_in, cs, tcs, hs = [], [], [cd], [], []
+    h, c = hd, cd
+    for k in range(t):
+        gates = x_proj[k * b:(k + 1) * b] + h @ w_hhd + bd
+        a = nc._logistic(gates)
+        g = np.tanh(gates[:, 2 * n:3 * n])
+        c = a[:, n:2 * n] * c + a[:, :n] * g
+        tc = np.tanh(c)
+        h = a[:, 3 * n:] * tc
+        hs.append(h)
+        if recording:
+            sig.append(a)
+            cell_in.append(g)
+            cs.append(c)
+            tcs.append(tc)
+    if not recording:
+        return (h if t == 1 else np.concatenate(hs)), c
+    both = nc.Var(np.concatenate(hs + [c]),
+                  tuple(v for v in (x, h0, c0, w_ih, w_hh, bias) if isinstance(v, nc.Var)))
+
+    def bw(grad):
+        g_gates = np.empty((t * b, 4 * n))
+        g_c = grad[t * b:]  # gradient on the cell state after frame k
+        g_h_next = None  # gradient on frame k's hidden state from frame k + 1
+        for k in range(t - 1, -1, -1):
+            rows = slice(k * b, (k + 1) * b)
+            a, g, tc = sig[k], cell_in[k], tcs[k]
+            i, f, o = a[:, :n], a[:, n:2 * n], a[:, 3 * n:]
+            g_h = grad[rows] if g_h_next is None else grad[rows] + g_h_next
+            g_c = g_c + g_h * o * (1.0 - tc * tc)
+            gg = g_gates[rows]
+            gg[:, :n] = g_c * g * i * (1.0 - i)
+            gg[:, n:2 * n] = g_c * cs[k] * f * (1.0 - f)
+            gg[:, 2 * n:3 * n] = g_c * i * (1.0 - g * g)
+            gg[:, 3 * n:] = g_h * tc * o * (1.0 - o)
+            g_c = g_c * f
+            g_h_next = gg @ w_hhd.T
+        if isinstance(x, nc.Var):
+            x._accum(g_gates @ w_ihd.T)
+        if isinstance(h0, nc.Var):
+            h0._accum(g_h_next)
+        if isinstance(c0, nc.Var):
+            c0._accum(g_c)
+        if isinstance(w_ih, nc.Var):
+            w_ih._accum(xd.T @ g_gates)
+        if isinstance(w_hh, nc.Var):
+            w_hh._accum(np.concatenate([hd] + hs[:-1]).T @ g_gates)
+        if isinstance(bias, nc.Var):
+            bias._accum(g_gates.sum(axis=0))
+
+    both._bw = bw
+    return both[:t * b], both[t * b:]
+
+
+def lstm_stack_chain(x, state, layers):
+    """`numcore.lstm_stack` as one `lstm_sequence` node per layer, the
+    hidden rows of each the x of the next, with each layer's final hidden
+    state sliced from its rows; returns (hs, new_state)."""
+    new_state = []
+    h = x
+    for (h_prev, c_prev), (w_ih, w_hh, bias) in zip(state, layers):
+        h, c = lstm_sequence(h, h_prev, c_prev, w_ih, w_hh, bias)
+        b = c.shape[0]
+        new_state.append((h if h.shape[0] == b else h[-b:], c))
+    return h, new_state
+
+
 def segment_nll_per_frame(model, positions, controls, n_frames):
     """The segment NLL frame by frame: the whole flow runs once per frame
     on (B, ...) inputs and the LSTM states thread from frame to frame."""
@@ -391,11 +485,8 @@ def inverse_transform_frame_reference(model, z, history, controls, states=None,
             mixed = nc.graph_conv_relu(hb1, sgcn.adjacency.stacked, sgcn.weight, sgcn.bias)
             g = nc.reshape(mixed, (rows, -1))
         u = nc.concat([g, pooled, ctrl_flat], axis=1)
-        layer_states = []
-        for layer, (h_prev, c_prev) in zip(cond.lstm.layers, states[k]):
-            u, c = nc.lstm_sequence(u, h_prev, c_prev, layer.w_ih, layer.w_hh, layer.bias)
-            layer_states.append((u[-b:], c))
-        new_states[k] = layer_states
+        u, new_states[k] = lstm_stack_chain(
+            u, states[k], [(layer.w_ih, layer.w_hh, layer.bias) for layer in cond.lstm.layers])
         s, offset = coupling_head_chain(u, cond.out.weight, cond.out.bias,
                                         (cond.markers, cond.out_channels), 2.0, 1e-3)
         xb2 = nc.sub(div(hb2, s), offset)

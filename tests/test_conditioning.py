@@ -185,7 +185,9 @@ def test_lstm_matches_oracle():
     x = rng.normal(size=(3, 5))
     h = rng.normal(size=(3, 4))
     c = rng.normal(size=(3, 4))
-    got_h, got_c = layer(x, h, c)
+    got_h, ((final_h, got_c),) = nc.lstm_stack(
+        x, [(h, c)], [(layer.w_ih, layer.w_hh, layer.bias)])
+    assert final_h is got_h  # one frame: the output is the final state
     want_h, want_c = lstm_cell_oracle(x, h, c, layer.w_ih, layer.w_hh, layer.bias)
     assert np.max(np.abs(got_h - want_h)) < 1e-12
     assert np.max(np.abs(got_c - want_c)) < 1e-12
@@ -218,6 +220,23 @@ def test_lstm_stack_time_major_rows_match_frame_loop():
     for (h, c), (wh, wc) in zip(state, want_state):
         np.testing.assert_allclose(h, wh, rtol=0, atol=1e-14)
         np.testing.assert_allclose(c, wc, rtol=0, atol=1e-14)
+
+
+def test_lstm_layer_is_a_parameter_holder():
+    # the stack runs its layers as one op; a layer only holds weights
+    assert "__call__" not in vars(cond.LSTMLayer)
+    stack = cond.LSTMStack(3, 4, 2, np.random.default_rng(15))
+    assert [name for name, _ in stack.named_parameters()] == [
+        f"layers.{i}.{p}" for i in range(2) for p in ("w_ih", "w_hh", "bias")]
+
+
+@pytest.mark.parametrize("layers", [1, 3])
+def test_lstm_stack_rejects_a_state_for_other_layer_counts(layers):
+    rng = np.random.default_rng(16)
+    stack = cond.LSTMStack(3, 4, 2, rng)
+    state = cond.LSTMStack(3, 4, layers, rng).initial_state(2)
+    with pytest.raises(ValueError, match=f"{layers} LSTM states for 2 layers"):
+        stack(rng.normal(size=(2, 3)), state)
 
 
 def test_lstm_forget_bias_init():

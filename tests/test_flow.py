@@ -207,6 +207,20 @@ def test_inverse_is_bit_identical_to_op_by_op_reference(tiny_skeleton, ablation,
                 assert np.array_equal(h, ref_h) and np.array_equal(c, ref_c)
 
 
+@pytest.mark.parametrize("direction", ["transform_frame", "inverse_transform_frame"])
+@pytest.mark.parametrize("given", [1, 3])
+def test_frame_map_rejects_a_state_per_step_mismatch(tiny_skeleton, direction, given):
+    """One LSTM state per flow step, or a ValueError: a short list would
+    run only the first flow steps forward, and fail with an IndexError
+    inverse."""
+    model = make_model(tiny_skeleton, seed=8)
+    assert len(model.steps) == 2
+    frame, history, controls = random_frame_inputs(model.config, np.random.default_rng(10), 2)
+    states = (model.initial_state(2) * 2)[:given]
+    with pytest.raises(ValueError, match=f"{given} LSTM states for 2 flow steps"):
+        getattr(model, direction)(frame, history, controls, states)
+
+
 def test_unbatched_matches_batched(tiny_skeleton):
     model = make_model(tiny_skeleton, seed=6)
     rng = np.random.default_rng(9)

@@ -19,7 +19,8 @@ from skelflow import training
 from conftest import apply_temporal_operator
 from oracles import (accum_zeros_then_add, actnorm_chain, affine_coupling_chain,
                      coupling_head_chain, graph_conv_chain, history_encoder_chain,
-                     lstm_sequence_chain, relu, temporal_conv_chain)
+                     lstm_sequence, lstm_sequence_chain, lstm_stack_chain, relu,
+                     temporal_conv_chain)
 
 TOL = 1e-10
 GRAD_TOL = 1e-6
@@ -456,7 +457,7 @@ def test_encoder_chunks_match_whole_batch(variant, windows, monkeypatch):
     check_encoder_against_chain(encoder, history)
 
 
-# --- lstm_sequence ----------------------------------------------------------------
+# --- lstm_sequence, the oracle, against its elementary chain ------------------------
 
 
 def lstm_inputs(rng, frames, batch=3, d=4, n=3):
@@ -468,10 +469,10 @@ def lstm_inputs(rng, frames, batch=3, d=4, n=3):
 
 
 def lstm_frames(x, h, c, w_ih, w_hh, bias):
-    """nc.lstm_sequence on the time-major rows of x (T, B, D), with the
-    hidden outputs put back as (T, B, H), the chain's layout."""
+    """The oracle lstm_sequence on the time-major rows of x (T, B, D), with
+    the hidden outputs put back as (T, B, H), the chain's layout."""
     t, b, d = nc._data(x).shape
-    hs, c_last = nc.lstm_sequence(nc.reshape(x, (t * b, d)), h, c, w_ih, w_hh, bias)
+    hs, c_last = lstm_sequence(nc.reshape(x, (t * b, d)), h, c, w_ih, w_hh, bias)
     return nc.reshape(hs, (t, b, -1)), c_last
 
 
@@ -491,7 +492,7 @@ def test_lstm_sequence_grad_check(frames):
 def test_lstm_sequence_var_outputs_share_one_node():
     rng = np.random.default_rng(23)
     x, h, c, w_ih, w_hh, bias = lstm_inputs(rng, 4)
-    hs, c_last = nc.lstm_sequence(nc.Var(x.reshape(12, 4)), h, c, w_ih, w_hh, bias)
+    hs, c_last = lstm_sequence(nc.Var(x.reshape(12, 4)), h, c, w_ih, w_hh, bias)
     assert hs.shape == (12, 3) and c_last.shape == (3, 3)
     assert hs._parents[0] is c_last._parents[0]
     assert hs._parents[0].shape == (15, 3)
@@ -501,7 +502,108 @@ def test_lstm_sequence_rejects_partial_frames():
     rng = np.random.default_rng(24)
     x, h, c, w_ih, w_hh, bias = lstm_inputs(rng, 2)
     with pytest.raises(ValueError, match="whole frames"):
-        nc.lstm_sequence(x.reshape(6, 4)[:5], h, c, w_ih, w_hh, bias)
+        lstm_sequence(x.reshape(6, 4)[:5], h, c, w_ih, w_hh, bias)
+
+
+# --- lstm_stack against a chain of one-layer lstm_sequence nodes ------------------
+
+
+def stack_inputs(rng, layers, frames, batch, d=5, n=4):
+    """x (T*B, D) and, per layer, an (h0, c0) and a (w_ih, w_hh, bias)."""
+    k = 1.0 / np.sqrt(n)
+    x = rng.normal(size=(frames * batch, d))
+    state = [(rng.normal(size=(batch, n)), rng.normal(size=(batch, n)))
+             for _ in range(layers)]
+    weights = [(rng.uniform(-k, k, size=(d if j == 0 else n, 4 * n)),
+                rng.uniform(-k, k, size=(n, 4 * n)), rng.normal(size=4 * n))
+               for j in range(layers)]
+    return x, state, weights
+
+
+def stack_flat(x, state, weights):
+    """x, then every layer's h0 and c0, then every layer's weights."""
+    return [x] + [v for pair in state for v in pair] + [w for layer in weights for w in layer]
+
+
+def stack_unflat(flat, layers):
+    """`stack_flat`'s inverse: (x, state, weights) for `layers` layers."""
+    return (flat[0], [tuple(flat[1 + 2 * j:3 + 2 * j]) for j in range(layers)],
+            [tuple(flat[1 + 2 * layers + 3 * j:4 + 2 * layers + 3 * j]) for j in range(layers)])
+
+
+def stack_outputs(op, x, state, weights):
+    """op's top rows and then each layer's final h and c, as one list."""
+    hs, new_state = op(x, state, weights)
+    return [hs] + [v for pair in new_state for v in pair]
+
+
+def stack_value_and_grads(op, x, state, weights, read_states):
+    """Every output, and the gradient of x and of every layer's h0, c0,
+    w_ih, w_hh and bias under a loss that reads the top rows and, if
+    `read_states`, every final (h, c) too: training reads only the top
+    rows, so its final-state slices get no gradient."""
+    leaves = [nc.Var(np.array(a)) for a in stack_flat(x, state, weights)]
+    outputs = stack_outputs(op, *stack_unflat(leaves, len(weights)))
+    read = outputs if read_states else outputs[:1]
+    rng = np.random.default_rng(0)
+    loss = weighted_tanh_sum(read, [rng.normal(size=o.shape) for o in read])
+    return [o.data for o in outputs], nc.grad(loss, leaves)
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("frames", [1, 8])
+@pytest.mark.parametrize("batch", [1, 8])
+def test_lstm_stack_matches_sequence_chain_bit_for_bit(layers, frames, batch):
+    inputs = stack_inputs(np.random.default_rng(100 * layers + 10 * frames + batch),
+                          layers, frames, batch)
+    got = stack_outputs(nc.lstm_stack, *inputs)
+    want = stack_outputs(lstm_stack_chain, *inputs)
+    assert len(got) == len(want) == 1 + 2 * layers
+    for g, w in zip(got, want):
+        assert isinstance(g, np.ndarray)
+        assert np.array_equal(g, w)
+    for read_states in (True, False):
+        got_values, got_grads = stack_value_and_grads(nc.lstm_stack, *inputs, read_states)
+        want_values, want_grads = stack_value_and_grads(lstm_stack_chain, *inputs,
+                                                        read_states)
+        for g, w in zip(got_values, want_values):
+            assert np.array_equal(g, w)
+        assert len(got_grads) == len(want_grads) == 1 + 5 * layers
+        for g, w in zip(got_grads, want_grads):
+            assert np.any(g)
+            assert g.tobytes() == w.tobytes()  # the signs of zeros too
+
+
+@pytest.mark.parametrize("frames", [1, 3])
+def test_lstm_stack_grad_check(frames):
+    inputs = stack_inputs(np.random.default_rng(32 + frames), 2, frames, 2, d=3, n=2)
+    grad_check_each(lambda *flat: stack_outputs(nc.lstm_stack, *stack_unflat(flat, 2)),
+                    stack_flat(*inputs))
+
+
+def test_lstm_stack_var_outputs_share_one_node():
+    x, state, weights = stack_inputs(np.random.default_rng(33), 2, 4, 3)
+    hs, new_state = nc.lstm_stack(nc.Var(x), state, weights)
+    assert hs.shape == (12, 4)
+    node = hs._parents[0]
+    assert node.shape == (12 + 2 * 2 * 3, 4)
+    assert node._bw.__qualname__.split(".")[0] == "lstm_stack"
+    for h, c in new_state:
+        assert h.shape == c.shape == (3, 4)
+        assert h._parents[0] is node and c._parents[0] is node
+
+
+def test_lstm_stack_rejects_partial_frames():
+    x, state, weights = stack_inputs(np.random.default_rng(34), 2, 2, 3)
+    with pytest.raises(ValueError, match="whole frames"):
+        nc.lstm_stack(x[:5], state, weights)
+
+
+@pytest.mark.parametrize("given", [1, 3])
+def test_lstm_stack_rejects_a_state_per_layer_mismatch(given):
+    x, state, weights = stack_inputs(np.random.default_rng(35), 3, 2, 3)
+    with pytest.raises(ValueError, match=f"{given} LSTM states for 2 layers"):
+        nc.lstm_stack(x, state[:given], weights[:2])
 
 
 # --- the flow-step ops ------------------------------------------------------------
@@ -698,8 +800,9 @@ def test_desk_training_step_tape_census(desk_segment):
     finally:
         nc.restore(model)
     ops = tape_ops(loss)
-    assert sum(ops.values()) <= 227  # 90 leaves and 137 op nodes
+    assert sum(ops.values()) <= 215  # 90 leaves and 125 op nodes
     assert ops["graph_temporal_encoder"] == 1
+    assert ops["lstm_stack"] == 6 and ops["lstm_sequence"] == 0  # one per conditioner
     assert ops["graph_conv_relu"] == 6  # one per coupling conditioner
     assert ops["actnorm"] == ops["affine_coupling"] == 6  # one per flow step
     assert ops["coupling_head"] == 6  # one per coupling conditioner
@@ -709,7 +812,7 @@ def test_desk_training_step_tape_census(desk_segment):
 
 def test_desk_mg_training_step_op_nodes():
     """The flat-history ablation has no encoder or conditioner graph
-    convs: 7 op nodes fewer than `stmg`'s 137."""
+    convs: 7 op nodes fewer than `stmg`'s 125."""
     model, pos, ctl = build_desk_segment("mg")
     nc.lift(model)
     try:
@@ -717,7 +820,7 @@ def test_desk_mg_training_step_op_nodes():
     finally:
         nc.restore(model)
     ops = tape_ops(loss)
-    assert sum(ops.values()) - ops["leaf"] <= 130
+    assert sum(ops.values()) - ops["leaf"] <= 118
     assert ops["coupling_head"] == 6 and ops["graph_conv_relu"] == 0
     assert ops["neg"] == ops["sigmoid"] == 0
 
