@@ -65,14 +65,16 @@ class SpatialGraphConv(nc.Module):
 
 
 def reflect_shifts(t, kernel_size):
-    """(kernel, T, T) 0/1 matrices; tap j picks, for each output frame, the
-    input frame at offset j - pad under edge-reflecting padding.
+    """(kernel, T, T) 0/1 matrices, read-only; tap j picks, for each output
+    frame, the input frame at offset j - pad under edge-reflecting padding.
 
     Row t of shift j selects frame t + j - pad, reflected at the edges
     (frame -1 is frame 0, frame T is frame T - 1), so summing
     shifts[j] @ x @ kernel[j] over taps is the symmetric-padded
-    convolution.  Requires T >= pad.
+    convolution.  Requires an odd kernel and T >= pad.
     """
+    if kernel_size < 1 or kernel_size % 2 == 0:
+        raise ValueError(f"temporal kernel must be odd, got {kernel_size}")
     pad = (kernel_size - 1) // 2
     if t < pad:
         raise ValueError(f"history of {t} frames too short for kernel {kernel_size}")
@@ -82,72 +84,69 @@ def reflect_shifts(t, kernel_size):
         src = np.where(src < 0, -src - 1, src)
         src = np.where(src >= t, 2 * t - 1 - src, src)
         shifts[tap, np.arange(t), src] = 1.0
+    shifts.flags.writeable = False
     return shifts
 
 
 class TemporalConv(nc.Module):
-    """The parameters of a 1-d convolution along the time axis.
+    """The parameters of a 1-d convolution along the time axis of a
+    history window of fixed length.
 
     Symmetric (edge-reflecting) padding keeps the output length equal to the
-    input length.  Requires T >= (kernel - 1) // 2.  The padding and taps
-    are one fixed stack of shift matrices per history length (see
-    `reflect_shifts`), folded into the kernel as one dense operator, which
+    input length.  The padding and taps are the `reflect_shifts` stack the
+    conv is built with, which every temporal conv of one encoder shares,
+    folded into the kernel as one dense operator, which
     `nc.graph_temporal_encoder` applies to the (rows, T*C_in) features.
     `operator` is the only builder of that operator.  While the kernel is
     a plain ndarray (rollout, evaluation) the layer keeps the operator it
-    built, and rebuilds it when T or the kernel's bytes change.
+    built, and rebuilds it when the kernel's bytes change.
     """
 
     param_attrs = ("kernel", "bias")
 
-    def __init__(self, channels_in, channels_out, kernel_size, rng):
-        if kernel_size < 1 or kernel_size % 2 == 0:
-            raise ValueError(f"temporal kernel must be odd, got {kernel_size}")
-        self.kernel_size = kernel_size
-        scale = 1.0 / np.sqrt(channels_in * kernel_size)
-        self.kernel = rng.normal(0.0, scale, size=(kernel_size, channels_in, channels_out))
+    def __init__(self, shifts, channels_in, channels_out, rng):
+        self.shifts = shifts  # (kernel, T, T), frozen
+        k = shifts.shape[0]
+        scale = 1.0 / np.sqrt(channels_in * k)
+        self.kernel = rng.normal(0.0, scale, size=(k, channels_in, channels_out))
         self.bias = np.zeros(channels_out)
-        self._t = None  # history length the shifts are built for
-        self._shifts = None
         self._built_from = None  # bytes of the kernel the operator was built from
         self._operator = None
 
-    def operator(self, t):
-        """(shifts, operator) for t frames: the shift matrices and the dense
-        operator, cached for an ndarray kernel.  A lifted kernel, whose
-        values change every training step, gets a freshly built operator
-        and leaves the cache alone."""
-        if t != self._t:
-            self._shifts = reflect_shifts(t, self.kernel_size)
-            self._t, self._built_from = t, None
+    def operator(self):
+        """The dense operator of the kernel over the shifts, cached for an
+        ndarray kernel.  A lifted kernel, whose values change every
+        training step, gets a freshly built operator and leaves the cache
+        alone."""
         if isinstance(self.kernel, nc.Var):
-            return self._shifts, nc.shift_operator(self._shifts, self.kernel.data)
+            return nc.shift_operator(self.shifts, self.kernel.data)
         if self.kernel.tobytes() != self._built_from:
-            self._operator = nc.shift_operator(self._shifts, self.kernel)
+            self._operator = nc.shift_operator(self.shifts, self.kernel)
             self._built_from = self.kernel.tobytes()
-        return self._shifts, self._operator
+        return self._operator
 
 
 class GraphTemporalBlock(nc.Module):
     """Spatial graph conv -> (optional) temporal conv -> residual -> relu.
 
-    The block holds the parameters; `HistoryEncoder` runs it.
+    `shifts` is the encoder's `reflect_shifts` stack, or None for a block
+    without a temporal conv.  The block holds the parameters;
+    `HistoryEncoder` runs it.
     """
 
     param_attrs = ()
     child_attrs = ("sgcn", "tcn", "res")
 
-    def __init__(self, adjacency, channels_in, channels_out, temporal_kernel, rng, use_temporal=True):
+    def __init__(self, adjacency, channels_in, channels_out, shifts, rng):
         self.sgcn = SpatialGraphConv(adjacency, channels_in, channels_out, rng)
-        self.tcn = TemporalConv(channels_out, channels_out, temporal_kernel, rng) if use_temporal else None
+        self.tcn = None if shifts is None else TemporalConv(shifts, channels_out, channels_out, rng)
         self.res = Linear(channels_in, channels_out, rng) if channels_in != channels_out else None
 
-    def operands(self, t):
-        """The block as `nc.graph_temporal_encoder` takes it, for t frames."""
+    def operands(self):
+        """The block as `nc.graph_temporal_encoder` takes it."""
         temporal = None
         if self.tcn is not None:
-            shifts, operator = self.tcn.operator(t)
-            temporal = (shifts, self.tcn.kernel, self.tcn.bias, operator)
+            temporal = (self.tcn.shifts, self.tcn.kernel, self.tcn.bias, self.tcn.operator())
         residual = None if self.res is None else (self.res.weight, self.res.bias)
         return ((self.sgcn.adjacency.stacked, self.sgcn.weight, self.sgcn.bias),
                 temporal, residual)
@@ -159,6 +158,9 @@ class HistoryEncoder(nc.Module):
     Variants: "stmg" runs graph + temporal convolutions, "smg" graph only,
     "mg" is a parameter-free flatten of the raw history.  The graph
     variants run all their blocks as one `nc.graph_temporal_encoder` node.
+    The history is data of `history_len` frames: the encoder builds one
+    `reflect_shifts` stack for that length, which all its temporal convs
+    share, and takes no gradient on the history.
     """
 
     param_attrs = ()
@@ -176,23 +178,22 @@ class HistoryEncoder(nc.Module):
             self.blocks = None
             self.width = markers * channels * history_len
         else:
-            use_t = variant == "stmg"
+            shifts = reflect_shifts(history_len, temporal_kernel) if variant == "stmg" else None
             blocks = []
             cin = channels
             for cout in block_channels:
-                blocks.append(GraphTemporalBlock(adjacency, cin, cout, temporal_kernel, rng, use_temporal=use_t))
+                blocks.append(GraphTemporalBlock(adjacency, cin, cout, shifts, rng))
                 cin = cout
             self.blocks = blocks
             self.width = block_channels[-1]
 
     def __call__(self, history):
-        # history: (B, M, C, T)
+        # history: (B, M, C, history_len) ndarray
         if self.variant == "mg":
             b = history.shape[0]
             return nc.reshape(history, (b, self.width))
-        t = history.shape[-1]
         return nc.graph_temporal_encoder(
-            history, [block.operands(t) for block in self.blocks])  # (B, width)
+            history, [block.operands() for block in self.blocks])  # (B, width)
 
 
 class LSTMLayer(nc.Module):
@@ -247,7 +248,6 @@ class CouplingConditioner(nc.Module):
 
     def __init__(self, variant, adjacency, markers, in_channels, out_channels,
                  graph_channels, pooled_width, control_width, hidden, num_layers, rng):
-        self.variant = variant
         self.markers = markers
         self.out_channels = out_channels
         if variant == "mg":

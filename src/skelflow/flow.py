@@ -240,7 +240,9 @@ class FlowModel(nc.Module):
         self.config = config
         self.skeleton = skeleton_spec
         partitions = {}
-        for d in set(config.kernel_schedule) | {config.encoder_kernel_scale}:
+        # largest scale first, so a skeleton too large to partition fails
+        # before any partition is allocated
+        for d in sorted(set(config.kernel_schedule) | {config.encoder_kernel_scale}, reverse=True):
             partitions[d] = sk.partition(skeleton_spec, d)
         self.encoder = HistoryEncoder(
             config.ablation, partitions[config.encoder_kernel_scale],
@@ -293,15 +295,23 @@ class FlowModel(nc.Module):
 
         x is one frame (M, C), a batch (B, M, C), or T consecutive frames of
         B sequences (T, B, M, C); history (..., M, C, T_h) and controls
-        (..., 3, T_h + 1) carry the same leading axes.  Returns the frames
-        (T*B, M, C), the pooled history (T*B, width), the flattened controls
-        (T*B, 3 * (T_h + 1)), the LSTM states of the B sequences and x's
-        leading axes.  The history encoder runs once, over all T*B windows.
+        (..., 3, T_h + 1) carry the same leading axes, with T_h the
+        config's history length; a window of any other shape raises
+        ValueError.  Returns the frames (T*B, M, C), the pooled history
+        (T*B, width), the flattened controls (T*B, 3 * (T_h + 1)), the
+        LSTM states of the B sequences and x's leading axes.  The history
+        encoder runs once, over all T*B windows.
         """
         shape = nc._data(x).shape
         if not 2 <= len(shape) <= 4:
             raise ValueError(f"expected 2 to 4 dims, got {len(shape)}")
-        t, b = ((1, 1) + shape[:-2])[-2:]
+        lead, cfg = shape[:-2], self.config
+        for name, window, want in (
+                ("history", history, lead + (cfg.markers, cfg.channels, cfg.history)),
+                ("controls", controls, lead + (3, cfg.history + 1))):
+            if np.shape(window) != want:
+                raise ValueError(f"{name} must have shape {want}, got {np.shape(window)}")
+        t, b = ((1, 1) + lead)[-2:]
         if states is None:
             states = self.initial_state(b)
         elif len(states) != len(self.steps):
@@ -310,7 +320,7 @@ class FlowModel(nc.Module):
         pooled = self.encoder(nc.reshape(hist_std, (t * b,) + hist_std.shape[-3:]))
         ctrl_flat = nc.reshape(controls, (t * b, -1))
         return (nc.reshape(x, (t * b,) + shape[-2:]), pooled, ctrl_flat,
-                states, shape[:-2])
+                states, lead)
 
     # -- the bijection ---------------------------------------------------------
 

@@ -584,18 +584,18 @@ def _encoder_chunk(x, blocks, kept=None):
     return x
 
 
-def _encoder_chunk_backward(gy, blocks, inputs, need_input_grad):
+def _encoder_chunk_backward(gy, blocks, inputs):
     """Backward through the blocks of one chunk from gy, the gradient on
     the last block's output already masked by its relu, with `inputs`
     every block's marker-major input.  Each block's gathered rows and
     inner relu output are recomputed from its input by one `_graph_conv`;
     no temporal conv or residual runs forward again.  Returns the
-    gradient on the chunk's input, or None when `need_input_grad` is
-    false, and the (Var, gradient) pairs of every parameter in the order
-    a backward accumulates them; no Var is written, so chunks can run on
-    different workers.  Each relu mask is read from the positive entries
-    of its output; the gradients are masked in place, and `inputs` is
-    only read."""
+    (Var, gradient) pairs of every parameter in the order a backward
+    accumulates them; the history is data, so no gradient leaves the
+    first block, and no Var is written, so chunks can run on different
+    workers.  Each relu mask is read from the positive entries of its
+    output; the gradients are masked in place, and `inputs` is only
+    read."""
     n, m, t, _ = gy.shape
     grads = []
     for i in range(len(blocks) - 1, -1, -1):
@@ -623,25 +623,26 @@ def _encoder_chunk_backward(gy, blocks, inputs, need_input_grad):
                                                    c_out, c_out)))
             gh = (gt @ dense.T).reshape(-1, c_out)
             np.multiply(gh, h > 0.0, out=gh)
-        gx = _graph_conv_backward(gh, rows, *graph, t, i > 0 or need_input_grad, grads)
+        gx = _graph_conv_backward(gh, rows, *graph, t, i > 0, grads)
         if gx is None:
-            return None, grads
+            return grads
         gx += g2 if residual is None else g2 @ _data(residual[0]).T
-        if i > 0:
-            np.multiply(gx, xi.reshape(-1, c_in) > 0.0, out=gx)
+        np.multiply(gx, xi.reshape(-1, c_in) > 0.0, out=gx)
         gy = gx.reshape(n, m, t, c_in)
-    return gy, grads
 
 
 def graph_temporal_encoder(history, blocks):
     """The mean over markers and frames of a stack of spatial-temporal
     graph blocks, as one tape node.
 
-    history is (N, M, C, T).  Each block is a triple (graph, temporal,
-    residual): `graph` is `graph_conv_relu`'s (stacked, weight, bias);
-    `temporal` is None or a reflect-shift convolution's (shifts, kernel,
-    bias, operator), with `operator` the kernel's dense `shift_operator`
-    (see `conditioning.TemporalConv.operator`); `residual` is a linear
+    history is an (N, M, C, T) ndarray: data, never a Var, so the node's
+    parents are the blocks' parameters alone and no gradient is taken on
+    it.  Each block is a triple (graph, temporal, residual): `graph` is
+    `graph_conv_relu`'s (stacked, weight, bias); `temporal` is None or a
+    reflect-shift convolution's (shifts, kernel, bias, operator), with
+    `shifts` a (k, T, T) `reflect_shifts` stack for the history's T frames
+    and `operator` the kernel's dense `shift_operator` over it (see
+    `conditioning.TemporalConv.operator`); `residual` is a linear
     layer's (weight, bias), or None for the identity, which needs
     C_in == C_out.  A block maps x to
 
@@ -665,7 +666,7 @@ def graph_temporal_encoder(history, blocks):
     with one transpose copy of the history and each block's gathered
     rows and inner relu output with one graph conv (Chen et al. 2016's
     recompute, on the cheap half only) and runs that chunk's backward.
-    Every chunk shares the operands' temporal operators.  On ndarrays
+    Every chunk shares the blocks' temporal operators.  On ndarrays
     nothing is kept.
 
     The chunks run forward and backward on the worker pool, in
@@ -675,24 +676,25 @@ def graph_temporal_encoder(history, blocks):
     in chunk order, so the sums, and so the bytes, are those of a run on
     one thread.
     """
-    hd = _data(history)
-    n, m, _, t = hd.shape
-    operands = [history]
+    if isinstance(history, Var):
+        raise TypeError("graph_temporal_encoder takes the history as data, not a Var")
+    n, m, _, t = history.shape
+    params = []
     for (_, weight, bias), temporal, residual in blocks:
-        operands += [weight, bias]
+        params += [weight, bias]
         if temporal is not None:
             _, kernel, t_bias, _ = temporal
-            operands += [kernel, t_bias]
+            params += [kernel, t_bias]
         if residual is not None:
-            operands += residual
-    recording = _any_var(*operands)
+            params += residual
+    recording = _any_var(*params)
     scale = 1.0 / (m * t)
     chunks = [slice(start, min(start + ENCODER_CHUNK_WINDOWS, n))
               for start in range(0, n, ENCODER_CHUNK_WINDOWS)]
     sizes = [chunk.stop - chunk.start for chunk in chunks]
 
     def chunk_input(chunk):
-        return np.ascontiguousarray(hd[chunk].transpose(0, 1, 3, 2))
+        return np.ascontiguousarray(history[chunk].transpose(0, 1, 3, 2))
 
     width = _data(blocks[-1][0][1]).shape[2]  # the last graph weight's C_out
     out = np.empty((n, width))
@@ -708,21 +710,17 @@ def graph_temporal_encoder(history, blocks):
     kept = _pooled(forward, chunks, sizes)
     if not recording:
         return out
-    res = Var(out, tuple(v for v in operands if isinstance(v, Var)))
+    res = Var(out, tuple(v for v in params if isinstance(v, Var)))
 
     def bw(g):
         def backward_chunk(chunk_kept):
             chunk, (inputs, mask) = chunk_kept
             # the pooled mean's gradient, broadcast and masked by the last relu
             gy = np.multiply(mask, (g[chunk] * scale)[:, None, None, :])
-            return _encoder_chunk_backward(gy, blocks, [chunk_input(chunk)] + inputs,
-                                           isinstance(history, Var))
+            return _encoder_chunk_backward(gy, blocks, [chunk_input(chunk)] + inputs)
 
-        results = _pooled(backward_chunk, list(zip(chunks, kept)), sizes)
-        for chunk, (gx, grads) in zip(chunks, results):
+        for grads in _pooled(backward_chunk, list(zip(chunks, kept)), sizes):
             _accum_all(grads)
-            if gx is not None:
-                history._accum_at(chunk, gx.transpose(0, 1, 3, 2))
 
     res._bw = bw
     return res
@@ -850,16 +848,13 @@ def coupling_head(h, weight, bias, shape, shift, floor):
     the two slices of one node, whose backward forms the gradient on raw
     once and takes h's, the weight's and the bias's from it with two
     GEMMs and one column sum."""
-    if not _any_var(h, weight, bias):
-        raw = _affine(h, weight, bias).reshape((h.shape[0], 2) + tuple(shape))
-        s = _logistic(raw[:, 0], shift)
-        s += floor
-        return s, raw[:, 1]
     hd, wd = _data(h), _data(weight)
     n = hd.shape[0]
     raw = _affine(hd, wd, _data(bias)).reshape((n, 2) + tuple(shape))
     sig = _logistic(raw[:, 0], shift)
     s = sig + floor
+    if not _any_var(h, weight, bias):
+        return s, raw[:, 1]
     raw[:, 0] = s
     both = Var(raw, tuple(v for v in (h, weight, bias) if isinstance(v, Var)))
 

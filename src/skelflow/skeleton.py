@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from importlib import resources as _resources
 from types import MappingProxyType
 
 import numpy as np
 
-try:
-    from importlib import resources as _resources
-except ImportError:  # pragma: no cover
-    _resources = None
+# The largest dense partition, M * D * M float64 values (128 MiB), that
+# `partition` allocates; a larger skeleton or scale raises ValueError first.
+PARTITION_MAX_VALUES = 2 ** 24
 
 
 class SkeletonConfigError(ValueError):
@@ -82,8 +82,11 @@ def build_skeleton(config_text):
     edges = []
     edge_lines = []
     mirror = []
+    mirror_lines = []
     groups = {}
+    group_lines = {}
     bones = {}
+    line_of = {}  # directive -> the line that last gave it
 
     for line_no, raw in enumerate(config_text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -107,12 +110,15 @@ def build_skeleton(config_text):
                 edge_lines.append(line_no)
             elif key == "mirror":
                 mirror.append((int(parts[1]), int(parts[2])))
+                mirror_lines.append(line_no)
             elif key == "group":
                 groups[parts[1]] = tuple(int(p) for p in parts[2:])
+                group_lines[parts[1]] = line_no
             elif key == "bone_cm":
                 bones[(int(parts[1]), int(parts[2]))] = float(parts[3])
             else:
                 raise SkeletonConfigError(f"line {line_no}: unknown directive '{key}'")
+            line_of[key] = line_no
         except (IndexError, ValueError) as exc:
             if isinstance(exc, SkeletonConfigError):
                 raise
@@ -128,15 +134,15 @@ def build_skeleton(config_text):
         raise SkeletonConfigError(
             f"{markers} markers need at least {markers - 1} edge lines, got {len(edges)}")
 
-    _check_index(center, markers, "center marker", 0)
-    _check_index(root, markers, "root marker", 0)
+    _check_index(center, markers, "center marker", line_of["center"])
+    _check_index(root, markers, "root marker", line_of.get("root"))
     for h in heels:
-        _check_index(h, markers, "heel marker", 0)
+        _check_index(h, markers, "heel marker", line_of["heels"])
     if heels[0] == heels[1]:
-        raise SkeletonConfigError("heel markers must be distinct")
+        raise SkeletonConfigError(f"line {line_of['heels']}: heel markers must be distinct")
     if lateral is not None:
         for l in lateral:
-            _check_index(l, markers, "lateral marker", 0)
+            _check_index(l, markers, "lateral marker", line_of["lateral"])
 
     seen = set()
     norm_edges = []
@@ -161,11 +167,11 @@ def build_skeleton(config_text):
             f"markers {missing[:3]}{more} are not reachable from marker 0")
 
     used = set()
-    for a, b in mirror:
-        _check_index(a, markers, "mirror marker", 0)
-        _check_index(b, markers, "mirror marker", 0)
+    for (a, b), line_no in zip(mirror, mirror_lines):
+        _check_index(a, markers, "mirror marker", line_no)
+        _check_index(b, markers, "mirror marker", line_no)
         if a == b or a in used or b in used:
-            raise SkeletonConfigError(f"bad mirror pair ({a}, {b})")
+            raise SkeletonConfigError(f"line {line_no}: bad mirror pair ({a}, {b})")
         used.update((a, b))
 
     bone_lengths = None
@@ -182,7 +188,7 @@ def build_skeleton(config_text):
 
     for name, members in groups.items():
         for m in members:
-            _check_index(m, markers, f"group '{name}' marker", 0)
+            _check_index(m, markers, f"group '{name}' marker", group_lines[name])
 
     return SkeletonSpec(
         marker_count=markers,
@@ -307,12 +313,19 @@ class PartitionedAdjacency:
 
 
 def partition(spec, kernel_scale):
-    """Distance partitioning of the skeleton at an odd kernel scale D >= 3."""
+    """Distance partitioning of the skeleton at an odd kernel scale D >= 3.
+
+    Raises ValueError, before allocating, when the dense (M*D, M)
+    partition would hold more than `PARTITION_MAX_VALUES` values."""
     d = int(kernel_scale)
     if d < 3 or d % 2 == 0:
         raise ValueError(f"kernel scale must be odd and >= 3, got {kernel_scale}")
     radius = (d - 1) // 2
     m = spec.marker_count
+    if m * d * m > PARTITION_MAX_VALUES:
+        raise ValueError(
+            f"partition of {m} markers at kernel scale {d} would hold {m * d * m} "
+            f"values, over the bound of {PARTITION_MAX_VALUES}")
     # one search from the center, and one out to the radius per marker
     adj = _adjacency_lists(m, spec.edges)
     to_center = np.array(_hops_from(adj, spec.center_marker))

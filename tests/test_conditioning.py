@@ -85,51 +85,49 @@ def np_symmetric_conv(x, kernel, bias):
 
 def test_temporal_conv_matches_numpy_pad_oracle():
     rng = np.random.default_rng(2)
-    layer = cond.TemporalConv(3, 4, 5, rng)
+    layer = cond.TemporalConv(cond.reflect_shifts(7, 5), 3, 4, rng)
     x = rng.normal(size=(2, 7, 4, 3))
-    _, operator = layer.operator(7)
-    got = apply_temporal_operator(x, operator, layer.bias)
+    got = apply_temporal_operator(x, layer.operator(), layer.bias)
     want = np_symmetric_conv(x, layer.kernel, layer.bias)
     assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_temporal_conv_center_tap_identity():
     rng = np.random.default_rng(3)
-    layer = cond.TemporalConv(3, 3, 5, rng)
+    layer = cond.TemporalConv(cond.reflect_shifts(6, 5), 3, 3, rng)
     layer.kernel = np.zeros_like(layer.kernel)
     layer.kernel[2] = np.eye(3)
     layer.bias = np.zeros_like(layer.bias)
     x = rng.normal(size=(1, 6, 2, 3))
-    _, operator = layer.operator(6)
+    operator = layer.operator()
     assert np.array_equal(operator, np.eye(6 * 3))
     assert np.array_equal(apply_temporal_operator(x, operator, layer.bias), x)
 
 
 def test_temporal_conv_too_short_history_raises():
-    rng = np.random.default_rng(4)
-    layer = cond.TemporalConv(2, 2, 9, rng)
     with pytest.raises(ValueError, match="too short"):
-        layer.operator(3)  # pad 4 > T 3
+        cond.reflect_shifts(3, 9)  # pad 4 > T 3
 
 
 def test_temporal_conv_rejects_even_kernel():
-    with pytest.raises(ValueError):
-        cond.TemporalConv(2, 2, 4, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="must be odd"):
+        cond.reflect_shifts(6, 4)
 
 
 # --- blocks / encoder --------------------------------------------------------------
 
 def test_block_residual_identity_when_widths_match(tiny_adj):
     rng = np.random.default_rng(5)
-    block = cond.GraphTemporalBlock(tiny_adj, 4, 4, 3, rng)
+    shifts = cond.reflect_shifts(3, 3)
+    block = cond.GraphTemporalBlock(tiny_adj, 4, 4, shifts, rng)
     assert block.res is None
-    block2 = cond.GraphTemporalBlock(tiny_adj, 2, 4, 3, rng)
+    block2 = cond.GraphTemporalBlock(tiny_adj, 2, 4, shifts, rng)
     assert block2.res is not None
 
 
 def test_block_smg_variant_has_no_temporal_conv(tiny_adj):
     rng = np.random.default_rng(6)
-    block = cond.GraphTemporalBlock(tiny_adj, 2, 4, 3, rng, use_temporal=False)
+    block = cond.GraphTemporalBlock(tiny_adj, 2, 4, None, rng)
     assert block.tcn is None
     names = [k for k, _ in block.named_parameters()]
     assert not any("tcn" in n for n in names)

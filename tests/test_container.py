@@ -294,6 +294,34 @@ def test_inflated_header_is_rejected_before_it_allocates(tmp_path):
     assert peak < 16 * 2 ** 20
 
 
+def test_oversized_skeleton_header_is_rejected_before_it_allocates(tmp_path, capsys):
+    """A desk checkpoint whose header declares a 2,000-marker chain: its
+    scale-7 partition would hold 224 MB, and loading must fail on the
+    partition bound before any partition is allocated, so `generate`
+    exits with the I/O code."""
+    path = tmp_path / "desk.ckpt"
+    flow.save_checkpoint(
+        flow.FlowModel.create(flow.desk_config(), sk.default_skeleton()), path)
+    m = 2000
+    chain = f"markers {m}\ncenter {m // 2}\nheels 0 1\n" + "".join(
+        f"edge {i} {i + 1}\n" for i in range(m - 1))
+    bad = _corrupt(path, lambda raw: _with_header(raw, lambda h: (
+        h["config"].update(markers=m), h.update(skeleton_text=chain))), tmp_path, "bad.ckpt")
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointFormatError, match="2000 markers at kernel scale 7"):
+            flow.load_checkpoint(bad)
+        code = cli.main(["generate", "--checkpoint", str(bad),
+                         "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_IO
+    assert err.startswith("error: ") and "2000 markers at kernel scale 7" in err
+    assert peak < 16 * 2 ** 20
+
+
 def test_writers_keep_the_version_1_layout(good_checkpoint, good_clip):
     for path, magic in ((good_checkpoint, b"SKFLOW01"), (good_clip, b"SKCLIP01")):
         raw = path.read_bytes()

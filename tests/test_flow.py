@@ -1,9 +1,11 @@
 import dataclasses
 import os
+import re
 
 import numpy as np
 import pytest
 
+from skelflow import conditioning as cond
 from skelflow import flow
 from skelflow import numcore as nc
 from skelflow import sequence
@@ -42,8 +44,23 @@ def test_graph_convs_share_one_partition_per_scale():
     for d, stacked in stored.items():
         assert np.array_equal(stacked, sk.partition(spec, d).stacked)
     for block in model.encoder.blocks:
-        graph, _, _ = block.operands(config.history)
+        graph, _, _ = block.operands()
         assert graph[0] is block.sgcn.adjacency.stacked
+
+
+def test_temporal_convs_share_one_shift_stack():
+    """A desk stmg encoder holds one read-only `reflect_shifts` stack, for
+    the config's history length, and every temporal conv holds that same
+    array, as every graph conv at a scale holds its partition."""
+    config = flow.desk_config()
+    model = flow.FlowModel.create(config, sk.default_skeleton(), seed=0)
+    first, second = model.encoder.blocks
+    assert first.tcn.shifts is second.tcn.shifts
+    assert np.array_equal(first.tcn.shifts,
+                          cond.reflect_shifts(config.history, config.temporal_kernel))
+    assert not first.tcn.shifts.flags.writeable
+    for block in model.encoder.blocks:
+        assert block.operands()[1][0] is first.tcn.shifts
 
 
 # --- config -------------------------------------------------------------------
@@ -219,6 +236,38 @@ def test_frame_map_rejects_a_state_per_step_mismatch(tiny_skeleton, direction, g
     states = (model.initial_state(2) * 2)[:given]
     with pytest.raises(ValueError, match=f"{given} LSTM states for 2 flow steps"):
         getattr(model, direction)(frame, history, controls, states)
+
+
+# the four entry points that take a history and a controls window
+WINDOW_ENTRY_POINTS = {
+    "transform_frame": flow.FlowModel.transform_frame,
+    "inverse_transform_frame": flow.FlowModel.inverse_transform_frame,
+    "log_likelihood": flow.FlowModel.log_likelihood,
+    "init_actnorm": flow.FlowModel.init_actnorm,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(WINDOW_ENTRY_POINTS))
+@pytest.mark.parametrize("ablation", ["stmg", "smg", "mg"])
+def test_wrong_length_window_is_rejected(ablation, entry):
+    """A desk model is built for 10-frame windows: a 6-frame history, a
+    controls window of the wrong width, or a window whose leading axes are
+    not the frames' raises ValueError naming the argument, the expected
+    shape and the shape it got."""
+    config = flow.desk_config(ablation=ablation)
+    model = flow.FlowModel.create(config, sk.default_skeleton(), seed=0)
+    call = WINDOW_ENTRY_POINTS[entry]
+    frame, history, controls = random_frame_inputs(config, np.random.default_rng(11), batch=4)
+    call(model, frame, history, controls)
+    with pytest.raises(ValueError, match=re.escape(
+            "history must have shape (4, 21, 3, 10), got (4, 21, 3, 6)")):
+        call(model, frame, history[..., :6], controls)
+    with pytest.raises(ValueError, match=re.escape(
+            "controls must have shape (4, 3, 11), got (4, 3, 7)")):
+        call(model, frame, history, controls[..., :7])
+    with pytest.raises(ValueError, match=re.escape(
+            "history must have shape (4, 21, 3, 10), got (3, 21, 3, 10)")):
+        call(model, frame, history[:3], controls)
 
 
 def test_unbatched_matches_batched(tiny_skeleton):

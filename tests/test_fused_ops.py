@@ -173,10 +173,9 @@ def temporal_inputs(k, t):
 def test_temporal_conv_matches_chain(k, t):
     """The layer's operator, applied as the encoder applies it."""
     x, kernel, bias = temporal_inputs(k, t)
-    layer = cond.TemporalConv(2, 3, k, np.random.default_rng(0))
+    layer = cond.TemporalConv(cond.reflect_shifts(t, k), 2, 3, np.random.default_rng(0))
     layer.kernel = kernel
-    _, operator = layer.operator(t)
-    assert_close(apply_temporal_operator(x, operator, bias),
+    assert_close(apply_temporal_operator(x, layer.operator(), bias),
                  temporal_conv_chain(x, kernel, bias))
 
 
@@ -250,34 +249,33 @@ def test_reflect_shifts_pick_one_frame_per_tap(k, t):
 
 def layer_conv(layer, x):
     """The layer's temporal conv of ndarray x through `operator`."""
-    _, operator = layer.operator(x.shape[1])
-    return apply_temporal_operator(x, operator, layer.bias)
+    return apply_temporal_operator(x, layer.operator(), layer.bias)
 
 
 def test_temporal_conv_layer_caches_operator_by_value():
     rng = np.random.default_rng(5)
-    layer = cond.TemporalConv(3, 4, 9, rng)
+    layer = cond.TemporalConv(cond.reflect_shifts(6, 9), 3, 4, rng)
     x = rng.normal(size=(2, 6, 5, 3))
     assert_close(layer_conv(layer, x), temporal_conv_chain(x, layer.kernel, layer.bias))
-    shifts, operator = layer.operator(6)
-    assert layer.operator(6)[1] is operator
+    operator = layer.operator()
+    assert layer.operator() is operator
     # a new array with the same values keeps the operator
     layer.kernel = layer.kernel.copy()
-    assert layer.operator(6)[1] is operator
+    assert layer.operator() is operator
     # a lifted kernel gets a fresh operator of the same values and leaves
     # the cache alone
     kernel = layer.kernel
     layer.kernel = nc.Var(kernel)
-    lifted_shifts, lifted_operator = layer.operator(6)
-    assert lifted_shifts is shifts and lifted_operator is not operator
+    lifted_operator = layer.operator()
+    assert lifted_operator is not operator
     assert np.array_equal(lifted_operator, operator)
     layer.kernel = kernel
-    assert layer.operator(6)[1] is operator
+    assert layer.operator() is operator
 
 
 def test_temporal_conv_layer_follows_in_place_kernel_edit():
     rng = np.random.default_rng(6)
-    layer = cond.TemporalConv(3, 4, 5, rng)
+    layer = cond.TemporalConv(cond.reflect_shifts(6, 5), 3, 4, rng)
     x = rng.normal(size=(2, 6, 5, 3))
     before = layer_conv(layer, x)
     layer.kernel[2, 1, 0] += 0.5
@@ -285,18 +283,6 @@ def test_temporal_conv_layer_follows_in_place_kernel_edit():
     after = layer_conv(layer, x)
     assert not np.allclose(after, before)
     assert_close(after, temporal_conv_chain(x, layer.kernel, layer.bias))
-
-
-def test_temporal_conv_layer_at_two_history_lengths():
-    rng = np.random.default_rng(7)
-    layer = cond.TemporalConv(3, 4, 5, rng)
-    for t in (6, 4, 6):
-        x = rng.normal(size=(2, t, 5, 3))
-        assert_close(layer_conv(layer, x), temporal_conv_chain(x, layer.kernel, layer.bias))
-    with pytest.raises(ValueError, match="too short"):
-        layer.operator(1)
-    x = rng.normal(size=(2, 6, 5, 3))
-    assert_close(layer_conv(layer, x), temporal_conv_chain(x, layer.kernel, layer.bias))
 
 
 # --- graph_temporal_encoder ------------------------------------------------------
@@ -317,7 +303,7 @@ def random_encoder(variant, spec, channels, history, block_channels, kernel,
 
 def check_encoder_against_chain(encoder, history):
     """Values on ndarrays, then values and the gradients of every parameter
-    and of the history on Vars."""
+    on Vars."""
     assert_close(encoder(history), history_encoder_chain(encoder, history))
     weights = np.random.default_rng(0).normal(
         size=(history.shape[0], encoder.width))
@@ -325,15 +311,15 @@ def check_encoder_against_chain(encoder, history):
     for fn in (encoder, lambda h: history_encoder_chain(encoder, h)):
         lifted = nc.lift(encoder)
         try:
-            leaves = list(lifted.values()) + [nc.Var(history.copy())]
-            out = fn(leaves[-1])
+            leaves = list(lifted.values())
+            out = fn(history)
             loss = weighted_tanh_sum([out], [weights])
             grads.append((nc._data(out), nc.grad(loss, leaves)))
         finally:
             nc.restore(encoder)
     (got, got_grads), (want, want_grads) = grads
     assert_close(got, want)
-    assert len(got_grads) == len(want_grads) == len(lifted) + 1
+    assert len(got_grads) == len(want_grads) == len(lifted)
     for g, w in zip(got_grads, want_grads):
         assert_close(g, w)
 
@@ -389,6 +375,22 @@ def test_encoder_is_one_tape_node(tiny_skeleton):
     assert out._parents == tuple(lifted.values())
 
 
+@pytest.mark.parametrize("variant", ["stmg", "smg"])
+def test_encoder_takes_no_var_history(tiny_skeleton, variant):
+    """The history is data: the op raises TypeError on a Var history,
+    with the parameters lifted or not."""
+    encoder = encoder_case("tiny", variant, tiny_skeleton)
+    history = nc.Var(np.ones((2, 4, 2, 3)))
+    with pytest.raises(TypeError, match="history"):
+        encoder(history)
+    nc.lift(encoder)
+    try:
+        with pytest.raises(TypeError, match="history"):
+            encoder(history)
+    finally:
+        nc.restore(encoder)
+
+
 @st.composite
 def encoder_configs(draw):
     """Random trees of 2-8 markers, 2-4 channels, 1-3 blocks, odd temporal
@@ -423,37 +425,36 @@ def test_encoder_matches_chain_on_random_configs(cfg):
     check_encoder_against_chain(encoder, history)
 
 
-def encoder_value_and_history_grad(encoder, history):
-    """The encoder's value on a Var history and the history gradient of a
-    weighted sum of it."""
-    leaf = nc.Var(history.copy())
-    out = encoder(leaf)
-    weights = np.random.default_rng(4).normal(size=nc._data(out).shape)
-    return nc._data(out), nc.grad(nc.vsum(nc.mul(out, weights)), [leaf])[0]
+def recorded_value(encoder, history):
+    """The encoder's value with its parameters lifted, so the op records."""
+    nc.lift(encoder)
+    try:
+        return nc._data(encoder(history))
+    finally:
+        nc.restore(encoder)
 
 
 def whole_batch(encoder, history, monkeypatch):
-    """`encoder_value_and_history_grad` with all windows in one chunk."""
+    """`recorded_value` with all windows in one chunk."""
     with monkeypatch.context() as patch:
         patch.setattr(nc, "ENCODER_CHUNK_WINDOWS", history.shape[0])
-        return encoder_value_and_history_grad(encoder, history)
+        return recorded_value(encoder, history)
 
 
 @pytest.mark.parametrize("windows", [1, 7, 8, 9, 13, 64, 184])
 @pytest.mark.parametrize("variant", ["stmg", "smg"])
 def test_encoder_chunks_match_whole_batch(variant, windows, monkeypatch):
-    """Chunk boundaries on the desk encoder's shapes: the pooled output
-    and the history gradient equal a one-chunk run bit for bit, and the
-    value and every gradient match the oracle chain on the whole batch."""
+    """Chunk boundaries on the desk encoder's shapes: the pooled output,
+    plain and recorded, equals a one-chunk run bit for bit, and the value
+    and every parameter gradient match the oracle chain on the whole
+    batch."""
     assert nc.ENCODER_CHUNK_WINDOWS == 8
     encoder = encoder_case("default", variant, None, seed=5)
     history = np.random.default_rng(windows).normal(
         size=(windows, encoder.markers, encoder.channels, encoder.history_len))
-    got = encoder_value_and_history_grad(encoder, history)
     want = whole_batch(encoder, history, monkeypatch)
-    assert np.array_equal(encoder(history), want[0])
-    assert np.array_equal(got[0], want[0])
-    assert np.array_equal(got[1], want[1])
+    assert np.array_equal(encoder(history), want)
+    assert np.array_equal(recorded_value(encoder, history), want)
     check_encoder_against_chain(encoder, history)
 
 

@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -140,6 +143,30 @@ def test_long_chain_connectivity_is_one_search(monkeypatch):
                              + "".join(f"edge {i} {i + 1}\n" for i in range(m - 1)))
     assert spec.marker_count == m and len(spec.edges) == m - 1
     assert searches == [0]
+
+
+# a 3-marker chain; each row below drops its directive's line, if any,
+# and adds one naming marker 7, which the error must report by line
+CHAIN3 = ["# three markers in a chain", "markers 3", "center 1", "heels 0 2",
+          "edge 0 1", "edge 1 2"]
+OUT_OF_RANGE = {
+    "center": ("center 7", "center marker 7"),
+    "root": ("root 7", "root marker 7"),
+    "heels": ("heels 0 7", "heel marker 7"),
+    "lateral": ("lateral 7 0", "lateral marker 7"),
+    "mirror": ("mirror 0 7", "mirror marker 7"),
+    "group": ("group arm 1 7", "group 'arm' marker 7"),
+}
+
+
+@pytest.mark.parametrize("directive", sorted(OUT_OF_RANGE))
+def test_out_of_range_index_reports_its_line(directive):
+    bad, what = OUT_OF_RANGE[directive]
+    lines = [line for line in CHAIN3 if line.split()[0] != directive]
+    lines += ["", bad, "# trailing comment"]
+    with pytest.raises(sk.SkeletonConfigError, match=re.escape(
+            f"line {len(lines) - 1}: {what} out of range [0, 3)")):
+        sk.build_skeleton("\n".join(lines))
 
 
 @pytest.mark.parametrize("text", [5, ["markers 2"], None, b"markers 2\n"])
@@ -351,6 +378,27 @@ def test_long_chain_partition_bfs_visits(monkeypatch):
     assert pa.matrices[2, 0].sum() == 0.0
     assert pa.matrices[1, m // 2].sum() == 0.0
     assert np.array_equal(pa.matrices[2, m // 2, m // 2 - 1:m // 2 + 2], [0.5, 0.0, 0.5])
+
+
+def test_oversized_partition_raises_before_allocating(monkeypatch):
+    """The same 2,000-marker chain at scale 7 would hold 28 M values
+    (224 MB): `partition` raises before it searches or allocates."""
+    m = 2000
+    spec = spec_from_edges(m, [(i, i + 1) for i in range(m - 1)], center=m // 2)
+    assert m * 7 * m > sk.PARTITION_MAX_VALUES >= m * 3 * m
+
+    def no_search(*args):
+        raise AssertionError("searched past the bound")
+
+    monkeypatch.setattr(sk, "_adjacency_lists", no_search)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="2000 markers at kernel scale 7"):
+            sk.partition(spec, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_partition_matrices_are_a_read_only_view_of_stacked(tiny_skeleton):
